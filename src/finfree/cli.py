@@ -117,7 +117,7 @@ def cmd_commutator(args) -> int:
     payload = {"d": exact.degree, **_poly_payload(exact)}
     lines = [exact.pretty(), f"a = {[str(v) for v in exact.a]}"]
     code = 0
-    if args.mc:
+    if args.mc is not None:
         if args.seed is None:
             raise InputError("--mc requires --seed")
         report = mc_commutator_charpoly(
@@ -253,6 +253,21 @@ def cmd_verify(args) -> int:
     return 0 if failed == 0 else 1
 
 
+def _int_at_least(low: int):
+    """argparse type: an int no smaller than `low`."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="finfree",
@@ -285,9 +300,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("a", help="path to a spectrum JSON array")
     p.add_argument("b", help="path to a spectrum JSON array")
-    p.add_argument("--mc", type=int, help="Monte Carlo sample count")
+    p.add_argument(
+        "--mc", type=_int_at_least(2),
+        help="Monte Carlo sample count (at least 2, so a band has a standard error)",
+    )
     p.add_argument("--seed", type=int, help="Monte Carlo seed")
-    p.add_argument("--chunk", type=int, default=4096, help="samples per chunk")
+    p.add_argument(
+        "--chunk", type=_int_at_least(1), default=4096, help="samples per chunk"
+    )
     add_format(p)
     p.set_defaults(func=cmd_commutator)
 
@@ -325,7 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("suite", choices=sorted(VERIFY_GROUPS))
     p.add_argument("--seed", type=int)
-    p.add_argument("--mc", type=int, help="Monte Carlo sample count override")
+    p.add_argument(
+        "--mc", type=_int_at_least(2), help="Monte Carlo sample count override"
+    )
     p.add_argument(
         "--inject-wg-error",
         action="store_true",

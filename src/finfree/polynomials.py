@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, lcm
 
-from .symfunc import as_spectrum, elementary_symmetric
-from .util import to_fraction
+from .symfunc import as_spectrum, elementary_symmetric, scaled_elementary
+from .util import factorials, to_fraction
 
 
 def falling(n, j: int) -> Fraction:
@@ -72,7 +72,7 @@ class MonicPoly:
         return cls((Fraction(1),) + (Fraction(0),) * d)
 
     def negate_roots(self) -> "MonicPoly":
-        return MonicPoly(tuple((-1) ** k * v for k, v in enumerate(self.a)))
+        return MonicPoly(tuple(-v if k % 2 else v for k, v in enumerate(self.a)))
 
     def pretty(self) -> str:
         d = self.degree
@@ -112,32 +112,65 @@ def _common_degree(p: MonicPoly, q: MonicPoly) -> int:
     return p.degree
 
 
+def _pack(coeffs, nbytes: int) -> int:
+    """sum_i c_i 2^(8 nbytes i) for signed ints c_i with |c_i| < 2^(8 nbytes)."""
+    pos = b"".join(max(c, 0).to_bytes(nbytes, "little") for c in coeffs)
+    neg = b"".join(max(-c, 0).to_bytes(nbytes, "little") for c in coeffs)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def low_product(f, g, n: int) -> list:
+    """The first n coefficients of the product of two integer polynomials.
+
+    Kronecker substitution: both coefficient lists are packed into one big
+    int each, in slots wide enough for any product coefficient, so a single
+    big-int product does the whole convolution. The slot width is a whole
+    number of bytes, and the signed digits are read back in one pass by
+    biasing every slot by half its range, which leaves no borrows to carry.
+    """
+    bound = min(n, len(f), len(g)) * max(1, *map(abs, f)) * max(1, *map(abs, g))
+    nbytes = (bound.bit_length() + 1 + 7) // 8
+    half = 1 << (8 * nbytes - 1)
+    bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * n, "little")
+    width = 8 * nbytes * n
+    packed = _pack(f, nbytes) * _pack(g, nbytes)
+    raw = ((packed + bias) & ((1 << width) - 1)).to_bytes(nbytes * n, "little")
+    return [
+        int.from_bytes(raw[i : i + nbytes], "little") - half
+        for i in range(0, nbytes * n, nbytes)
+    ]
+
+
 def boxplus(p: MonicPoly, q: MonicPoly) -> MonicPoly:
-    """Additive convolution: expected polynomial of A + UBU*."""
+    """Additive convolution: expected polynomial of A + UBU*.
+
+    In the normalized coefficients a_k (d-k)!/d! the convolution is the
+    plain polynomial product (Marcus-Spielman-Srivastava). Both inputs are
+    cleared to integers P_i = a_i D (d-i)!, with D the lcm of their
+    denominators, multiplied once, and each output is one ratio
+    R_k / (D_p D_q d! (d-k)!).
+    """
     d = _common_degree(p, q)
-    a = []
-    for k in range(d + 1):
-        total = Fraction(0)
-        for i in range(k + 1):
-            j = k - i
-            w = Fraction(factorial(d - i) * factorial(d - j), factorial(d) * factorial(d - k))
-            total += w * p.a[i] * q.a[j]
-        a.append(total)
-    return MonicPoly(tuple(a))
+    fact = factorials(d)
+
+    def cleared(poly):
+        den = lcm(*(v.denominator for v in poly.a))
+        ints = [
+            v.numerator * (den // v.denominator) * fact[d - i]
+            for i, v in enumerate(poly.a)
+        ]
+        return den, ints
+
+    dp, pa = cleared(p)
+    dq, qa = cleared(q)
+    r = low_product(pa, qa, d + 1)
+    scale = dp * dq * fact[d]
+    return MonicPoly(tuple(Fraction(r[k], scale * fact[d - k]) for k in range(d + 1)))
 
 
 def boxminus(p: MonicPoly, q: MonicPoly) -> MonicPoly:
     """Subtractive convolution: expected polynomial of A - UBU*."""
-    d = _common_degree(p, q)
-    a = []
-    for k in range(d + 1):
-        total = Fraction(0)
-        for i in range(k + 1):
-            j = k - i
-            w = Fraction(factorial(d - i) * factorial(d - j), factorial(d) * factorial(d - k))
-            total += (-1) ** j * w * p.a[i] * q.a[j]
-        a.append(total)
-    return MonicPoly(tuple(a))
+    return boxplus(p, q.negate_roots())
 
 
 def boxtimes(p: MonicPoly, q: MonicPoly) -> MonicPoly:
@@ -148,18 +181,20 @@ def boxtimes(p: MonicPoly, q: MonicPoly) -> MonicPoly:
 
 
 def z_poly(d: int) -> MonicPoly:
-    """The degree-d commutator kernel polynomial (even coefficients only)."""
+    """The degree-d commutator kernel polynomial (even coefficients only).
+
+    a_2m = C(d, 2m) (d)_m m!/(2m)! (d+1-m)/(d+1), with (d)_m = d!/(d-m)!
+    the falling factorial, taken as one integer ratio.
+    """
     if d < 1:
         raise ValueError("degree must be at least 1")
+    fact = factorials(d)
     a = [Fraction(0)] * (d + 1)
     a[0] = Fraction(1)
     for m in range(1, d // 2 + 1):
-        a[2 * m] = (
-            comb(d, 2 * m)
-            * falling(d, m)
-            * factorial(m)
-            / factorial(2 * m)
-            * Fraction(d + 1 - m, d + 1)
+        a[2 * m] = Fraction(
+            comb(d, 2 * m) * fact[d] * fact[m] * (d + 1 - m),
+            fact[d - m] * fact[2 * m] * (d + 1),
         )
     return MonicPoly(tuple(a))
 
@@ -187,22 +222,17 @@ def commutator_coefficient(k: int, spec_a, spec_b) -> Fraction:
     if k % 2:
         return Fraction(0)
     h = k // 2
-    ea, eb = elementary_symmetric(spec_a), elementary_symmetric(spec_b)
+    fact = factorials(d)
 
-    def cross(e):
-        total = Fraction(0)
-        for i in range(k + 1):
-            j = k - i
-            w = Fraction(
-                factorial(d - i) * factorial(d - j),
-                factorial(d) * factorial(d - k),
-            )
-            total += (-1) ** i * w * e[i] * e[j]
-        return total
+    def cross(spec):
+        # sum_i (-1)^i (d-i)!(d-j)!/(d!(d-k)!) e_i e_j with j = k - i, where
+        # e_i e_j = E_i E_j / L^k over the integer-scaled values
+        scale, e = scaled_elementary(spec)
+        total = sum(
+            (-1) ** i * fact[d - i] * fact[d - k + i] * e[i] * e[k - i]
+            for i in range(k + 1)
+        )
+        return Fraction(total, fact[d] * fact[d - k] * scale**k)
 
-    factor = (
-        Fraction(factorial(d - k), factorial(d - h))
-        * factorial(h)
-        * Fraction(d + 1 - h, d + 1)
-    )
-    return cross(ea) * cross(eb) * factor
+    factor = Fraction(fact[d - k] * fact[h] * (d + 1 - h), fact[d - h] * (d + 1))
+    return cross(spec_a) * cross(spec_b) * factor

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 from .partitions import (
     Partition,
@@ -31,14 +31,26 @@ def as_spectrum(values) -> tuple:
     return spec
 
 
-def elementary_symmetric(x) -> tuple:
-    """e_0..e_d of the values, by the one-pass product recurrence."""
+def scaled_elementary(x) -> tuple:
+    """(L, E) with L the lcm of the denominators and E_k = L^k e_k(x) in ints.
+
+    The values are scaled by L to integers, and the one-pass product
+    recurrence runs on those.
+    """
     x = tuple(to_fraction(v) for v in x)
-    e = [Fraction(1)] + [Fraction(0)] * len(x)
+    scale = lcm(*(v.denominator for v in x))
+    e = [1] + [0] * len(x)
     for i, v in enumerate(x):
+        v = v.numerator * (scale // v.denominator)
         for j in range(i + 1, 0, -1):
             e[j] += v * e[j - 1]
-    return tuple(e)
+    return scale, e
+
+
+def elementary_symmetric(x) -> tuple:
+    """e_0..e_d of the values, by the one-pass product recurrence."""
+    scale, e = scaled_elementary(x)
+    return tuple(Fraction(v, scale**k) for k, v in enumerate(e))
 
 
 def power_sums(x, upto: int) -> tuple:

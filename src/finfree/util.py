@@ -1,6 +1,7 @@
-"""Shared plumbing: enumeration caps and exact-rational coercion."""
+"""Shared plumbing: enumeration caps, exact-rational coercion, factorials."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 # Defaults for the enumeration guards. Partition and tableau searches grow
 # super-polynomially and set partitions grow like Bell numbers, so sizes past
@@ -23,11 +24,14 @@ def check_cap(value, cap, what):
 
 
 def to_fraction(value):
-    """Coerce an int, Fraction, or 'p/q' string to Fraction; floats are refused."""
-    if isinstance(value, float):
-        raise TypeError(f"refusing float {value!r}: exact arithmetic only")
+    """Coerce an int, Fraction, or 'p/q' string to Fraction.
+
+    Floats are refused, and so are booleans, which Python counts as ints.
+    """
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, (bool, float)):
+        raise TypeError(f"refusing {value!r}: exact rationals only")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
@@ -41,3 +45,12 @@ def to_fraction(value):
 def rational_str(value):
     """Serialize a Fraction as 'p' or 'p/q'."""
     return str(Fraction(value))
+
+
+@lru_cache(maxsize=None)
+def factorials(n: int) -> tuple:
+    """The table (0!, 1!, ..., n!)."""
+    table = [1]
+    for m in range(1, n + 1):
+        table.append(table[-1] * m)
+    return tuple(table)

@@ -156,6 +156,39 @@ def test_commutator_rejects_empty(capsys, tmp_path, spectra_files):
     assert main(["commutator", a, bad]) == 2
 
 
+def test_commutator_rejects_booleans(capsys, tmp_path, spectra_files):
+    a, _ = spectra_files
+    bad = write_json(tmp_path, "bool.json", [True, False])
+    assert main(["commutator", bad, bad]) == 2
+    assert main(["commutator", a, bad]) == 2
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ("--mc", "-5", "--seed", "1"),
+        ("--mc", "0", "--seed", "1"),
+        ("--mc", "1", "--seed", "1"),
+        ("--mc", "x", "--seed", "1"),
+        ("--mc", "10", "--seed", "1", "--chunk", "0"),
+        ("--mc", "10", "--seed", "1", "--chunk", "-3"),
+    ],
+)
+def test_commutator_bad_mc_arguments(capsys, spectra_files, extra):
+    a, b = spectra_files
+    assert main(["commutator", a, b, *extra]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
+
+def test_commutator_smallest_mc_sample(capsys, spectra_files):
+    a, b = spectra_files
+    code, out = run_cli(capsys, "commutator", a, b, "--mc", "2", "--seed", "1")
+    assert code in (0, 1)
+    assert json.loads(out)["mc"]["n"] == 2
+
+
 # --------------------------------------------------------------- weingarten
 
 def test_weingarten_roundtrip(capsys):
@@ -258,6 +291,14 @@ def test_verify_negative_control(capsys):
     )
     assert code == 1
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("n", ["-1", "0", "1"])
+def test_verify_bad_mc(capsys, n):
+    assert main(["verify", "weingarten", "--mc", n]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
 
 
 def test_verify_unknown_suite(capsys):

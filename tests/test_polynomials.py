@@ -1,7 +1,9 @@
+import itertools
 from fractions import Fraction
+from math import comb, factorial, prod
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from finfree.polynomials import (
     MonicPoly,
@@ -11,8 +13,10 @@ from finfree.polynomials import (
     commutator_coefficient,
     commutator_poly,
     falling,
+    low_product,
     z_poly,
 )
+from finfree.symfunc import elementary_symmetric
 
 rational_st = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
@@ -206,3 +210,143 @@ def test_commutator_coefficient_bounds():
         commutator_coefficient(3, (1, -1), (1, -1))
     with pytest.raises(ValueError):
         commutator_coefficient(-1, (1, -1), (1, -1))
+
+
+# ------------------------------------------------- kernels vs definitions
+#
+# Reference definitions, written out in Fraction arithmetic: the weight sum
+# a_k = sum_{i+j=k} (d-i)!(d-j)!/(d!(d-k)!) p_i q_j for the additive and
+# subtractive convolutions, the coefficientwise ratio for the multiplicative
+# one, and the sum over k-subsets for e_k.
+
+def ref_boxplus(p, q, sign=1):
+    d = p.degree
+    a = []
+    for k in range(d + 1):
+        total = Fraction(0)
+        for i in range(k + 1):
+            j = k - i
+            w = Fraction(
+                factorial(d - i) * factorial(d - j), factorial(d) * factorial(d - k)
+            )
+            total += sign**j * w * p.a[i] * q.a[j]
+        a.append(total)
+    return MonicPoly(tuple(a))
+
+
+def ref_boxtimes(p, q):
+    d = p.degree
+    return MonicPoly(tuple(p.a[k] * q.a[k] / comb(d, k) for k in range(d + 1)))
+
+
+def ref_elementary(x):
+    return tuple(
+        sum((prod(c, start=Fraction(1)) for c in itertools.combinations(x, k)),
+            Fraction(0))
+        for k in range(len(x) + 1)
+    )
+
+
+big_rational_st = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(
+        Fraction,
+        st.integers(-(10**6), 10**6),
+        st.integers(1, 10**6),
+    ),
+)
+
+
+@st.composite
+def poly_pair_st(draw):
+    d = draw(st.integers(1, 12))
+    tails = st.lists(big_rational_st, min_size=d, max_size=d)
+    return (
+        MonicPoly((Fraction(1), *draw(tails))),
+        MonicPoly((Fraction(1), *draw(tails))),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly_pair_st())
+def test_convolutions_match_definition(pair):
+    p, q = pair
+    assert boxplus(p, q) == ref_boxplus(p, q)
+    assert boxminus(p, q) == ref_boxplus(p, q, sign=-1)
+    assert boxtimes(p, q) == ref_boxtimes(p, q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(big_rational_st, min_size=1, max_size=12))
+def test_elementary_symmetric_matches_definition(x):
+    assert elementary_symmetric(x) == ref_elementary(x)
+
+
+def ref_low_product(f, g, n):
+    return [
+        sum(f[i] * g[k - i] for i in range(k + 1) if i < len(f) and k - i < len(g))
+        for k in range(n)
+    ]
+
+
+@given(
+    st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=14),
+    st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=14),
+    st.integers(1, 30),
+)
+def test_low_product_matches_schoolbook(f, g, n):
+    assert low_product(f, g, n) == ref_low_product(f, g, n)
+
+
+def test_low_product_at_slot_bound():
+    # A bound of 8m-1 bits gets m-byte slots, whose signed digits run from
+    # -2^(8m-1) to 2^(8m-1) - 1: a product coefficient of +-(2^(8m-1) - 1)
+    # is the largest each slot is sized to hold.
+    for m in range(1, 6):
+        c = 2 ** (8 * m - 1) - 1
+        for f in ([c], [-c], [c, -c, c], [-c, 0, -c], [0, 0, c]):
+            for g in ([1], [-1]):
+                assert low_product(f, g, 3) == ref_low_product(f, g, 3)
+    # extreme entries of every bit length, one sign per factor
+    for b in range(1, 40):
+        for length in (1, 2, 3, 8):
+            top = 2**b - 1
+            for f, g in (
+                ([top] * length, [top] * length),
+                ([-top] * length, [top] * length),
+                ([-top] * length, [-top] * length),
+                ([top, -top] * length, [-top, top] * length),
+                ([-(2**b)] * length, [-(2**b)] * length),
+            ):
+                n = len(f) + len(g) - 1
+                assert low_product(f, g, n) == ref_low_product(f, g, n)
+
+
+def test_low_product_zero_factor():
+    assert low_product([0, 0], [2**90, -(2**90)], 3) == [0, 0, 0]
+    assert low_product([2**90, 5], [0], 2) == [0, 0]
+
+
+def test_decode_edge_cases():
+    for d in (1, 2, 5, 12):
+        x_d = MonicPoly.power_of_x(d)
+        assert boxplus(x_d, x_d) == x_d
+        assert boxminus(x_d, x_d) == x_d
+        # every coefficient negative, so every packed product digit borrows
+        neg = MonicPoly((1,) + tuple(Fraction(-(10**6) + k, 7**k) for k in range(d)))
+        assert boxplus(neg, neg) == ref_boxplus(neg, neg)
+        assert boxminus(neg, neg) == ref_boxplus(neg, neg, sign=-1)
+        assert boxplus(neg, x_d) == neg
+
+
+def test_commutator_routes_agree_d150():
+    d = 150
+    spec_a = tuple(Fraction((-1) ** i * (i % 9 + 1), (2, 3, 4)[i % 3]) for i in range(d))
+    spec_b = tuple(Fraction(i % 7 - 3, 1 + i % 5) for i in range(d))
+    conv = commutator_poly(
+        MonicPoly.from_spectrum(spec_a), MonicPoly.from_spectrum(spec_b)
+    )
+    assert conv.degree == d
+    assert all(conv.a[k] == 0 for k in range(1, d + 1, 2))
+    for k in (2, 4, 50, 98, 150):
+        assert conv.a[k] == commutator_coefficient(k, spec_a, spec_b)

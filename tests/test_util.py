@@ -5,6 +5,7 @@ import pytest
 from finfree.util import (
     CapExceededError,
     check_cap,
+    factorials,
     rational_str,
     to_fraction,
 )
@@ -17,6 +18,9 @@ def test_to_fraction():
     assert to_fraction("-2") == Fraction(-2)
     with pytest.raises(TypeError):
         to_fraction(0.5)
+    for flag in (True, False):
+        with pytest.raises(TypeError):
+            to_fraction(flag)
     with pytest.raises(ValueError):
         to_fraction("1/0")
     with pytest.raises(ValueError):
@@ -35,3 +39,8 @@ def test_check_cap():
         check_cap(6, 5, "thing")
     assert "thing" in str(excinfo.value)
     assert isinstance(excinfo.value, ValueError)
+
+
+def test_factorials():
+    assert factorials(0) == (1,)
+    assert factorials(5) == (1, 1, 2, 6, 24, 120)
