@@ -14,17 +14,8 @@ from .partitions import Partition, kostka
 from .polynomials import MonicPoly, boxminus, boxplus, boxtimes, commutator_poly, z_poly
 from .symgroup import character, character_table_json, inverse_kostka
 from .util import CapExceededError, PARTITION_CAP, to_fraction
-from .verify import run_suites
+from .verify import VERIFY_GROUPS, run_suites
 from .weingarten import ClassFunction, weingarten
-
-VERIFY_GROUPS = {
-    "all": ["convolution", "flagship", "oddk", "weingarten", "immanant",
-            "cconst", "identities", "haar"],
-    "commutator": ["convolution", "flagship", "oddk"],
-    "weingarten": ["weingarten"],
-    "immanant": ["immanant"],
-    "identities": ["identities", "cconst"],
-}
 
 
 class InputError(Exception):

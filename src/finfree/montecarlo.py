@@ -141,21 +141,14 @@ def _iter_chunks(n: int, chunk_size: int):
         done += take
 
 
-def mc_charpoly(spec_a, spec_b, n: int, seed: int, mode: str = "commutator",
-                chunk_size: int = 4096) -> McReport:
-    """Sampled means of e_1..e_d for a two-matrix word in A and UBU*.
+def _sample(d: int, n: int, seed: int, chunk_size: int, mode: str, labels: list,
+            statistic, extras=None) -> McReport:
+    """Means and standard errors of statistic(U) over n Haar samples.
 
-    mode selects the word: 'commutator' (AT - TA), 'sum' (A + T), or
-    'product' (AT), with T = UBU* and A, B diagonal with the given spectra.
+    statistic maps a batch of unitaries (m, d, d) to per-sample values
+    (m, len(labels)); batches are drawn and folded in chunk order.
     """
-    a = np.array([float(v) for v in _as_floats(spec_a)])
-    b = np.array([float(v) for v in _as_floats(spec_b)])
-    if a.shape != b.shape:
-        raise ValueError("spectra must have equal length")
-    d = a.size
-    if mode not in ("commutator", "sum", "product"):
-        raise ValueError(f"unknown mode {mode!r}")
-    acc = _Accumulator(d)
+    acc = _Accumulator(len(labels))
     residual = 0.0
     eye = np.eye(d)
     for index, take in _iter_chunks(n, chunk_size):
@@ -164,20 +157,7 @@ def mc_charpoly(spec_a, spec_b, n: int, seed: int, mode: str = "commutator",
             residual,
             float(np.abs(u @ u.conj().transpose(0, 2, 1) - eye).max()),
         )
-        t = (u * b[None, None, :]) @ u.conj().transpose(0, 2, 1)
-        if mode == "commutator":
-            w = a[None, :, None] * t - t * a[None, None, :]
-        elif mode == "sum":
-            w = t + a[None, :, None] * eye[None, :, :]
-        else:
-            w = a[None, :, None] * t
-        traces = np.empty((take, d), dtype=complex)
-        power = w
-        for j in range(d):
-            traces[:, j] = np.einsum("mii->m", power)
-            if j + 1 < d:
-                power = power @ w
-        acc.add(_elementary_from_traces(traces))
+        acc.add(statistic(u))
     mean, se_re, se_im = acc.finalize()
     return McReport(
         d=d,
@@ -185,12 +165,49 @@ def mc_charpoly(spec_a, spec_b, n: int, seed: int, mode: str = "commutator",
         seed=seed,
         chunk_size=chunk_size,
         mode=mode,
-        labels=[f"e_{k}" for k in range(1, d + 1)],
+        labels=labels,
         means=[complex(v) for v in mean],
         se_re=[float(v) for v in se_re],
         se_im=[float(v) for v in se_im],
         unitarity_residual_max=residual,
+        extras=extras or {},
     )
+
+
+def mc_charpoly(spec_a, spec_b, n: int, seed: int, mode: str = "commutator",
+                chunk_size: int = 4096) -> McReport:
+    """Sampled means of e_1..e_d for a two-matrix word in A and UBU*.
+
+    mode selects the word: 'commutator' (AT - TA), 'sum' (A + T), or
+    'product' (AT), with T = UBU* and A, B diagonal with the given spectra.
+    """
+    a = np.array([float(v) for v in spec_a])
+    b = np.array([float(v) for v in spec_b])
+    if a.shape != b.shape:
+        raise ValueError("spectra must have equal length")
+    d = a.size
+    if mode not in ("commutator", "sum", "product"):
+        raise ValueError(f"unknown mode {mode!r}")
+    eye = np.eye(d)
+
+    def elementary(u):
+        t = (u * b[None, None, :]) @ u.conj().transpose(0, 2, 1)
+        if mode == "commutator":
+            w = a[None, :, None] * t - t * a[None, None, :]
+        elif mode == "sum":
+            w = t + a[None, :, None] * eye[None, :, :]
+        else:
+            w = a[None, :, None] * t
+        traces = np.empty((len(u), d), dtype=complex)
+        power = w
+        for j in range(d):
+            traces[:, j] = np.einsum("mii->m", power)
+            if j + 1 < d:
+                power = power @ w
+        return _elementary_from_traces(traces)
+
+    return _sample(d, n, seed, chunk_size, mode,
+                   [f"e_{k}" for k in range(1, d + 1)], elementary)
 
 
 def mc_commutator_charpoly(spec_a, spec_b, n: int, seed: int,
@@ -200,30 +217,13 @@ def mc_commutator_charpoly(spec_a, spec_b, n: int, seed: int,
 
 def mc_entry_moments(d: int, n: int, seed: int, chunk_size: int = 4096) -> McReport:
     """Sampled |u_11|^2 and |u_11|^4 of Haar unitaries."""
-    acc = _Accumulator(2)
-    residual = 0.0
-    eye = np.eye(d)
-    for index, take in _iter_chunks(n, chunk_size):
-        u = haar_batch(d, take, _chunk_rng(seed, index))
-        residual = max(
-            residual,
-            float(np.abs(u @ u.conj().transpose(0, 2, 1) - eye).max()),
-        )
+
+    def moments(u):
         sq = np.abs(u[:, 0, 0]) ** 2
-        acc.add(np.stack([sq, sq**2], axis=1).astype(complex))
-    mean, se_re, se_im = acc.finalize()
-    return McReport(
-        d=d,
-        n=n,
-        seed=seed,
-        chunk_size=chunk_size,
-        mode="entry_moments",
-        labels=["abs_u11_sq", "abs_u11_4th"],
-        means=[complex(v) for v in mean],
-        se_re=[float(v) for v in se_re],
-        se_im=[float(v) for v in se_im],
-        unitarity_residual_max=residual,
-    )
+        return np.stack([sq, sq**2], axis=1).astype(complex)
+
+    return _sample(d, n, seed, chunk_size, "entry_moments",
+                   ["abs_u11_sq", "abs_u11_4th"], moments)
 
 
 def mc_conjugation_mean(spec_x, n: int, seed: int, chunk_size: int = 4096) -> McReport:
@@ -232,40 +232,16 @@ def mc_conjugation_mean(spec_x, n: int, seed: int, chunk_size: int = 4096) -> Mc
     The exact mean is (tr X / d) times the identity; the report labels are
     'entry_i_j' in row-major order.
     """
-    x = np.array([float(v) for v in _as_floats(spec_x)])
+    x = np.array([float(v) for v in spec_x])
     d = x.size
-    acc = _Accumulator(d * d)
-    residual = 0.0
-    eye = np.eye(d)
-    for index, take in _iter_chunks(n, chunk_size):
-        u = haar_batch(d, take, _chunk_rng(seed, index))
-        residual = max(
-            residual,
-            float(np.abs(u @ u.conj().transpose(0, 2, 1) - eye).max()),
-        )
+
+    def conjugate(u):
         t = (u * x[None, None, :]) @ u.conj().transpose(0, 2, 1)
-        acc.add(t.reshape(take, d * d))
-    mean, se_re, se_im = acc.finalize()
-    return McReport(
-        d=d,
-        n=n,
-        seed=seed,
-        chunk_size=chunk_size,
-        mode="conjugation",
-        labels=[f"entry_{i}_{j}" for i in range(1, d + 1) for j in range(1, d + 1)],
-        means=[complex(v) for v in mean],
-        se_re=[float(v) for v in se_re],
-        se_im=[float(v) for v in se_im],
-        unitarity_residual_max=residual,
-        extras={"trace_over_d": float(x.sum() / d)},
-    )
+        return t.reshape(len(u), d * d)
 
-
-def _as_floats(values):
-    out = []
-    for v in values:
-        out.append(float(v))
-    return out
+    return _sample(d, n, seed, chunk_size, "conjugation",
+                   [f"entry_{i}_{j}" for i in range(1, d + 1) for j in range(1, d + 1)],
+                   conjugate, extras={"trace_over_d": float(x.sum() / d)})
 
 
 def within_band(exact, mean, se, sigmas: float = 4.0, floor: float = 1e-9) -> bool:

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import finfree
 from finfree.cli import main
 from finfree.polynomials import MonicPoly, boxtimes
 from finfree.weingarten import ClassFunction, weingarten
@@ -306,10 +309,13 @@ def test_verify_unknown_suite(capsys):
 
 
 def test_entry_point_runs():
+    # the child interpreter imports the package under test, installed or not
+    env = {**os.environ, "PYTHONPATH": str(Path(finfree.__file__).parents[1])}
     proc = subprocess.run(
         [sys.executable, "-m", "finfree", "zpoly", "--d", "3"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["pretty"] == "x^3 + 27/8*x"

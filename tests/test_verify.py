@@ -1,6 +1,7 @@
 from fractions import Fraction
 
-from finfree.verify import SUITES, CheckResult, run_suites
+from finfree import cli
+from finfree.verify import SUITES, VERIFY_GROUPS, CheckResult, first_failure, run_suites
 from finfree.weingarten import ClassFunction, weingarten
 
 
@@ -19,6 +20,45 @@ def test_suite_registry_complete():
         "cconst",
         "identities",
         "haar",
+    }
+
+
+def test_verify_groups_name_suites():
+    assert VERIFY_GROUPS["all"] == list(SUITES)
+    assert all(name in SUITES for group in VERIFY_GROUPS.values() for name in group)
+
+
+def test_first_failure_all_pass_reports_ok_detail():
+    row = first_failure("check", iter([None, None, ""]), "all fine")
+    assert (row.name, row.passed, row.detail) == ("check", True, "all fine")
+    assert first_failure("empty", iter([])).passed
+
+
+def test_first_failure_reports_first_detail_and_stops_there():
+    def cases():
+        yield None
+        yield "first"
+        raise AssertionError("consumed past the first failure")
+
+    row = first_failure("check", cases(), "all fine")
+    assert (row.passed, row.detail) == (False, "first")
+
+
+def test_injected_wg_error_details():
+    # the rows the CLI's negative control fails, with the details they print
+    results = run_suites(["convolution", "weingarten"], seed=7, mc_n=2000,
+                         wg_fn=cli._corrupted_weingarten)
+    failed = {r.name: r.detail for r in results if not r.passed}
+    assert failed == {
+        "triple route d=2 full grid (225 pairs)":
+            "A=(-2, -1) B=(-2, -2) k=2: brute=2/125 closed=0 conv=0",
+        "triple route d=3 full grid (1225 pairs)":
+            "A=(-2, -2, -1) B=(-2, -2, -2) k=2: brute=9/125 closed=0 conv=0",
+        "triple route d=4 sampled (50 pairs)":
+            "A=(-2, -1, 0, 1) B=(-2, -2, 0, 2) k=2: brute=1106/75 closed=44/3 conv=44/3",
+        "Wg_{2,d} closed values for d=2..6": "d=2: got (1/3, -497/3000)",
+        "Gram-system oracle matches character expansion (k<=4, k<=d<=6)":
+            "k=1 d=1: Gram solve disagrees",
     }
 
 
