@@ -13,7 +13,7 @@ from .montecarlo import mc_commutator_charpoly, within_band
 from .partitions import Partition, kostka
 from .polynomials import MonicPoly, boxminus, boxplus, boxtimes, commutator_poly, z_poly
 from .symgroup import character, character_table_json, inverse_kostka
-from .util import CapExceededError, PARTITION_CAP, to_fraction
+from .util import CapExceededError, IMMANANT_CAP, PARTITION_CAP, to_fraction
 from .verify import VERIFY_GROUPS, run_suites
 from .weingarten import ClassFunction, weingarten
 
@@ -313,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shape", required=True, help="partition, e.g. 2,1")
     p.add_argument("matrix", help="path to a row-major matrix JSON document")
     p.add_argument("--method", choices=("direct", "multilinear"), default="direct")
-    p.add_argument("--cap-n", type=int, default=9)
+    p.add_argument("--cap-n", type=int, default=IMMANANT_CAP)
     add_format(p)
     p.set_defaults(func=cmd_immanant)
 
@@ -342,7 +342,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--inject-wg-error",
         action="store_true",
-        help="corrupt the Weingarten table (negative-control fixture)",
+        help="negative control: add 1/1000 to the largest class of every "
+        "Weingarten table. The three triple-route rows of 'commutator' and "
+        "the closed Wg_{2,d} and Gram-system rows of 'weingarten' fail under "
+        "it; the flagship and odd-k rows read the table but still pass",
     )
     p.set_defaults(func=cmd_verify)
 

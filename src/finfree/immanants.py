@@ -1,23 +1,38 @@
 """Immanants, eigenvalue-difference matrices, and multilinear extraction.
 
-The expensive route sums chi^lam(sigma) prod_i Y[i][sigma(i)] over the whole
-symmetric group. The cheap route for structured matrices evaluates Schur
-functions of ZY at all 0/1 choices of Z = diag(z) and reads off the
-coefficient of z_1...z_k by inclusion-exclusion, which is valid because that
-Schur value is jointly homogeneous of degree k in z.
+Both immanant routes clear the input once to the integer matrix Y' = L Y, L
+the lcm of the entry denominators, and run on Python ints. The immanant is
+homogeneous of degree n in the entries, so the value is Imm(Y') / L^n.
+
+The direct route sums prod_i Y'[i][sigma(i)] over the symmetric group by
+cycle type in one pass, then pairs those class sums with the characters. The
+Goulden-Jackson route evaluates Schur functions of diag(z) Y at all 0/1
+choices of z and reads off the coefficient of z_1...z_n by
+inclusion-exclusion, which is valid because that Schur value is jointly
+homogeneous of degree n in z. At the support S of z, e_j(diag(z) Y) is the sum
+of the j x j principal minors of Y_S, read from the characteristic polynomial
+of Y'_S (Berkowitz, division-free); the Schur value is the dual Jacobi-Trudi
+determinant of those e_j (Bareiss, fraction-free). The routes share only the
+denominator clearing: the direct route uses no determinant, the
+Goulden-Jackson route no character.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from math import factorial, lcm
 
-from .partitions import Partition, partitions_of
+from .partitions import Partition
 from .polynomials import MonicPoly
 from .symfunc import as_spectrum, elementary_symmetric
-from .symgroup import character, cycle_type, perm_sign
-from .util import IMMANANT_CAP, MULTILINEAR_CAP, PARTITION_CAP, check_cap, to_fraction
+from .symgroup import character, cycle_type
+from .util import IMMANANT_CAP, PARTITION_CAP, check_cap, to_fraction
+
+# Integer matrices whose class sums or principal elementaries are kept. The
+# verify suite asks for every shape of one matrix before it moves on.
+_CACHED_MATRICES = 32
 
 
 def as_matrix(rows) -> tuple:
@@ -29,16 +44,12 @@ def as_matrix(rows) -> tuple:
     return mat
 
 
-def mat_mul(x, y) -> tuple:
-    n = len(x)
-    return tuple(
-        tuple(sum((x[i][t] * y[t][j] for t in range(n)), Fraction(0)) for j in range(n))
-        for i in range(n)
-    )
-
-
-def trace(x) -> Fraction:
-    return sum((x[i][i] for i in range(len(x))), Fraction(0))
+def _cleared(y) -> tuple:
+    """(Y', L): L the lcm of the entry denominators and Y' = L Y in ints."""
+    y = as_matrix(y)
+    scale = lcm(*(v.denominator for row in y for v in row))
+    mat = tuple(tuple(v.numerator * (scale // v.denominator) for v in row) for row in y)
+    return mat, scale
 
 
 def scale_rows(z, y) -> tuple:
@@ -62,28 +73,42 @@ def delta_plus(x) -> tuple:
     return tuple(tuple(xi + xj for xj in x) for xi in x)
 
 
-def immanant_direct(lam, y, cap: int = IMMANANT_CAP) -> Fraction:
-    """Immanant by full summation over the symmetric group."""
-    y = as_matrix(y)
-    n = len(y)
+def _checked(lam, y, cap: int, what: str) -> tuple:
+    """(lam, Y', L) after the shape, size and cap checks of both routes."""
+    mat, scale = _cleared(y)
+    n = len(mat)
     lam = Partition(lam)
     if lam.size != n:
         raise ValueError(f"shape size {lam.size} != matrix size {n}")
-    check_cap(n, cap, "immanant size")
-    chi = {
-        rho: character(lam, rho, cap=max(n, PARTITION_CAP))
-        for rho in partitions_of(n, cap=max(n, PARTITION_CAP))
-    }
-    total = Fraction(0)
-    for perm in itertools.permutations(range(n)):
-        term = Fraction(1)
-        for i, v in enumerate(perm):
-            term *= y[i][v]
+    check_cap(n, cap, what)
+    return lam, mat, scale
+
+
+@lru_cache(maxsize=_CACHED_MATRICES)
+def _class_sums(mat: tuple) -> tuple:
+    """((rho, T(rho)), ...): prod_i mat[i][sigma(i)] summed over sigma of type rho."""
+    sums = {}
+    for perm in itertools.permutations(range(len(mat))):
+        term = 1
+        for row, col in zip(mat, perm):
+            term *= row[col]
             if not term:
                 break
         if term:
-            total += chi[cycle_type(perm)] * term
-    return total
+            rho = cycle_type(perm)
+            sums[rho] = sums.get(rho, 0) + term
+    return tuple(sums.items())
+
+
+def immanant_direct(lam, y, cap: int = IMMANANT_CAP) -> Fraction:
+    """Immanant as sum_rho chi^lam(rho) T(rho) over the class sums of S_n."""
+    lam, mat, scale = _checked(lam, y, cap, "immanant size")
+    n = len(mat)
+    total = sum(
+        character(lam, rho, cap=max(n, PARTITION_CAP)) * t
+        for rho, t in _class_sums(mat)
+    )
+    return Fraction(total, scale**n)
 
 
 def imm_delta_minus(lam, x) -> Fraction:
@@ -106,79 +131,106 @@ def imm_delta_minus(lam, x) -> Fraction:
     return (-1) ** lam2 * total
 
 
-def _elementary_from_powersums(p, n: int) -> list:
-    """e_0..e_n from p_1..p_n by Newton's identities."""
-    e = [Fraction(1)] + [Fraction(0)] * n
-    for j in range(1, n + 1):
-        acc = Fraction(0)
-        for i in range(1, j + 1):
-            acc += (-1) ** (i - 1) * e[j - i] * p[i - 1]
-        e[j] = acc / j
-    return e
+def _berkowitz_step(mat, idx: tuple, r: int, poly: list) -> list:
+    """det(x I - mat[S+r]) from poly = det(x I - mat[S]), S = idx.
+
+    Coefficients run from x^m down. Berkowitz's division-free step: the new
+    polynomial is the lower-triangular Toeplitz matrix with first column
+    (1, -a, -R C, -R A C, ..., -R A^(m-1) C) applied to the old one, where
+    A = mat[S], a = mat[r][r], R is row r and C is column r restricted to S.
+    """
+    row = [mat[r][i] for i in idx]
+    col = [mat[i][r] for i in idx]
+    toeplitz = [1, -mat[r][r]]
+    for _ in idx:
+        toeplitz.append(-sum(a * b for a, b in zip(row, col)))
+        col = [sum(mat[i][j] * c for j, c in zip(idx, col)) for i in idx]
+    m = len(idx)
+    return [
+        sum(toeplitz[i - j] * poly[j] for j in range(min(i, m) + 1))
+        for i in range(m + 2)
+    ]
 
 
 def char_poly(y) -> MonicPoly:
-    """Exact characteristic polynomial via traces of powers."""
-    y = as_matrix(y)
-    n = len(y)
-    powers = []
-    cur = y
-    for _ in range(n):
-        powers.append(trace(cur))
-        cur = mat_mul(cur, y)
-    e = _elementary_from_powersums(powers, n)
-    return MonicPoly(tuple(e))
+    """Exact characteristic polynomial by Berkowitz's algorithm on L Y.
+
+    The coefficient of x^(n-j) of L Y is L^j times that of Y.
+    """
+    mat, scale = _cleared(y)
+    poly = [1]
+    for r in range(len(mat)):
+        poly = _berkowitz_step(mat, tuple(range(r)), r, poly)
+    return MonicPoly(tuple(Fraction((-1) ** j * c, scale**j) for j, c in enumerate(poly)))
 
 
-def schur_from_elementary(lam, e) -> Fraction:
-    """Dual Jacobi-Trudi determinant det(e_{lam'_i - i + j})."""
-    lam = Partition(lam)
-    if not lam:
-        return Fraction(1)
-    lam_t = lam.transpose()
+@lru_cache(maxsize=_CACHED_MATRICES)
+def _principal_elementaries(mat: tuple) -> tuple:
+    """((|S|, e_0..e_n of mat[S]), ...) for every support S of [n].
+
+    e_j of mat[S] is the sum of its j x j principal minors, zero for j > |S|.
+    Each S extends S minus its largest index by one Berkowitz step.
+    """
+    n = len(mat)
+    out = []
+
+    def extend(idx, poly):
+        e = [(-1) ** j * c for j, c in enumerate(poly)]
+        out.append((len(idx), tuple(e + [0] * (n + 1 - len(e)))))
+        for r in range(idx[-1] + 1 if idx else 0, n):
+            extend(idx + (r,), _berkowitz_step(mat, idx, r, poly))
+
+    extend((), [1])
+    return tuple(out)
+
+
+def _bareiss_det(rows) -> int:
+    """Determinant of an integer matrix by fraction-free elimination (Bareiss).
+
+    Every division is exact. A zero pivot is swapped with a row below it.
+    """
+    a = [list(row) for row in rows]
+    m = len(a)
+    sign, prev = 1, 1
+    for k in range(m - 1):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, m) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        pivot = a[k][k]
+        for i in range(k + 1, m):
+            for j in range(k + 1, m):
+                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
+        prev = pivot
+    return sign * a[-1][-1] if m else 1
+
+
+def schur_from_elementary(lam, e) -> int:
+    """Dual Jacobi-Trudi determinant det(e_{lam'_i - i + j}) of integer e_0, e_1, ..."""
+    lam_t = Partition(lam).transpose()
     m = len(lam_t)
-
-    def entry(i, j):
-        idx = lam_t[i] - (i + 1) + (j + 1)
-        if idx < 0 or idx >= len(e):
-            return Fraction(0)
-        return e[idx]
-
-    total = Fraction(0)
-    for perm in itertools.permutations(range(m)):
-        term = Fraction(1)
-        for i, v in enumerate(perm):
-            term *= entry(i, v)
-            if not term:
-                break
-        if term:
-            total += perm_sign(perm) * term
-    return total
+    return _bareiss_det(
+        [
+            [e[idx] if 0 <= idx < len(e) else 0 for idx in (lam_t[i] - i + j for j in range(m))]
+            for i in range(m)
+        ]
+    )
 
 
-def immanant_gj(lam, y, cap: int = MULTILINEAR_CAP) -> Fraction:
+def immanant_gj(lam, y, cap: int = IMMANANT_CAP) -> Fraction:
     """Immanant as the multilinear part of a Schur function of diag(z) . y.
 
-    Runs 2^n exact characteristic-polynomial evaluations at z in {0,1}^n and
-    extracts the z_1...z_k coefficient by inclusion-exclusion.
+    Sums (-1)^(n-|S|) s_lam(Y'_S) over the 2^n supports S of z in {0,1}^n.
     """
-    y = as_matrix(y)
-    n = len(y)
-    lam = Partition(lam)
-    if lam.size != n:
-        raise ValueError(f"shape size {lam.size} != matrix size {n}")
-    check_cap(n, cap, "multilinear extraction size")
-    total = Fraction(0)
-    for keep in itertools.product((0, 1), repeat=n):
-        scaled = scale_rows(keep, y)
-        powers = []
-        cur = scaled
-        for _ in range(n):
-            powers.append(trace(cur))
-            cur = mat_mul(cur, scaled)
-        e = _elementary_from_powersums(powers, n)
-        total += (-1) ** (n - sum(keep)) * schur_from_elementary(lam, e)
-    return total
+    lam, mat, scale = _checked(lam, y, cap, "multilinear extraction size")
+    n = len(mat)
+    total = sum(
+        (-1) ** (n - size) * schur_from_elementary(lam, e)
+        for size, e in _principal_elementaries(mat)
+    )
+    return Fraction(total, scale**n)
 
 
 def charpoly_z_delta(x, z) -> MonicPoly:

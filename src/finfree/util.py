@@ -11,7 +11,6 @@ SET_PARTITION_CAP = 8
 MOMENT_CAP = 6
 DIMENSION_CAP = 4
 IMMANANT_CAP = 9
-MULTILINEAR_CAP = 5
 
 
 class CapExceededError(ValueError):

@@ -228,6 +228,27 @@ def test_immanant_bracketed_shape(capsys, tmp_path):
     assert json.loads(out)["value"] == "10"
 
 
+def test_immanant_multilinear_default_cap(capsys, tmp_path):
+    # both methods default to the one immanant cap, n = 9
+    eye = [[int(i == j) for j in range(10)] for i in range(10)]
+    mat = write_json(tmp_path, "eye10.json", eye)
+    assert main(["immanant", "--shape", "10", mat, "--method", "multilinear"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+    mat = write_json(tmp_path, "eye9.json", [row[:9] for row in eye[:9]])
+    code, out = run_cli(capsys, "immanant", "--shape", "9", mat, "--method", "multilinear")
+    assert code == 0
+    assert json.loads(out)["value"] == "1"
+
+
+def test_verify_help_names_the_negative_control_rows(capsys):
+    assert main(["verify", "-h"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "triple-route" in text and "Gram-system" in text
+    assert "flagship and odd-k rows read the table but still pass" in text
+
+
 def test_immanant_errors(capsys, tmp_path):
     mat = write_json(tmp_path, "y.json", [[1, 2], [3, 4]])
     assert main(["immanant", "--shape", "3", mat]) == 2  # size mismatch

@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from finfree.immanants import (
+    _bareiss_det,
+    _class_sums,
+    _principal_elementaries,
     as_matrix,
     char_poly,
     charpoly_z_delta,
@@ -14,22 +17,38 @@ from finfree.immanants import (
     imm_delta_minus,
     immanant_direct,
     immanant_gj,
-    mat_mul,
     scale_rows,
-    trace,
 )
-from finfree.partitions import partitions_of
+from finfree.partitions import Partition, partitions_of
 from finfree.polynomials import MonicPoly
-from finfree.symgroup import perm_sign
+from finfree.symgroup import character, cycle_type, perm_sign
 from finfree.util import CapExceededError
 
 rational_st = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+# entries up to 10^6 / 10^6 with mixed denominators, and plenty of zeros
+wide_st = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-(10**6), 10**6).map(Fraction),
+    st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6),
+)
 
 
 def matrix_st(n):
     return st.lists(
         st.lists(rational_st, min_size=n, max_size=n), min_size=n, max_size=n
     ).map(lambda rows: tuple(tuple(v for v in r) for r in rows))
+
+
+@st.composite
+def wide_matrix_st(draw, max_n=5):
+    """Square rational matrices n <= max_n, some with zero rows."""
+    n = draw(st.integers(1, max_n))
+    rows = draw(st.lists(st.lists(wide_st, min_size=n, max_size=n), min_size=n, max_size=n))
+    zero_rows = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    return tuple(
+        tuple(Fraction(0) if i in zero_rows else v for v in row)
+        for i, row in enumerate(rows)
+    )
 
 
 def _det(y):
@@ -55,6 +74,63 @@ def _perm(y):
     return total
 
 
+# ---------------------------------------------------- reference definitions
+#
+# The Fraction routes the integer kernels replaced: the character sum over
+# every permutation, and the 2^n extraction with e_j read off traces of
+# powers by Newton's identities and the Jacobi-Trudi determinant expanded
+# over permutations.
+
+def _immanant_reference(lam, y):
+    n = len(y)
+    total = Fraction(0)
+    for p in itertools.permutations(range(n)):
+        term = Fraction(1)
+        for i in range(n):
+            term *= y[i][p[i]]
+        total += character(lam, cycle_type(p)) * term
+    return total
+
+
+def _char_poly_reference(y):
+    """e_0..e_n of y by Newton's identities on the traces of its powers."""
+    n = len(y)
+    powers, cur = [], y
+    for _ in range(n):
+        powers.append(sum((cur[i][i] for i in range(n)), Fraction(0)))
+        cur = tuple(
+            tuple(sum((cur[i][t] * y[t][j] for t in range(n)), Fraction(0)) for j in range(n))
+            for i in range(n)
+        )
+    e = [Fraction(1)] + [Fraction(0)] * n
+    for j in range(1, n + 1):
+        e[j] = sum((-1) ** (i - 1) * e[j - i] * powers[i - 1] for i in range(1, j + 1)) / j
+    return e
+
+
+def _schur_reference(lam, e):
+    lam_t = Partition(lam).transpose()
+    m = len(lam_t)
+    return _det(
+        tuple(
+            tuple(
+                e[lam_t[i] - i + j] if 0 <= lam_t[i] - i + j < len(e) else Fraction(0)
+                for j in range(m)
+            )
+            for i in range(m)
+        )
+    )
+
+
+def _gj_reference(lam, y):
+    n = len(y)
+    total = Fraction(0)
+    for keep in itertools.product((0, 1), repeat=n):
+        e = _char_poly_reference(scale_rows(keep, y))
+        total += (-1) ** (n - sum(keep)) * _schur_reference(lam, e)
+    return total
+
+
 # ----------------------------------------------------------------- plumbing
 
 def test_as_matrix_validation():
@@ -69,9 +145,6 @@ def test_as_matrix_validation():
 
 def test_matrix_helpers():
     x = as_matrix([[1, 2], [3, 4]])
-    y = as_matrix([[0, 1], [1, 0]])
-    assert mat_mul(x, y) == ((2, 1), (4, 3))
-    assert trace(x) == 5
     assert scale_rows((2, -1), x) == ((2, 4), (-3, -4))
     with pytest.raises(ValueError):
         scale_rows((1,), x)
@@ -127,9 +200,73 @@ def test_immanant_gj_matches_direct_n4(y):
 
 
 def test_immanant_gj_cap():
-    y = tuple(tuple(Fraction(int(i == j)) for j in range(6)) for i in range(6))
+    y = tuple(tuple(Fraction(int(i == j)) for j in range(10)) for i in range(10))
     with pytest.raises(CapExceededError):
-        immanant_gj((6,), y)
+        immanant_gj((10,), y)
+
+
+def test_both_routes_accept_the_cap():
+    # n = 9 is the shared cap; the identity has immanant chi^lam(id)
+    y = tuple(tuple(int(i == j) for j in range(9)) for i in range(9))
+    assert immanant_gj((9,), y) == immanant_direct((9,), y) == 1
+    assert immanant_gj((8, 1), y) == immanant_direct((8, 1), y) == 8
+
+
+# ------------------------------------------- kernels vs reference definitions
+
+@given(wide_matrix_st())
+@settings(max_examples=30, deadline=None)
+def test_immanant_direct_matches_reference(y):
+    for lam in partitions_of(len(y)):
+        assert immanant_direct(lam, y) == _immanant_reference(lam, y), lam
+
+
+@given(wide_matrix_st(max_n=4))
+@settings(max_examples=20, deadline=None)
+def test_immanant_gj_matches_reference(y):
+    for lam in partitions_of(len(y)):
+        assert immanant_gj(lam, y) == _gj_reference(lam, y), lam
+
+
+@given(wide_matrix_st())
+@settings(max_examples=30, deadline=None)
+def test_routes_agree_on_wide_matrices(y):
+    for lam in partitions_of(len(y)):
+        assert immanant_gj(lam, y) == immanant_direct(lam, y), lam
+
+
+def test_immanant_gj_matches_reference_n5():
+    y = as_matrix(
+        [
+            [1, "-1/2", 0, 3, "7/5"],
+            [0, 0, 0, 0, 0],
+            ["1000000/999999", 2, -1, 0, "1/3"],
+            [4, 0, "-5/7", 1, 1],
+            [0, "2/9", 1, "-1000000", 2],
+        ]
+    )
+    for lam in partitions_of(5):
+        assert immanant_gj(lam, y) == _gj_reference(lam, y), lam
+
+
+@given(st.lists(st.lists(st.integers(-9, 9), min_size=4, max_size=4), min_size=4, max_size=4))
+@settings(max_examples=20, deadline=None)
+def test_principal_elementaries_are_principal_minor_sums(rows):
+    mat = tuple(tuple(row) for row in rows)
+    n = len(mat)
+
+    def minor_sum(s, j):
+        return sum(
+            _det(tuple(tuple(Fraction(mat[i][c]) for c in t) for i in t))
+            for t in itertools.combinations(s, j)
+        )
+
+    want = sorted(
+        (len(s), tuple(minor_sum(s, j) for j in range(n + 1)))
+        for r in range(n + 1)
+        for s in itertools.combinations(range(n), r)
+    )
+    assert sorted(_principal_elementaries(mat)) == want
 
 
 # --------------------------------------------------- eigenvalue differences
@@ -216,3 +353,94 @@ def test_charpoly_z_delta_quadratic_term():
         for j in range(i + 1, 3)
     )
     assert got.a == (1, 0, quad, 0)
+
+
+def test_char_poly_single_entry():
+    assert char_poly([["-3/4"]]) == MonicPoly((1, Fraction(-3, 4)))
+    assert char_poly([[0]]) == MonicPoly.power_of_x(1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_char_poly_zero_matrix(n):
+    assert char_poly([[0] * n for _ in range(n)]) == MonicPoly.power_of_x(n)
+
+
+@given(wide_matrix_st())
+@settings(max_examples=30, deadline=None)
+def test_char_poly_matches_reference(y):
+    assert char_poly(y) == MonicPoly(tuple(_char_poly_reference(y)))
+
+
+# ------------------------------------------------------------------ Bareiss
+
+int_matrix_st = st.integers(1, 5).flatmap(
+    lambda m: st.lists(
+        st.lists(st.integers(-(10**6), 10**6), min_size=m, max_size=m),
+        min_size=m,
+        max_size=m,
+    )
+)
+
+
+def _as_fractions(rows):
+    return tuple(tuple(Fraction(v) for v in row) for row in rows)
+
+
+def test_bareiss_small_cases():
+    assert _bareiss_det([]) == 1
+    assert _bareiss_det([[7]]) == 7
+    assert _bareiss_det([[0, 1], [1, 0]]) == -1
+    # the second pivot vanishes after the first elimination step
+    assert _bareiss_det([[1, 1, 0], [1, 1, 1], [0, 1, 1]]) == -1
+    # no nonzero entry under a zero pivot: singular
+    assert _bareiss_det([[0, 1, 2], [0, 3, 4], [0, 5, 6]]) == 0
+
+
+@given(int_matrix_st)
+@settings(max_examples=60, deadline=None)
+def test_bareiss_matches_permutation_expansion(rows):
+    assert _bareiss_det(rows) == _det(_as_fractions(rows))
+
+
+@given(int_matrix_st.filter(lambda rows: len(rows) > 1))
+@settings(max_examples=40, deadline=None)
+def test_bareiss_zero_leading_pivot(rows):
+    rows = [list(row) for row in rows]
+    rows[0][0] = 0
+    assert _bareiss_det(rows) == _det(_as_fractions(rows))
+
+
+@given(int_matrix_st.filter(lambda rows: len(rows) > 1), st.integers(-3, 3))
+@settings(max_examples=40, deadline=None)
+def test_bareiss_singular(rows, factor):
+    # the last row is a multiple of the first plus the second
+    rows = [list(row) for row in rows]
+    rows[-1] = [factor * a + b for a, b in zip(rows[0], rows[1])]
+    if len(rows) == 2:
+        rows[-1] = [factor * a for a in rows[0]]
+    assert _bareiss_det(rows) == 0 == _det(_as_fractions(rows))
+
+
+# ------------------------------------------------------ per-matrix caching
+
+def test_cache_is_consistent_in_any_call_order():
+    # one matrix as ints, Fractions and unreduced "p/q" strings, and twice it
+    base = [[2, -1, 0], [3, 0, 5], [-4, 1, 1]]
+    forms = {
+        "ints": base,
+        "fractions": [[Fraction(v) for v in row] for row in base],
+        "strings": [[f"{3 * v}/3" for v in row] for row in base],
+        "double": [[2 * v for v in row] for row in base],
+        "half": [[Fraction(v, 2) for v in row] for row in base],
+    }
+    scale = {"ints": 1, "fractions": 1, "strings": 1, "double": 8, "half": Fraction(1, 8)}
+    shapes = partitions_of(3)
+    want = {lam: _immanant_reference(lam, as_matrix(base)) for lam in shapes}
+    for order in itertools.permutations(forms):
+        _class_sums.cache_clear()
+        _principal_elementaries.cache_clear()
+        for name in order:
+            for lam in shapes:
+                expected = scale[name] * want[lam]
+                assert immanant_direct(lam, forms[name]) == expected, (order, name, lam)
+                assert immanant_gj(lam, forms[name]) == expected, (order, name, lam)
