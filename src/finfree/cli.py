@@ -111,13 +111,19 @@ def cmd_commutator(args) -> int:
     if args.mc is not None:
         if args.seed is None:
             raise InputError("--mc requires --seed")
+        try:
+            exact_f = [float(v) for v in exact.a]
+        except OverflowError as exc:
+            raise InputError(
+                f"--mc: an exact coefficient is outside float range ({exc})"
+            ) from exc
         report = mc_commutator_charpoly(
             spec_a, spec_b, args.mc, args.seed, chunk_size=args.chunk
         )
         z_scores = {}
         bands_ok = True
         for k in range(1, exact.degree + 1):
-            exact_k = float(exact.coefficient(k))
+            exact_k = exact_f[k]
             mean = report.mean(f"e_{k}")
             se_re, se_im = report.se(f"e_{k}")
             ok = within_band(exact_k, mean.real, se_re) and within_band(

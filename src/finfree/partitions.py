@@ -24,6 +24,12 @@ class Partition(tuple):
                 raise ValueError(f"parts must be weakly decreasing, got {parts}")
         return super().__new__(cls, parts)
 
+    @classmethod
+    def _trusted(cls, parts) -> "Partition":
+        """A Partition from parts the caller has already made positive ints
+        in weakly decreasing order, without checking them again."""
+        return tuple.__new__(cls, parts)
+
     @property
     def size(self) -> int:
         return sum(self)

@@ -127,17 +127,36 @@ def low_product(f, g, n: int) -> list:
     big-int product does the whole convolution. The slot width is a whole
     number of bytes, and the signed digits are read back in one pass by
     biasing every slot by half its range, which leaves no borrows to carry.
+    Passing the same list as f and g squares it.
     """
+    if n < 1:
+        return []
     bound = min(n, len(f), len(g)) * max(1, *map(abs, f)) * max(1, *map(abs, g))
     nbytes = (bound.bit_length() + 1 + 7) // 8
     half = 1 << (8 * nbytes - 1)
     bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * n, "little")
     width = 8 * nbytes * n
-    packed = _pack(f, nbytes) * _pack(g, nbytes)
+    if g is f:
+        # one operand, so the big-int product takes its squaring path
+        packed = _pack(f, nbytes)
+        packed *= packed
+    else:
+        packed = _pack(f, nbytes) * _pack(g, nbytes)
     raw = ((packed + bias) & ((1 << width) - 1)).to_bytes(nbytes * n, "little")
     return [
         int.from_bytes(raw[i : i + nbytes], "little") - half
         for i in range(0, nbytes * n, nbytes)
+    ]
+
+
+def _cleared(poly: MonicPoly, fact: list) -> tuple:
+    """(D, [P_0, ..., P_d]) with P_i = a_i D (d-i)! and D the lcm of the
+    denominators: the normalized coefficients a_i (d-i)!/d! times D d!."""
+    d = poly.degree
+    den = lcm(*(v.denominator for v in poly.a))
+    return den, [
+        v.numerator * (den // v.denominator) * fact[d - i]
+        for i, v in enumerate(poly.a)
     ]
 
 
@@ -152,25 +171,36 @@ def boxplus(p: MonicPoly, q: MonicPoly) -> MonicPoly:
     """
     d = _common_degree(p, q)
     fact = factorials(d)
-
-    def cleared(poly):
-        den = lcm(*(v.denominator for v in poly.a))
-        ints = [
-            v.numerator * (den // v.denominator) * fact[d - i]
-            for i, v in enumerate(poly.a)
-        ]
-        return den, ints
-
-    dp, pa = cleared(p)
-    dq, qa = cleared(q)
+    dp, pa = _cleared(p, fact)
+    dq, qa = _cleared(q, fact)
     r = low_product(pa, qa, d + 1)
     scale = dp * dq * fact[d]
     return MonicPoly(tuple(Fraction(r[k], scale * fact[d - k]) for k in range(d + 1)))
 
 
 def boxminus(p: MonicPoly, q: MonicPoly) -> MonicPoly:
-    """Subtractive convolution: expected polynomial of A - UBU*."""
-    return boxplus(p, q.negate_roots())
+    """Subtractive convolution: expected polynomial of A - UBU*.
+
+    For q == p this is f(x) f(-x) with f = sum P_i x^i in the cleared basis
+    of boxplus. Writing f = E(x^2) + x O(x^2) gives E(x^2)^2 - x^2 O(x^2)^2:
+    two squares of half the length, and every odd coefficient exactly 0
+    (A - UAU* has the law of its negative). Otherwise it is boxplus with
+    the roots of q negated.
+    """
+    if p != q:
+        return boxplus(p, q.negate_roots())
+    d = p.degree
+    fact = factorials(d)
+    den, pa = _cleared(p, fact)
+    half = d // 2
+    even, odd = pa[0::2], pa[1::2]
+    e = low_product(even, even, half + 1)
+    o = [0] + low_product(odd, odd, half)
+    scale = den * den * fact[d]
+    a = [Fraction(0)] * (d + 1)
+    for m in range(half + 1):
+        a[2 * m] = Fraction(e[m] - o[m], scale * fact[d - 2 * m])
+    return MonicPoly(tuple(a))
 
 
 def boxtimes(p: MonicPoly, q: MonicPoly) -> MonicPoly:

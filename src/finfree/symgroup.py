@@ -73,7 +73,7 @@ def cycle_type(p) -> Partition:
             cur = p[cur]
             n += 1
         lengths.append(n)
-    return Partition(sorted(lengths, reverse=True))
+    return Partition._trusted(sorted(lengths, reverse=True))
 
 
 def perm_sign(p) -> int:

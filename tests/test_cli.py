@@ -49,6 +49,21 @@ def test_conv_add(capsys, poly_files):
     assert payload["pretty"] == "x^2 - 2"
 
 
+def test_conv_sub_self(capsys, tmp_path, poly_files):
+    _, q = poly_files
+    code, out = run_cli(capsys, "conv", "sub", q, q)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["result"]["a"] == ["1", "0", "-1/2"]
+    # a second file with the same polynomial, and the p != q route
+    copy = write_json(tmp_path, "q_copy.json", {"d": 2, "a": ["1", "-3", "2"]})
+    assert run_cli(capsys, "conv", "sub", q, copy)[1] == out
+    other = write_json(tmp_path, "r.json", {"d": 2, "a": ["1", "-3", "1"]})
+    code, out = run_cli(capsys, "conv", "sub", q, other)
+    assert code == 0
+    assert json.loads(out)["result"]["a"] == ["1", "0", "-3/2"]
+
+
 def test_conv_output_parses_back_as_input(capsys, tmp_path, poly_files):
     p, q = poly_files
     code, out = run_cli(capsys, "conv", "mul", p, q)
@@ -183,6 +198,19 @@ def test_commutator_bad_mc_arguments(capsys, spectra_files, extra):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
+
+def test_commutator_mc_refuses_coefficients_beyond_float(capsys, tmp_path):
+    # at d = 40 the exact e_40 of this commutator exceeds the float range
+    big = write_json(tmp_path, "big.json", list(range(1000, 40001, 1000)))
+    assert main(["commutator", big, big, "--mc", "4", "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
+    code, out = run_cli(capsys, "commutator", big, big)
+    assert code == 0
+    assert json.loads(out)["d"] == 40
 
 
 def test_commutator_smallest_mc_sample(capsys, spectra_files):

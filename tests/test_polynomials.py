@@ -1,6 +1,6 @@
 import itertools
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, isqrt, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -276,6 +276,28 @@ def test_convolutions_match_definition(pair):
     assert boxtimes(p, q) == ref_boxtimes(p, q)
 
 
+@st.composite
+def self_poly_st(draw):
+    # odd and even d, with zero and all-negative tails drawn on purpose
+    d = draw(st.integers(1, 12))
+    entry = draw(st.sampled_from([
+        big_rational_st,
+        big_rational_st.map(lambda v: -abs(v) or Fraction(-1)),
+        st.just(Fraction(0)),
+    ]))
+    return MonicPoly((Fraction(1), *draw(st.lists(entry, min_size=d, max_size=d))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(self_poly_st())
+def test_self_boxminus_matches_definition(p):
+    want = ref_boxplus(p, p, sign=-1)
+    assert boxminus(p, p) == want
+    # equal values in a second object take the same path
+    assert boxminus(p, MonicPoly(p.a)) == want
+    assert all(v == 0 for v in boxminus(p, p).a[1::2])
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(big_rational_st, min_size=1, max_size=12))
 def test_elementary_symmetric_matches_definition(x):
@@ -298,6 +320,13 @@ def test_low_product_matches_schoolbook(f, g, n):
     assert low_product(f, g, n) == ref_low_product(f, g, n)
 
 
+@given(st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=14), st.integers(0, 30))
+def test_low_product_square_matches_schoolbook(f, n):
+    assert low_product(f, f, n) == ref_low_product(f, f, n)
+    # an equal list in a second object is multiplied, not squared
+    assert low_product(f, list(f), n) == ref_low_product(f, f, n)
+
+
 def test_low_product_at_slot_bound():
     # A bound of 8m-1 bits gets m-byte slots, whose signed digits run from
     # -2^(8m-1) to 2^(8m-1) - 1: a product coefficient of +-(2^(8m-1) - 1)
@@ -307,6 +336,14 @@ def test_low_product_at_slot_bound():
         for f in ([c], [-c], [c, -c, c], [-c, 0, -c], [0, 0, c]):
             for g in ([1], [-1]):
                 assert low_product(f, g, 3) == ref_low_product(f, g, 3)
+    # squares whose bound length * top^2 just fits in 8m-1 bits, so that
+    # they too get m-byte slots
+    for m in range(1, 6):
+        for length in (1, 2, 3):
+            top = isqrt((2 ** (8 * m - 1) - 1) // length)
+            for f in ([top] * length, [-top] * length, [top, -top, top][:length]):
+                n = 2 * length - 1
+                assert low_product(f, f, n) == ref_low_product(f, f, n)
     # extreme entries of every bit length, one sign per factor
     for b in range(1, 40):
         for length in (1, 2, 3, 8):
@@ -320,6 +357,7 @@ def test_low_product_at_slot_bound():
             ):
                 n = len(f) + len(g) - 1
                 assert low_product(f, g, n) == ref_low_product(f, g, n)
+                assert low_product(f, f, n) == ref_low_product(f, f, n)
 
 
 def test_low_product_zero_factor():
@@ -328,7 +366,7 @@ def test_low_product_zero_factor():
 
 
 def test_decode_edge_cases():
-    for d in (1, 2, 5, 12):
+    for d in range(1, 13):
         x_d = MonicPoly.power_of_x(d)
         assert boxplus(x_d, x_d) == x_d
         assert boxminus(x_d, x_d) == x_d
