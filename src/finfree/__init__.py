@@ -71,7 +71,6 @@ from .oracle import (
 )
 from .montecarlo import (
     McReport,
-    haar_sample,
     mc_charpoly,
     mc_commutator_charpoly,
     mc_conjugation_mean,

@@ -18,24 +18,56 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
+# Largest d at which _gram_schmidt beats per-matrix LAPACK QR by a clear
+# margin on a 4096-sample chunk (2-vCPU x86 host, OpenBLAS, one thread; the
+# timing table is in CHANGES.md). Above it the sweep's d^3 elementwise work
+# through numpy temporaries costs more than LAPACK's per-matrix dispatch.
+GRAM_SCHMIDT_MAX_D = 9
+
+
 def haar_batch(d: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """m Haar-distributed d x d unitaries, stacked along axis 0.
 
-    QR of complex Ginibre matrices, with the R diagonal's phases pushed into
-    Q so the distribution is exactly Haar rather than QR-convention biased.
+    The Q of complex Ginibre matrices Z = QR whose R has a positive real
+    diagonal. That Q is exactly Haar (Mezzadri 2007); both orthonormalizers
+    below return it, up to rounding, from the same draws.
     """
     z = rng.standard_normal((m, d, d)) + 1j * rng.standard_normal((m, d, d))
     z /= np.sqrt(2.0)
+    if d <= GRAM_SCHMIDT_MAX_D:
+        return _gram_schmidt(z)
+    return _householder(z)
+
+
+def _gram_schmidt(z: np.ndarray) -> np.ndarray:
+    """Classical Gram-Schmidt applied twice, vectorized over the samples.
+
+    The sample axis is last, so each projection is a few numpy ops over the
+    whole chunk. Two passes keep Q orthonormal to working precision for any
+    numerically nonsingular Z (Giraud, Langou & Rozloznik 2005). Each column
+    is divided by its positive norm, which is R's diagonal.
+    """
+    d = z.shape[1]
+    q = np.ascontiguousarray(z.transpose(2, 1, 0))  # q[j, :, s]: column j of sample s
+    q_conj = np.empty_like(q)
+    for j in range(d):
+        v = q[j]
+        for _ in range(2):
+            coef = (q_conj[:j] * v).sum(axis=1)
+            v = v - (q[:j] * coef[:, None, :]).sum(axis=0)
+        v /= np.sqrt((v.real**2 + v.imag**2).sum(axis=0))
+        q[j] = v
+        q_conj[j] = v.conj()
+    return np.ascontiguousarray(q.transpose(2, 1, 0))
+
+
+def _householder(z: np.ndarray) -> np.ndarray:
+    """LAPACK QR per matrix, with R's diagonal phases pushed into Q."""
     q, r = np.linalg.qr(z)
     diag = np.einsum("mii->mi", r)
     mod = np.abs(diag)
     phases = np.where(mod == 0, 1.0 + 0j, diag / np.where(mod == 0, 1.0, mod))
     return q * phases[:, None, :]
-
-
-def haar_sample(d: int, seed: int) -> np.ndarray:
-    """One Haar unitary (the first element of chunk 0 for this seed)."""
-    return haar_batch(d, 1, _chunk_rng(seed, 0))[0]
 
 
 def _elementary_from_traces(traces: np.ndarray) -> np.ndarray:
@@ -101,32 +133,42 @@ class McReport:
 
 
 class _Accumulator:
-    """Streaming sums for mean and standard error of complex samples."""
+    """Streaming mean and standard error of complex samples.
+
+    The squared deviations (M2) of the real and imaginary parts are summed
+    about each chunk's own mean and merged by the Chan-Golub-LeVeque update,
+    so the variance does not cancel when |mean| dwarfs the spread.
+    """
 
     def __init__(self, width: int):
         self.count = 0
         self.sum = np.zeros(width, dtype=complex)
-        self.sq_re = np.zeros(width)
-        self.sq_im = np.zeros(width)
+        self.m2_re = np.zeros(width)
+        self.m2_im = np.zeros(width)
 
     def add(self, samples: np.ndarray):
-        self.count += samples.shape[0]
-        self.sum += samples.sum(axis=0)
-        self.sq_re += (samples.real**2).sum(axis=0)
-        self.sq_im += (samples.imag**2).sum(axis=0)
+        take = samples.shape[0]
+        chunk_sum = samples.sum(axis=0)
+        chunk_mean = chunk_sum / take
+        dev = samples - chunk_mean
+        m2_re = (dev.real**2).sum(axis=0)
+        m2_im = (dev.imag**2).sum(axis=0)
+        if self.count:
+            delta = chunk_mean - self.sum / self.count
+            weight = self.count * take / (self.count + take)
+            m2_re += weight * delta.real**2
+            m2_im += weight * delta.imag**2
+        self.count += take
+        self.sum += chunk_sum
+        self.m2_re += m2_re
+        self.m2_im += m2_im
 
     def finalize(self):
         n = self.count
-        mean = self.sum / n
-        if n > 1:
-            var_re = np.maximum(self.sq_re - n * mean.real**2, 0.0) / (n - 1)
-            var_im = np.maximum(self.sq_im - n * mean.imag**2, 0.0) / (n - 1)
-        else:
-            var_re = np.zeros_like(self.sq_re)
-            var_im = np.zeros_like(self.sq_im)
-        se_re = np.sqrt(var_re / n)
-        se_im = np.sqrt(var_im / n)
-        return mean, se_re, se_im
+        dof = max(n - 1, 1)  # one sample has M2 == 0 exactly
+        se_re = np.sqrt(self.m2_re / dof / n)
+        se_im = np.sqrt(self.m2_im / dof / n)
+        return self.sum / n, se_re, se_im
 
 
 def _iter_chunks(n: int, chunk_size: int):

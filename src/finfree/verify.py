@@ -490,9 +490,12 @@ SUITES = {
 VERIFY_GROUPS = {
     "all": list(SUITES),
     "commutator": ["convolution", "flagship", "oddk"],
+    "flagship": ["flagship"],
+    "oddk": ["oddk"],
     "weingarten": ["weingarten"],
     "immanant": ["immanant"],
     "identities": ["identities", "cconst"],
+    "haar": ["haar"],
 }
 
 

@@ -336,6 +336,14 @@ def test_verify_identities_suite(capsys):
     assert lines[-1].endswith("checks passed")
 
 
+def test_verify_haar_suite(capsys):
+    code, out = run_cli(capsys, "verify", "haar")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0].startswith("PASS Haar sampler")
+    assert lines[-1] == "1/1 checks passed"
+
+
 def test_verify_negative_control(capsys):
     code, out = run_cli(
         capsys, "verify", "weingarten", "--mc", "2000", "--seed", "7",

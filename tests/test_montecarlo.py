@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 from finfree.montecarlo import (
+    GRAM_SCHMIDT_MAX_D,
+    _Accumulator,
     _chunk_rng,
     _elementary_from_traces,
+    _gram_schmidt,
+    _householder,
     haar_batch,
-    haar_sample,
     mc_charpoly,
     mc_commutator_charpoly,
     mc_conjugation_mean,
@@ -23,21 +26,55 @@ SEED = 99
 
 # ----------------------------------------------------------------- sampling
 
-@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def _ginibre(d, m, seed):
+    rng = _chunk_rng(seed, 0)
+    z = rng.standard_normal((m, d, d)) + 1j * rng.standard_normal((m, d, d))
+    return z / np.sqrt(2.0)
+
+
+def _unitarity_residual(u):
+    d = u.shape[-1]
+    return np.abs(u @ u.conj().transpose(0, 2, 1) - np.eye(d)).max()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 9, 10, 16])
 def test_haar_batch_unitarity(d):
     u = haar_batch(d, 64, _chunk_rng(SEED, 0))
     assert u.shape == (64, d, d)
-    eye = np.eye(d)
-    resid = np.abs(u @ u.conj().transpose(0, 2, 1) - eye).max()
-    assert resid < 1e-12
+    assert _unitarity_residual(u) < 1e-12
 
 
-def test_haar_sample_deterministic():
-    a = haar_sample(4, seed=SEED)
-    b = haar_sample(4, seed=SEED)
+@pytest.mark.parametrize("d", [4, 12])
+def test_haar_batch_deterministic(d):
+    # d = 4 takes the Gram-Schmidt path, d = 12 the LAPACK one
+    assert (d <= GRAM_SCHMIDT_MAX_D) == (d == 4)
+    a = haar_batch(d, 8, _chunk_rng(SEED, 0))
+    b = haar_batch(d, 8, _chunk_rng(SEED, 0))
     assert np.array_equal(a, b)
-    c = haar_sample(4, seed=SEED + 1)
+    c = haar_batch(d, 8, _chunk_rng(SEED + 1, 0))
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_gram_schmidt_matches_householder(d):
+    # both return the Q whose R has a positive real diagonal
+    z = _ginibre(d, 256, SEED + d)
+    assert np.abs(_gram_schmidt(z) - _householder(z)).max() < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 5, 9])
+def test_gram_schmidt_ill_conditioned(d):
+    # the last column is the first one plus a 1e-8 perturbation, so each
+    # matrix has condition number near 1e8
+    z = _ginibre(d, 64, SEED)
+    z[:, :, -1] = z[:, :, 0] + 1e-8 * _ginibre(d, 64, SEED + 1)[:, :, 0]
+    assert np.median(np.linalg.cond(z)) > 1e7
+    u = _gram_schmidt(z)
+    assert _unitarity_residual(u) < 1e-12
+    r = u.conj().transpose(0, 2, 1) @ z
+    assert np.abs(np.tril(r, -1)).max() < 1e-12
+    diag = np.einsum("mii->mi", r)
+    assert (diag.real > 0).all() and np.abs(diag.imag).max() < 1e-12
 
 
 def test_haar_phase_correction_removes_qr_bias():
@@ -47,6 +84,31 @@ def test_haar_phase_correction_removes_qr_bias():
     u = haar_batch(2, 4000, _chunk_rng(SEED, 0))
     mean_entry = u[:, 0, 0].mean()
     assert abs(mean_entry) < 0.05
+
+
+# -------------------------------------------------------------- accumulator
+
+def test_accumulator_se_survives_a_large_mean():
+    # sum(x^2) - n mean^2 cancels catastrophically at mean 1e9, spread 1
+    rng = np.random.default_rng(SEED)
+    re = 1e9 + rng.standard_normal(10000)
+    im = -1e9 + rng.standard_normal(10000)
+    acc = _Accumulator(1)
+    for start in range(0, 10000, 4096):
+        acc.add((re + 1j * im)[start:start + 4096, None])
+    mean, se_re, se_im = acc.finalize()
+    assert abs(mean[0] - (re.mean() + 1j * im.mean())) < 1e-6
+    for part, se in ((re, se_re[0]), (im, se_im[0])):
+        want = np.std(part, ddof=1) / np.sqrt(part.size)
+        assert abs(se - want) <= 1e-6 * want
+
+
+def test_accumulator_single_sample_has_zero_se():
+    acc = _Accumulator(2)
+    acc.add(np.array([[1 + 2j, 3 - 1j]]))
+    mean, se_re, se_im = acc.finalize()
+    assert list(mean) == [1 + 2j, 3 - 1j]
+    assert list(se_re) == [0.0, 0.0] and list(se_im) == [0.0, 0.0]
 
 
 # ------------------------------------------------------------------- Newton

@@ -26,6 +26,8 @@ def test_suite_registry_complete():
 def test_verify_groups_name_suites():
     assert VERIFY_GROUPS["all"] == list(SUITES)
     assert all(name in SUITES for group in VERIFY_GROUPS.values() for name in group)
+    for name in ("flagship", "oddk", "haar"):
+        assert VERIFY_GROUPS[name] == [name]
 
 
 def test_first_failure_all_pass_reports_ok_detail():
