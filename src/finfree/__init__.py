@@ -25,7 +25,6 @@ from .symgroup import (
     dim_irrep,
     inverse_kostka,
     perm_sign,
-    young_rule_multiplicity,
 )
 from .symfunc import (
     SymExpansion,
@@ -33,18 +32,13 @@ from .symfunc import (
     eval_elementary,
     eval_monomial,
     eval_quasisym,
-    kernel_sum,
     m_to_e,
     schur_principal,
-    schur_rank_two,
 )
 from .weingarten import ClassFunction, integrate_moment, weingarten
 from .immanants import (
     char_poly,
-    charpoly_z_delta,
-    charpoly_z_delta_closed,
     delta_minus,
-    delta_plus,
     imm_delta_minus,
     immanant_direct,
     immanant_gj,
@@ -60,7 +54,6 @@ from .polynomials import (
 )
 from .oracle import (
     alternating_binomial_pair,
-    brute_force_charpoly,
     brute_force_expected_ek,
     gram_identity_residual,
     identity_leftdep,
@@ -72,7 +65,6 @@ from .oracle import (
 from .montecarlo import (
     McReport,
     mc_charpoly,
-    mc_commutator_charpoly,
     mc_conjugation_mean,
     mc_entry_moments,
     within_band,

@@ -9,7 +9,7 @@ import sys
 from fractions import Fraction
 
 from .immanants import as_matrix, immanant_direct, immanant_gj
-from .montecarlo import mc_commutator_charpoly, within_band
+from .montecarlo import mc_charpoly, within_band
 from .partitions import Partition, kostka
 from .polynomials import MonicPoly, boxminus, boxplus, boxtimes, commutator_poly, z_poly
 from .symgroup import character, character_table_json, inverse_kostka
@@ -117,7 +117,7 @@ def cmd_commutator(args) -> int:
             raise InputError(
                 f"--mc: an exact coefficient is outside float range ({exc})"
             ) from exc
-        report = mc_commutator_charpoly(
+        report = mc_charpoly(
             spec_a, spec_b, args.mc, args.seed, chunk_size=args.chunk
         )
         z_scores = {}

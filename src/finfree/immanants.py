@@ -22,11 +22,11 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import lcm
 
 from .partitions import Partition
 from .polynomials import MonicPoly
-from .symfunc import as_spectrum, elementary_symmetric
+from .symfunc import as_spectrum, cross_sum
 from .symgroup import character, cycle_type
 from .util import IMMANANT_CAP, PARTITION_CAP, check_cap, to_fraction
 
@@ -52,25 +52,10 @@ def _cleared(y) -> tuple:
     return mat, scale
 
 
-def scale_rows(z, y) -> tuple:
-    """diag(z) . y."""
-    y = as_matrix(y)
-    z = tuple(to_fraction(v) for v in z)
-    if len(z) != len(y):
-        raise ValueError("diagonal length must match matrix size")
-    return tuple(tuple(z[i] * v for v in row) for i, row in enumerate(y))
-
-
 def delta_minus(x) -> tuple:
     """The matrix (x_i - x_j)_{ij}; rank at most 2, zero diagonal."""
     x = as_spectrum(x)
     return tuple(tuple(xi - xj for xj in x) for xi in x)
-
-
-def delta_plus(x) -> tuple:
-    """The matrix (x_i + x_j)_{ij}."""
-    x = as_spectrum(x)
-    return tuple(tuple(xi + xj for xj in x) for xi in x)
 
 
 def _checked(lam, y, cap: int, what: str) -> tuple:
@@ -114,7 +99,9 @@ def immanant_direct(lam, y, cap: int = IMMANANT_CAP) -> Fraction:
 def imm_delta_minus(lam, x) -> Fraction:
     """Closed form for the immanant of (x_i - x_j) at a two-row shape.
 
-    Shapes with more than two rows give zero (the matrix has rank <= 2).
+    It is (-1)^lam_2 times the cross sum S_k(x) of symfunc.cross_sum, with
+    k = d = len(x). Shapes with more than two rows give zero (the matrix has
+    rank <= 2).
     """
     lam = Partition(lam)
     x = as_spectrum(x)
@@ -124,11 +111,7 @@ def imm_delta_minus(lam, x) -> Fraction:
     if lam.length > 2:
         return Fraction(0)
     lam2 = lam[1] if lam.length > 1 else 0
-    e = elementary_symmetric(x)
-    total = Fraction(0)
-    for l in range(k + 1):
-        total += (-1) ** l * factorial(k - l) * factorial(l) * e[k - l] * e[l]
-    return (-1) ** lam2 * total
+    return (-1) ** lam2 * cross_sum(x, k)
 
 
 def _berkowitz_step(mat, idx: tuple, r: int, poly: list) -> list:
@@ -232,35 +215,3 @@ def immanant_gj(lam, y, cap: int = IMMANANT_CAP) -> Fraction:
     )
     return Fraction(total, scale**n)
 
-
-def charpoly_z_delta(x, z) -> MonicPoly:
-    """Characteristic polynomial of diag(z) . (x_i - x_j), computed exactly."""
-    return char_poly(scale_rows(z, delta_minus(x)))
-
-
-def charpoly_z_delta_closed(x, z) -> MonicPoly:
-    """Same polynomial from its two-term closed form.
-
-    Only the x^k and x^(k-2) coefficients survive: the matrix is traceless,
-    its 2x2 principal minors sum to sum_{i<j} z_i z_j (x_i - x_j)^2, and all
-    larger minors vanish by the rank bound.
-    """
-    x = as_spectrum(x)
-    z = tuple(to_fraction(v) for v in z)
-    k = len(x)
-    if len(z) != k:
-        raise ValueError("diagonal length must match spectrum length")
-    if k < 2:
-        return MonicPoly.power_of_x(k)
-    quad = sum(
-        (
-            z[i] * z[j] * (x[i] - x[j]) ** 2
-            for i in range(k)
-            for j in range(i + 1, k)
-        ),
-        Fraction(0),
-    )
-    a = [Fraction(0)] * (k + 1)
-    a[0] = Fraction(1)
-    a[2] = quad
-    return MonicPoly(tuple(a))

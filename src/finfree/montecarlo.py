@@ -252,11 +252,6 @@ def mc_charpoly(spec_a, spec_b, n: int, seed: int, mode: str = "commutator",
                    [f"e_{k}" for k in range(1, d + 1)], elementary)
 
 
-def mc_commutator_charpoly(spec_a, spec_b, n: int, seed: int,
-                           chunk_size: int = 4096) -> McReport:
-    return mc_charpoly(spec_a, spec_b, n, seed, "commutator", chunk_size)
-
-
 def mc_entry_moments(d: int, n: int, seed: int, chunk_size: int = 4096) -> McReport:
     """Sampled |u_11|^2 and |u_11|^4 of Haar unitaries."""
 

@@ -15,8 +15,15 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .partitions import partitions_of, two_column
-from .polynomials import MonicPoly, falling
-from .symfunc import as_spectrum, elementary_symmetric, eval_monomial, power_sums, schur_principal
+from .polynomials import falling
+from .symfunc import (
+    as_spectrum,
+    cross_sum,
+    elementary_symmetric,
+    eval_monomial,
+    power_sums,
+    schur_principal,
+)
 from .symgroup import (
     c_constant,
     compose,
@@ -92,18 +99,6 @@ def brute_force_expected_ek(spec_a, spec_b, k: int, wg_fn=weingarten,
                 wg_acc += wg(cycle_type(compose(sigma, tau))) * weight
             total += sign * diff * wg_acc
     return total
-
-
-def brute_force_charpoly(spec_a, spec_b, wg_fn=weingarten,
-                         cap: int = DIMENSION_CAP) -> MonicPoly:
-    """Expected commutator polynomial with every coefficient brute-forced."""
-    spec_a = as_spectrum(spec_a)
-    d = len(spec_a)
-    a = tuple(
-        brute_force_expected_ek(spec_a, spec_b, k, wg_fn, cap)
-        for k in range(d + 1)
-    )
-    return MonicPoly(a)
 
 
 def weingarten_gram_inverse(k: int, d: int, cap: int = PARTITION_CAP) -> ClassFunction:
@@ -186,8 +181,8 @@ def identity_leftdep(spec_a, k: int) -> tuple:
     """Both sides of the subset-sum identity for the A-dependent factor.
 
     Raw side: sum_l (-1)^l / binom(k,l) sum_{|S|=k} e_{k-l}(A_S) e_l(A_S).
-    Closed side: (k/2)!/k! sum_{i+j=k} (-1)^i (d-i)!(d-j)! /
-    ((d-k)!(d-k/2)!) e_i(A) e_j(A) for even k, zero for odd k.
+    Closed side: S_k(A) (k/2)! / (k! (d-k)! (d-k/2)!) for even k, zero for
+    odd k, with S_k the cross sum of symfunc.cross_sum.
     """
     spec_a = as_spectrum(spec_a)
     d = len(spec_a)
@@ -203,20 +198,9 @@ def identity_leftdep(spec_a, k: int) -> tuple:
     if k % 2:
         return raw, Fraction(0)
     h = k // 2
-    e = elementary_symmetric(spec_a)
-    closed = Fraction(0)
-    for i in range(k + 1):
-        j = k - i
-        closed += (
-            (-1) ** i
-            * Fraction(
-                factorial(d - i) * factorial(d - j),
-                factorial(d - k) * factorial(d - h),
-            )
-            * e[i]
-            * e[j]
-        )
-    closed *= Fraction(factorial(h), factorial(k))
+    closed = cross_sum(spec_a, k) * Fraction(
+        factorial(h), factorial(k) * factorial(d - k) * factorial(d - h)
+    )
     return raw, closed
 
 
@@ -225,7 +209,7 @@ def identity_rightdep(spec_b, k: int) -> tuple:
 
     Raw side: (1/k!) sum_p (-1)^p dim(2_k^p)^2 / s_{2_k^p}(1^d)
     sum_q C(2_k^p, 2_k^q) q! (k-2q)! m_{2_k^q}(B). Closed side:
-    k! (d+1-k/2) / ((d+1)! d!) sum_{i+j=k} (-1)^i (d-i)!(d-j)! e_i e_j.
+    S_k(B) k! (d+1-k/2) / ((d+1)! d!) for even k, zero for odd k.
     """
     spec_b = as_spectrum(spec_b)
     d = len(spec_b)
@@ -253,12 +237,9 @@ def identity_rightdep(spec_b, k: int) -> tuple:
     if k % 2:
         return raw, Fraction(0)
     h = k // 2
-    e = elementary_symmetric(spec_b)
-    closed = Fraction(0)
-    for i in range(k + 1):
-        j = k - i
-        closed += (-1) ** i * factorial(d - i) * factorial(d - j) * e[i] * e[j]
-    closed *= Fraction(factorial(k) * (d + 1 - h), factorial(d + 1) * factorial(d))
+    closed = cross_sum(spec_b, k) * Fraction(
+        factorial(k) * (d + 1 - h), factorial(d + 1) * factorial(d)
+    )
     return raw, closed
 
 

@@ -124,15 +124,6 @@ def distinct_permutations(entries):
     return out
 
 
-def distinct_permutation_count(entries) -> int:
-    """len(entries)! divided by the factorials of the multiplicities."""
-    entries = tuple(entries)
-    n = factorial(len(entries))
-    for cnt in Counter(entries).values():
-        n //= factorial(cnt)
-    return n
-
-
 def set_partitions(k: int, cap: int = SET_PARTITION_CAP) -> list[tuple]:
     """All set partitions of {1..k}; blocks sorted, ordered by their minima."""
     if k < 0:
@@ -176,15 +167,6 @@ def count_set_partitions_of_type(mu) -> int:
     for mult in mu.multiplicities().values():
         n //= factorial(mult)
     return n
-
-
-def refines(fine, coarse) -> bool:
-    """True iff every block of `fine` sits inside a block of `coarse`."""
-    lookup = {}
-    for idx, block in enumerate(coarse):
-        for v in block:
-            lookup[v] = idx
-    return all(len({lookup[v] for v in block}) == 1 for block in fine)
 
 
 def semistandard_tableaux(shape, max_entry=None, weight=None):

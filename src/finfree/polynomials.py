@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 
-from .symfunc import as_spectrum, elementary_symmetric, scaled_elementary
+from .symfunc import as_spectrum, cross_sum, elementary_symmetric
 from .util import factorials, to_fraction
 
 
@@ -239,7 +239,9 @@ def commutator_coefficient(k: int, spec_a, spec_b) -> Fraction:
     """Coefficient-level form of the expected commutator polynomial.
 
     spec_a and spec_b are the spectra (root tuples) of the two matrices;
-    returns the unsigned coefficient E[e_k] of the commutator.
+    returns the unsigned coefficient E[e_k] of the commutator. For even
+    k = 2h it is S_k(a) S_k(b) h! (d+1-h) / (d!^2 (d-k)! (d-h)! (d+1)),
+    with S_k the cross sum of symfunc.cross_sum.
     """
     spec_a, spec_b = as_spectrum(spec_a), as_spectrum(spec_b)
     d = len(spec_a)
@@ -253,16 +255,11 @@ def commutator_coefficient(k: int, spec_a, spec_b) -> Fraction:
         return Fraction(0)
     h = k // 2
     fact = factorials(d)
-
-    def cross(spec):
-        # sum_i (-1)^i (d-i)!(d-j)!/(d!(d-k)!) e_i e_j with j = k - i, where
-        # e_i e_j = E_i E_j / L^k over the integer-scaled values
-        scale, e = scaled_elementary(spec)
-        total = sum(
-            (-1) ** i * fact[d - i] * fact[d - k + i] * e[i] * e[k - i]
-            for i in range(k + 1)
+    return (
+        cross_sum(spec_a, k)
+        * cross_sum(spec_b, k)
+        * Fraction(
+            fact[h] * (d + 1 - h),
+            fact[d] ** 2 * fact[d - k] * fact[d - h] * (d + 1),
         )
-        return Fraction(total, fact[d] * fact[d - k] * scale**k)
-
-    factor = Fraction(fact[d - k] * fact[h] * (d + 1 - h), fact[d - h] * (d + 1))
-    return cross(spec_a) * cross(spec_b) * factor
+    )

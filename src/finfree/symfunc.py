@@ -20,7 +20,7 @@ from .partitions import (
     hooks_and_contents,
 )
 from .symgroup import dim_irrep, inverse_kostka
-from .util import PARTITION_CAP, SET_PARTITION_CAP, check_cap, to_fraction
+from .util import PARTITION_CAP, check_cap, factorials, to_fraction
 
 
 def as_spectrum(values) -> tuple:
@@ -45,6 +45,26 @@ def scaled_elementary(x) -> tuple:
         for j in range(i + 1, 0, -1):
             e[j] += v * e[j - 1]
     return scale, e
+
+
+def cross_sum(x, k: int) -> Fraction:
+    """S_k = sum_i (-1)^i (d-i)!(d-k+i)! e_i(x) e_{k-i}(x), with d = len(x).
+
+    With the normalized coefficients c_i = e_i (d-i)!/d! of Marcus,
+    Spielman and Srivastava, S_k is (d!)^2 times the x^k coefficient of
+    c(x) c(-x): zero for odd k, and (d!)^2 at k = 0. The sum runs on the
+    integers E_i = L^i e_i and is divided by L^k once.
+    """
+    scale, e = scaled_elementary(x)
+    d = len(e) - 1
+    if not 0 <= k <= d:
+        raise ValueError(f"need 0 <= k <= {d}, got k={k}")
+    fact = factorials(d)
+    total = 0
+    for i in range(k + 1):
+        term = fact[d - i] * fact[d - k + i] * e[i] * e[k - i]
+        total += -term if i % 2 else term
+    return Fraction(total, scale**k)
 
 
 def elementary_symmetric(x) -> tuple:
@@ -203,37 +223,3 @@ def schur_principal(lam, d: int) -> Fraction:
     _, contents = hooks_and_contents(lam)
     num = dim_irrep(lam) * prod((Fraction(d + c) for c in contents), start=Fraction(1))
     return num / factorial(lam.size)
-
-
-def schur_rank_two(lam, alpha, beta) -> Fraction:
-    """Schur function at (alpha, beta, 0, 0, ...), in summation form."""
-    lam = Partition(lam)
-    alpha, beta = to_fraction(alpha), to_fraction(beta)
-    if lam.length > 2:
-        return Fraction(0)
-    k = lam.size
-    lam1 = lam[0] if lam else 0
-    lam2 = lam[1] if lam.length > 1 else 0
-    total = Fraction(0)
-    for t in range(lam1 - lam2 + 1):
-        total += alpha ** (k - lam2 - t) * beta ** (lam2 + t)
-    return total
-
-
-def kernel_sum(blocks, x, cap: int = SET_PARTITION_CAP) -> Fraction:
-    """Sum of prod_i x_{p(i)} over maps p with kernel exactly `blocks`.
-
-    A map has kernel `blocks` when p(i) == p(j) iff i, j share a block, so
-    the sum runs over injective assignments of values to blocks.
-    """
-    blocks = tuple(tuple(b) for b in blocks)
-    k = sum(len(b) for b in blocks)
-    check_cap(k, cap, "kernel sum size")
-    x = as_spectrum(x)
-    total = Fraction(0)
-    for positions in itertools.permutations(range(len(x)), len(blocks)):
-        term = Fraction(1)
-        for block, pos in zip(blocks, positions):
-            term *= x[pos] ** len(block)
-        total += term
-    return total

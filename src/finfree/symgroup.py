@@ -36,19 +36,6 @@ def inverse_perm(p) -> tuple:
     return tuple(inv)
 
 
-def perm_from_cycles(cycles, k: int) -> tuple:
-    """Build a permutation of {0..k-1} from disjoint cycles of 1-based points."""
-    images = list(range(k))
-    seen = set()
-    for cyc in cycles:
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            if a in seen:
-                raise ValueError(f"point {a} repeated across cycles")
-            seen.add(a)
-            images[a - 1] = b - 1
-    return tuple(images)
-
-
 def perm_of_cycle_type(rho) -> tuple:
     """Representative permutation with the given cycle type: consecutive cycles."""
     rho = Partition(rho)
@@ -144,11 +131,6 @@ def character_table_json(k: int, cap: int = PARTITION_CAP) -> dict:
     }
 
 
-def young_rule_multiplicity(lam, mu, cap: int = PARTITION_CAP) -> int:
-    """Multiplicity of the lam-irreducible in the mu permutation module."""
-    return kostka(lam, mu, cap)
-
-
 @lru_cache(maxsize=None)
 def _inverse_kostka_matrix(k: int) -> dict:
     # The Kostka matrix is unitriangular in decreasing lex order (which
@@ -172,10 +154,6 @@ def inverse_kostka(lam, mu, cap: int = PARTITION_CAP) -> int:
         raise ValueError(f"sizes differ: |{lam}| != |{mu}|")
     check_cap(lam.size, cap, "inverse Kostka size")
     return _inverse_kostka_matrix(lam.size)[(lam, mu)]
-
-
-def young_subgroup_order(blocks) -> int:
-    return prod(factorial(len(b)) for b in blocks)
 
 
 def young_subgroup_elements(blocks, k: int):

@@ -18,7 +18,7 @@ from math import comb, factorial
 
 from .immanants import delta_minus, imm_delta_minus, immanant_direct, immanant_gj
 from .montecarlo import (
-    mc_commutator_charpoly,
+    mc_charpoly,
     mc_conjugation_mean,
     mc_entry_moments,
     within_band,
@@ -156,7 +156,7 @@ def verify_flagship(mc_n: int = 200_000, seed: int = DEFAULT_SEED,
             f"closed={closed} brute={brute} conv={conv.pretty()}",
         )
     )
-    report = mc_commutator_charpoly(spec, spec, mc_n, seed)
+    report = mc_charpoly(spec, spec, mc_n, seed)
     m1, m2 = report.mean("e_1"), report.mean("e_2")
     se1, se2 = report.se("e_1"), report.se("e_2")
     mc_ok = (

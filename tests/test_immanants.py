@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,17 +11,14 @@ from finfree.immanants import (
     _principal_elementaries,
     as_matrix,
     char_poly,
-    charpoly_z_delta,
-    charpoly_z_delta_closed,
     delta_minus,
-    delta_plus,
     imm_delta_minus,
     immanant_direct,
     immanant_gj,
-    scale_rows,
 )
 from finfree.partitions import Partition, partitions_of
 from finfree.polynomials import MonicPoly
+from finfree.symfunc import elementary_symmetric
 from finfree.symgroup import character, cycle_type, perm_sign
 from finfree.util import CapExceededError
 
@@ -92,6 +90,20 @@ def _immanant_reference(lam, y):
     return total
 
 
+def _imm_delta_minus_reference(lam, x):
+    """The two-row closed form as a Fraction loop over e_{k-l} e_l."""
+    lam = Partition(lam)
+    k = len(x)
+    if lam.length > 2:
+        return Fraction(0)
+    lam2 = lam[1] if lam.length > 1 else 0
+    e = elementary_symmetric(x)
+    total = Fraction(0)
+    for l in range(k + 1):
+        total += (-1) ** l * factorial(k - l) * factorial(l) * e[k - l] * e[l]
+    return (-1) ** lam2 * total
+
+
 def _char_poly_reference(y):
     """e_0..e_n of y by Newton's identities on the traces of its powers."""
     n = len(y)
@@ -126,7 +138,7 @@ def _gj_reference(lam, y):
     n = len(y)
     total = Fraction(0)
     for keep in itertools.product((0, 1), repeat=n):
-        e = _char_poly_reference(scale_rows(keep, y))
+        e = _char_poly_reference(tuple(tuple(z * v for v in row) for z, row in zip(keep, y)))
         total += (-1) ** (n - sum(keep)) * _schur_reference(lam, e)
     return total
 
@@ -143,17 +155,9 @@ def test_as_matrix_validation():
         as_matrix([[0.5]])
 
 
-def test_matrix_helpers():
-    x = as_matrix([[1, 2], [3, 4]])
-    assert scale_rows((2, -1), x) == ((2, 4), (-3, -4))
-    with pytest.raises(ValueError):
-        scale_rows((1,), x)
-
-
 def test_delta_matrices():
     x = (Fraction(1), Fraction(3))
     assert delta_minus(x) == ((0, -2), (2, 0))
-    assert delta_plus(x) == ((2, 4), (4, 6))
 
 
 # ---------------------------------------------------------------- immanants
@@ -290,6 +294,13 @@ def test_imm_delta_minus_matches_direct(x):
         assert imm_delta_minus(lam, x) == immanant_direct(lam, dm), (lam, x)
 
 
+@given(st.lists(wide_st, min_size=1, max_size=8).map(tuple))
+@settings(max_examples=40)
+def test_imm_delta_minus_matches_reference(x):
+    for lam in partitions_of(len(x)):
+        assert imm_delta_minus(lam, x) == _imm_delta_minus_reference(lam, x), lam
+
+
 @pytest.mark.parametrize("k", [3, 5])
 def test_imm_delta_minus_odd_sizes_vanish(k):
     x = tuple(Fraction(i + 1, 2) for i in range(k))
@@ -338,21 +349,21 @@ def test_char_poly_companion():
 )
 @settings(max_examples=40)
 def test_charpoly_z_delta_closed_form(x, z):
+    # diag(z) (x_i - x_j) is traceless of rank <= 2, so only e_2 survives,
+    # the sum of its 2x2 principal minors z_i z_j (x_i - x_j)^2
     if len(x) != len(z):
         return
-    assert charpoly_z_delta(x, z) == charpoly_z_delta_closed(x, z)
+    y = tuple(tuple(zi * v for v in row) for zi, row in zip(z, delta_minus(x)))
+    quad = sum(
+        (z[i] * z[j] * (x[i] - x[j]) ** 2 for i, j in itertools.combinations(range(len(x)), 2)),
+        Fraction(0),
+    )
+    assert char_poly(y).a == (1, 0, quad) + (0,) * (len(x) - 2)
 
 
 def test_charpoly_z_delta_quadratic_term():
-    x = (Fraction(1), Fraction(2), Fraction(3))
-    z = (Fraction(1), Fraction(1), Fraction(1))
-    got = charpoly_z_delta_closed(x, z)
-    quad = sum(
-        z[i] * z[j] * (x[i] - x[j]) ** 2
-        for i in range(3)
-        for j in range(i + 1, 3)
-    )
-    assert got.a == (1, 0, quad, 0)
+    # z = 1 and x = (1, 2, 3): sum_{i<j} (x_i - x_j)^2 = 1 + 4 + 1
+    assert char_poly(delta_minus((1, 2, 3))).a == (1, 0, 6, 0)
 
 
 def test_char_poly_single_entry():

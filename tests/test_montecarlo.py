@@ -13,7 +13,6 @@ from finfree.montecarlo import (
     _householder,
     haar_batch,
     mc_charpoly,
-    mc_commutator_charpoly,
     mc_conjugation_mean,
     mc_entry_moments,
     within_band,
@@ -129,15 +128,15 @@ def test_elementary_from_traces_exact_match():
 # ------------------------------------------------------------------ reports
 
 def test_report_deterministic_across_reruns():
-    a = mc_commutator_charpoly((1, -1), (1, -1), n=3000, seed=SEED, chunk_size=1024)
-    b = mc_commutator_charpoly((1, -1), (1, -1), n=3000, seed=SEED, chunk_size=1024)
+    a = mc_charpoly((1, -1), (1, -1), n=3000, seed=SEED, chunk_size=1024)
+    b = mc_charpoly((1, -1), (1, -1), n=3000, seed=SEED, chunk_size=1024)
     assert json.dumps(a.to_json_dict(), sort_keys=True) == json.dumps(
         b.to_json_dict(), sort_keys=True
     )
 
 
 def test_report_counts_ragged_final_chunk():
-    rep = mc_commutator_charpoly((1, -1), (1, -1), n=1000, seed=SEED, chunk_size=512)
+    rep = mc_charpoly((1, -1), (1, -1), n=1000, seed=SEED, chunk_size=512)
     assert rep.n == 1000
     assert rep.chunk_size == 512
 
@@ -166,7 +165,7 @@ def test_within_band():
 
 def test_commutator_means_hit_exact_values():
     exact = Fraction(8, 3)
-    rep = mc_commutator_charpoly((1, -1), (1, -1), n=40000, seed=SEED)
+    rep = mc_charpoly((1, -1), (1, -1), n=40000, seed=SEED)
     m, se = rep.mean("e_2"), rep.se("e_2")
     assert within_band(float(exact), m.real, se[0])
     assert within_band(0.0, m.imag, se[1])
@@ -204,7 +203,7 @@ def test_commutator_mode_matches_convolution_d3():
     want = commutator_poly(
         MonicPoly.from_spectrum(sa), MonicPoly.from_spectrum(sb)
     )
-    rep = mc_commutator_charpoly(sa, sb, n=60000, seed=SEED)
+    rep = mc_charpoly(sa, sb, n=60000, seed=SEED)
     for k in range(1, 4):
         m, se = rep.mean(f"e_{k}"), rep.se(f"e_{k}")
         assert within_band(float(want.a[k]), m.real, se[0]), k

@@ -1,12 +1,12 @@
 import itertools
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from finfree.oracle import (
     alternating_binomial_pair,
-    brute_force_charpoly,
     brute_force_expected_ek,
     gen_binom,
     identity_leftdep,
@@ -15,6 +15,7 @@ from finfree.oracle import (
     telescoping_pair,
 )
 from finfree.polynomials import MonicPoly, commutator_coefficient, commutator_poly
+from finfree.symfunc import elementary_symmetric
 from finfree.symgroup import perm_sign
 from finfree.weingarten import ClassFunction, integrate_moment, weingarten
 from finfree.util import CapExceededError
@@ -92,7 +93,9 @@ def test_brute_force_charpoly_matches_convolution():
     sa, sb = (Fraction(1), Fraction(2), Fraction(4)), (Fraction(0), Fraction(1), Fraction(3))
     p = MonicPoly.from_spectrum(sa)
     q = MonicPoly.from_spectrum(sb)
-    assert brute_force_charpoly(sa, sb) == commutator_poly(p, q)
+    conv = commutator_poly(p, q)
+    for k in range(4):
+        assert brute_force_expected_ek(sa, sb, k) == conv.a[k]
 
 
 def test_brute_force_validation():
@@ -146,6 +149,42 @@ def test_factors_multiply_to_expected_coefficient(sa, sb):
         left, _ = identity_leftdep(sa, k)
         right, _ = identity_rightdep(sb, k)
         assert left * right == commutator_coefficient(k, sa, sb)
+
+
+def _leftdep_closed_reference(spec, k):
+    d, h = len(spec), k // 2
+    e = elementary_symmetric(spec)
+    closed = Fraction(0)
+    for i in range(k + 1):
+        j = k - i
+        closed += (
+            (-1) ** i
+            * Fraction(
+                factorial(d - i) * factorial(d - j),
+                factorial(d - k) * factorial(d - h),
+            )
+            * e[i]
+            * e[j]
+        )
+    return closed * Fraction(factorial(h), factorial(k))
+
+
+def _rightdep_closed_reference(spec, k):
+    d, h = len(spec), k // 2
+    e = elementary_symmetric(spec)
+    closed = Fraction(0)
+    for i in range(k + 1):
+        j = k - i
+        closed += (-1) ** i * factorial(d - i) * factorial(d - j) * e[i] * e[j]
+    return closed * Fraction(factorial(k) * (d + 1 - h), factorial(d + 1) * factorial(d))
+
+
+@given(st.lists(rational_st, min_size=1, max_size=8).map(tuple))
+@settings(max_examples=25, deadline=None)
+def test_closed_sides_match_the_fraction_loops(spec):
+    for k in range(0, len(spec) + 1, 2):
+        assert identity_leftdep(spec, k)[1] == _leftdep_closed_reference(spec, k), k
+        assert identity_rightdep(spec, k)[1] == _rightdep_closed_reference(spec, k), k
 
 
 def test_factor_identities_on_flagship():

@@ -304,6 +304,59 @@ def test_elementary_symmetric_matches_definition(x):
     assert elementary_symmetric(x) == ref_elementary(x)
 
 
+def ref_commutator_coefficient(k, spec_a, spec_b):
+    """The closed form with each cross sum as a Fraction loop over e_i e_{k-i}."""
+    d = len(spec_a)
+    if k == 0:
+        return Fraction(1)
+    if k % 2:
+        return Fraction(0)
+    h = k // 2
+
+    def cross(spec):
+        e = elementary_symmetric(spec)
+        return sum(
+            (
+                (-1) ** i
+                * Fraction(
+                    factorial(d - i) * factorial(d - k + i), factorial(d) * factorial(d - k)
+                )
+                * e[i]
+                * e[k - i]
+                for i in range(k + 1)
+            ),
+            Fraction(0),
+        )
+
+    factor = Fraction(factorial(d - k) * factorial(h) * (d + 1 - h), factorial(d - h) * (d + 1))
+    return cross(spec_a) * cross(spec_b) * factor
+
+
+@st.composite
+def spectrum_pair_st(draw):
+    d = draw(st.integers(1, 12))
+    spec = st.lists(big_rational_st, min_size=d, max_size=d).map(tuple)
+    return draw(spec), draw(spec)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spectrum_pair_st())
+def test_commutator_coefficient_matches_definition(pair):
+    spec_a, spec_b = pair
+    for k in range(len(spec_a) + 1):
+        want = ref_commutator_coefficient(k, spec_a, spec_b)
+        assert commutator_coefficient(k, spec_a, spec_b) == want, k
+
+
+def test_commutator_coefficient_matches_definition_d60():
+    d = 60
+    spec_a = tuple(Fraction((-1) ** i * (i % 9 + 1), (2, 3, 4)[i % 3]) for i in range(d))
+    spec_b = tuple(Fraction(i % 7 - 3, 1 + i % 5) for i in range(d))
+    for k in range(0, d + 1, 2):
+        want = ref_commutator_coefficient(k, spec_a, spec_b)
+        assert commutator_coefficient(k, spec_a, spec_b) == want, k
+
+
 def ref_low_product(f, g, n):
     return [
         sum(f[i] * g[k - i] for i in range(k + 1) if i < len(f) and k - i < len(g))

@@ -1,6 +1,6 @@
 import itertools
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,16 +9,15 @@ from finfree.partitions import Partition, partitions_of, semistandard_tableaux
 from finfree.symfunc import (
     SymExpansion,
     as_spectrum,
+    cross_sum,
     e_to_m,
     elementary_symmetric,
     eval_elementary,
     eval_monomial,
     eval_quasisym,
-    kernel_sum,
     m_to_e,
     power_sums,
     schur_principal,
-    schur_rank_two,
 )
 
 rational_st = st.fractions(
@@ -212,35 +211,44 @@ def test_schur_principal_frozen():
     assert schur_principal((), 5) == 1
 
 
-@given(rational_st, rational_st)
-def test_schur_rank_two_counts_weighted_tableaux(alpha, beta):
-    for lam in [(2,), (1, 1), (2, 1), (3, 1), (2, 2)]:
-        lam = Partition(lam)
-        want = Fraction(0)
-        for tab in semistandard_tableaux(lam, max_entry=2):
-            ones = sum(row.count(1) for row in tab)
-            twos = sum(row.count(2) for row in tab)
-            want += alpha**ones * beta**twos
-        assert schur_rank_two(lam, alpha, beta) == want
+# -------------------------------------------------------------- cross sums
+
+# entries up to 10^6 / 10^6 with mixed denominators, zeros and both signs
+wide_st = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-(10**6), 10**6).map(Fraction),
+    st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6),
+)
 
 
-def test_schur_rank_two_tall_shapes_vanish():
-    assert schur_rank_two((1, 1, 1), 2, 3) == 0
+def _cross_sum_reference(x, k):
+    """sum_i (-1)^i (d-i)!(d-k+i)! e_i e_{k-i} over Fractions, from the definition."""
+    d = len(x)
+    e = elementary_symmetric(x)
+    return sum(
+        (
+            (-1) ** i * factorial(d - i) * factorial(d - k + i) * e[i] * e[k - i]
+            for i in range(k + 1)
+        ),
+        Fraction(0),
+    )
 
 
-# ------------------------------------------------------------- kernel sums
-
-def test_kernel_sum_closed_form():
-    x = (Fraction(1), Fraction(2), Fraction(-1), Fraction(3))
-    # blocks of type (2,1,1): the injective-assignment sum is
-    # prod(mult!) * m_type, with mult counting equal block sizes
-    blocks = ((1, 2), (3,), (4,))
-    want = factorial(1) * factorial(2) * eval_monomial((2, 1, 1), x)
-    assert kernel_sum(blocks, x) == want
-    blocks = ((1,), (2,), (3,))
-    assert kernel_sum(blocks, x) == factorial(3) * eval_monomial((1, 1, 1), x)
+@given(st.lists(wide_st, min_size=1, max_size=12).map(tuple))
+def test_cross_sum_matches_definition(x):
+    d = len(x)
+    for k in range(d + 1):
+        got = cross_sum(x, k)
+        assert got == _cross_sum_reference(x, k), k
+        if k % 2:
+            assert got == 0
+    assert cross_sum(x, 0) == factorial(d) ** 2
 
 
-def test_kernel_sum_more_blocks_than_values():
-    x = (Fraction(1), Fraction(2))
-    assert kernel_sum(((1,), (2,), (3,)), x) == 0
+def test_cross_sum_frozen_and_bounds():
+    # at d = k = 2 the sum is 4 e_2 - e_1^2 = -(x_1 - x_2)^2
+    x = (Fraction(1, 2), Fraction(-3))
+    assert cross_sum(x, 2) == Fraction(-49, 4)
+    for k in (-1, 3):
+        with pytest.raises(ValueError):
+            cross_sum(x, k)
