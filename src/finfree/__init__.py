@@ -37,7 +37,6 @@ from .symfunc import (
 )
 from .weingarten import ClassFunction, integrate_moment, weingarten
 from .immanants import (
-    char_poly,
     delta_minus,
     imm_delta_minus,
     immanant_direct,

@@ -96,6 +96,14 @@ def cmd_zpoly(args) -> int:
     return 0
 
 
+def _floats(values, what: str) -> list:
+    """The values as floats for sampling, or exit 2 if one does not fit."""
+    try:
+        return [float(v) for v in values]
+    except OverflowError as exc:
+        raise InputError(f"--mc: {what} is outside float range ({exc})") from exc
+
+
 def cmd_commutator(args) -> int:
     spec_a, spec_b = _load_spectrum(args.a), _load_spectrum(args.b)
     if len(spec_a) != len(spec_b):
@@ -111,14 +119,11 @@ def cmd_commutator(args) -> int:
     if args.mc is not None:
         if args.seed is None:
             raise InputError("--mc requires --seed")
-        try:
-            exact_f = [float(v) for v in exact.a]
-        except OverflowError as exc:
-            raise InputError(
-                f"--mc: an exact coefficient is outside float range ({exc})"
-            ) from exc
+        exact_f = _floats(exact.a, "an exact coefficient")
         report = mc_charpoly(
-            spec_a, spec_b, args.mc, args.seed, chunk_size=args.chunk
+            _floats(spec_a, "a spectrum entry"),
+            _floats(spec_b, "a spectrum entry"),
+            args.mc, args.seed, chunk_size=args.chunk,
         )
         z_scores = {}
         bands_ok = True

@@ -25,7 +25,6 @@ from functools import lru_cache
 from math import lcm
 
 from .partitions import Partition
-from .polynomials import MonicPoly
 from .symfunc import as_spectrum, cross_sum
 from .symgroup import character, cycle_type
 from .util import IMMANANT_CAP, PARTITION_CAP, check_cap, to_fraction
@@ -133,18 +132,6 @@ def _berkowitz_step(mat, idx: tuple, r: int, poly: list) -> list:
         sum(toeplitz[i - j] * poly[j] for j in range(min(i, m) + 1))
         for i in range(m + 2)
     ]
-
-
-def char_poly(y) -> MonicPoly:
-    """Exact characteristic polynomial by Berkowitz's algorithm on L Y.
-
-    The coefficient of x^(n-j) of L Y is L^j times that of Y.
-    """
-    mat, scale = _cleared(y)
-    poly = [1]
-    for r in range(len(mat)):
-        poly = _berkowitz_step(mat, tuple(range(r)), r, poly)
-    return MonicPoly(tuple(Fraction((-1) ** j * c, scale**j) for j, c in enumerate(poly)))
 
 
 @lru_cache(maxsize=_CACHED_MATRICES)

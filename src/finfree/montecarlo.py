@@ -25,49 +25,67 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 GRAM_SCHMIDT_MAX_D = 9
 
 
-def haar_batch(d: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    """m Haar-distributed d x d unitaries, stacked along axis 0.
+def haar_batch(d: int, m: int, rng: np.random.Generator) -> tuple:
+    """m Haar-distributed d x d unitaries, stacked along axis 0, and their
+    unitarity residual max|Q^H Q - I| over the batch.
 
     The Q of complex Ginibre matrices Z = QR whose R has a positive real
     diagonal. That Q is exactly Haar (Mezzadri 2007); both orthonormalizers
-    below return it, up to rounding, from the same draws.
+    below return it, up to rounding, from the same draws. For the sweep the
+    draws are stored sample-last, z[j, i, s] = Z_s[i, j], the layout it reads.
     """
-    z = rng.standard_normal((m, d, d)) + 1j * rng.standard_normal((m, d, d))
-    z /= np.sqrt(2.0)
-    if d <= GRAM_SCHMIDT_MAX_D:
-        return _gram_schmidt(z)
-    return _householder(z)
+    sweep = d <= GRAM_SCHMIDT_MAX_D
+    z = np.empty((d, d, m) if sweep else (m, d, d), dtype=complex)
+    # complex division by sqrt(2) multiplies each part by 1/sqrt(2), so
+    # this writes the bytes of (x + iy) / sqrt(2) with no complex temporary
+    scale = 1 / np.sqrt(2.0)
+    for part in (z.real, z.imag):
+        draw = rng.standard_normal((m, d, d))
+        np.multiply(draw.T if sweep else draw, scale, out=part)
+    del draw  # not held through the orthonormalization
+    return _gram_schmidt(z) if sweep else _householder(z)
 
 
-def _gram_schmidt(z: np.ndarray) -> np.ndarray:
+def _gram_schmidt(columns: np.ndarray) -> tuple:
     """Classical Gram-Schmidt applied twice, vectorized over the samples.
 
-    The sample axis is last, so each projection is a few numpy ops over the
-    whole chunk. Two passes keep Q orthonormal to working precision for any
-    numerically nonsingular Z (Giraud, Langou & Rozloznik 2005). Each column
-    is divided by its positive norm, which is R's diagonal.
+    columns[j, :, s] is column j of sample s, so each projection is a few
+    numpy ops over the whole chunk; the input is only read. Two passes keep
+    Q orthonormal to working precision for any numerically nonsingular Z
+    (Giraud, Langou & Rozloznik 2005). Each column is divided by its
+    positive norm, which is R's diagonal. Once column j is final, column j
+    of Q^H Q is formed, so the residual needs no second product.
     """
-    d = z.shape[1]
-    q = np.ascontiguousarray(z.transpose(2, 1, 0))  # q[j, :, s]: column j of sample s
+    d = columns.shape[0]
+    q = np.empty_like(columns)
     q_conj = np.empty_like(q)
+    residual = 0.0
     for j in range(d):
-        v = q[j]
+        v = columns[j]
         for _ in range(2):
             coef = (q_conj[:j] * v).sum(axis=1)
             v = v - (q[:j] * coef[:, None, :]).sum(axis=0)
         v /= np.sqrt((v.real**2 + v.imag**2).sum(axis=0))
         q[j] = v
         q_conj[j] = v.conj()
-    return np.ascontiguousarray(q.transpose(2, 1, 0))
+        gram = np.einsum("kim,im->km", q_conj[:j + 1], v)  # no (j+1, d, m) temporary
+        gram[j] -= 1
+        residual = max(residual, float(np.abs(gram).max()))
+    return np.ascontiguousarray(q.transpose(2, 1, 0)), residual
 
 
-def _householder(z: np.ndarray) -> np.ndarray:
+def _householder(z: np.ndarray) -> tuple:
     """LAPACK QR per matrix, with R's diagonal phases pushed into Q."""
     q, r = np.linalg.qr(z)
     diag = np.einsum("mii->mi", r)
     mod = np.abs(diag)
     phases = np.where(mod == 0, 1.0 + 0j, diag / np.where(mod == 0, 1.0, mod))
-    return q * phases[:, None, :]
+    del r, diag  # so that R is not held through the product below
+    q *= phases[:, None, :]
+    gram = q.conj().transpose(0, 2, 1) @ q
+    i = np.arange(q.shape[-1])
+    gram[:, i, i] -= 1
+    return q, float(np.abs(gram).max())
 
 
 def _elementary_from_traces(traces: np.ndarray) -> np.ndarray:
@@ -192,13 +210,9 @@ def _sample(d: int, n: int, seed: int, chunk_size: int, mode: str, labels: list,
     """
     acc = _Accumulator(len(labels))
     residual = 0.0
-    eye = np.eye(d)
     for index, take in _iter_chunks(n, chunk_size):
-        u = haar_batch(d, take, _chunk_rng(seed, index))
-        residual = max(
-            residual,
-            float(np.abs(u @ u.conj().transpose(0, 2, 1) - eye).max()),
-        )
+        u, chunk_residual = haar_batch(d, take, _chunk_rng(seed, index))
+        residual = max(residual, chunk_residual)
         acc.add(statistic(u))
     mean, se_re, se_im = acc.finalize()
     return McReport(
@@ -230,22 +244,31 @@ def mc_charpoly(spec_a, spec_b, n: int, seed: int, mode: str = "commutator",
     d = a.size
     if mode not in ("commutator", "sum", "product"):
         raise ValueError(f"unknown mode {mode!r}")
-    eye = np.eye(d)
 
     def elementary(u):
-        t = (u * b[None, None, :]) @ u.conj().transpose(0, 2, 1)
+        w = (u * b[None, None, :]) @ u.conj().transpose(0, 2, 1)  # T = UBU*
         if mode == "commutator":
-            w = a[None, :, None] * t - t * a[None, None, :]
+            w *= a[:, None] - a[None, :]  # AT - TA
         elif mode == "sum":
-            w = t + a[None, :, None] * eye[None, :, :]
+            w += np.diag(a)  # A + T
         else:
-            w = a[None, :, None] * t
+            w *= a[:, None]  # AT
+        # P_j = W^j up to j = top costs floor((d-1)/2) products, two powers
+        # alive at a time. tr W^j up to top is the trace of P_j; above top
+        # tr W^(2j) = sum P_j o P_j^T and tr W^(2j+1) = sum P_j o P_(j+1)^T.
         traces = np.empty((len(u), d), dtype=complex)
-        power = w
-        for j in range(d):
-            traces[:, j] = np.einsum("mii->m", power)
-            if j + 1 < d:
-                power = power @ w
+        traces[:, 0] = np.einsum("mii->m", w)
+        top = (d + 1) // 2
+        low = w
+        for j in range(1, d // 2 + 1):
+            if 2 * j > top:
+                traces[:, 2 * j - 1] = np.einsum("mij,mji->m", low, low)
+            if 2 * j < d:
+                high = low @ w
+                traces[:, j] = np.einsum("mii->m", high)
+                if 2 * j + 1 > top:
+                    traces[:, 2 * j] = np.einsum("mij,mji->m", low, high)
+                low = high
         return _elementary_from_traces(traces)
 
     return _sample(d, n, seed, chunk_size, mode,

@@ -41,11 +41,6 @@ def to_fraction(value):
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-def rational_str(value):
-    """Serialize a Fraction as 'p' or 'p/q'."""
-    return str(Fraction(value))
-
-
 @lru_cache(maxsize=None)
 def factorials(n: int) -> tuple:
     """The table (0!, 1!, ..., n!)."""

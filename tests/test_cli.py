@@ -200,17 +200,27 @@ def test_commutator_bad_mc_arguments(capsys, spectra_files, extra):
     assert len([line for line in err.splitlines() if "error:" in line]) == 1
 
 
-def test_commutator_mc_refuses_coefficients_beyond_float(capsys, tmp_path):
-    # at d = 40 the exact e_40 of this commutator exceeds the float range
-    big = write_json(tmp_path, "big.json", list(range(1000, 40001, 1000)))
-    assert main(["commutator", big, big, "--mc", "4", "--seed", "1"]) == 2
+def _assert_mc_refused_but_exact_ok(capsys, spectrum, d):
+    assert main(["commutator", spectrum, spectrum, "--mc", "4", "--seed", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
-    code, out = run_cli(capsys, "commutator", big, big)
+    code, out = run_cli(capsys, "commutator", spectrum, spectrum)
     assert code == 0
-    assert json.loads(out)["d"] == 40
+    assert json.loads(out)["d"] == d
+
+
+def test_commutator_mc_refuses_coefficients_beyond_float(capsys, tmp_path):
+    # at d = 40 the exact e_40 of this commutator exceeds the float range
+    big = write_json(tmp_path, "big.json", list(range(1000, 40001, 1000)))
+    _assert_mc_refused_but_exact_ok(capsys, big, 40)
+
+
+def test_commutator_mc_refuses_spectrum_beyond_float(capsys, tmp_path):
+    # at d = 1 the exact polynomial is x, but 10^400 itself is no float
+    huge = write_json(tmp_path, "huge.json", ["1" + "0" * 400])
+    _assert_mc_refused_but_exact_ok(capsys, huge, 1)
 
 
 def test_commutator_smallest_mc_sample(capsys, spectra_files):

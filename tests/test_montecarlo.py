@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from finfree import montecarlo
 from finfree.montecarlo import (
     GRAM_SCHMIDT_MAX_D,
     _Accumulator,
@@ -26,9 +27,15 @@ SEED = 99
 # ----------------------------------------------------------------- sampling
 
 def _ginibre(d, m, seed):
+    # the Ginibre draw as (x + 1j*y) / sqrt(2), whose bytes haar_batch keeps
     rng = _chunk_rng(seed, 0)
     z = rng.standard_normal((m, d, d)) + 1j * rng.standard_normal((m, d, d))
     return z / np.sqrt(2.0)
+
+
+def _sweep(z):
+    # _gram_schmidt reads the samples last: columns[j, :, s] = z[s, :, j]
+    return _gram_schmidt(np.ascontiguousarray(z.T))
 
 
 def _unitarity_residual(u):
@@ -38,9 +45,10 @@ def _unitarity_residual(u):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 9, 10, 16])
 def test_haar_batch_unitarity(d):
-    u = haar_batch(d, 64, _chunk_rng(SEED, 0))
+    u, residual = haar_batch(d, 64, _chunk_rng(SEED, 0))
     assert u.shape == (64, d, d)
     assert _unitarity_residual(u) < 1e-12
+    assert 0 <= residual < 1e-12
 
 
 @pytest.mark.parametrize("d", [4, 12])
@@ -49,16 +57,33 @@ def test_haar_batch_deterministic(d):
     assert (d <= GRAM_SCHMIDT_MAX_D) == (d == 4)
     a = haar_batch(d, 8, _chunk_rng(SEED, 0))
     b = haar_batch(d, 8, _chunk_rng(SEED, 0))
-    assert np.array_equal(a, b)
+    assert np.array_equal(a[0], b[0]) and a[1] == b[1]
     c = haar_batch(d, 8, _chunk_rng(SEED + 1, 0))
-    assert not np.array_equal(a, c)
+    assert not np.array_equal(a[0], c[0])
+
+
+@pytest.mark.parametrize("d", [2, 9, 10])
+def test_haar_batch_matches_the_two_temporaries_draw(d):
+    # the draws written straight into z.real and z.imag give the same bytes
+    # as (x + 1j*y) / sqrt(2), on both sides of GRAM_SCHMIDT_MAX_D
+    z = _ginibre(d, 256, SEED)
+    want = _sweep(z)[0] if d <= GRAM_SCHMIDT_MAX_D else _householder(z)[0]
+    got = haar_batch(d, 256, _chunk_rng(SEED, 0))[0]
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("d", range(1, 13))
 def test_gram_schmidt_matches_householder(d):
     # both return the Q whose R has a positive real diagonal
     z = _ginibre(d, 256, SEED + d)
-    assert np.abs(_gram_schmidt(z) - _householder(z)).max() < 1e-12
+    assert np.abs(_sweep(z)[0] - _householder(z)[0]).max() < 1e-12
+
+
+def test_gram_schmidt_only_reads_its_input():
+    columns = np.ascontiguousarray(_ginibre(5, 64, SEED).T)
+    before = columns.copy()
+    _gram_schmidt(columns)
+    assert columns.tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("d", [2, 5, 9])
@@ -68,19 +93,44 @@ def test_gram_schmidt_ill_conditioned(d):
     z = _ginibre(d, 64, SEED)
     z[:, :, -1] = z[:, :, 0] + 1e-8 * _ginibre(d, 64, SEED + 1)[:, :, 0]
     assert np.median(np.linalg.cond(z)) > 1e7
-    u = _gram_schmidt(z)
-    assert _unitarity_residual(u) < 1e-12
+    u, residual = _sweep(z)
+    assert _unitarity_residual(u) < 1e-12 and residual < 1e-12
     r = u.conj().transpose(0, 2, 1) @ z
     assert np.abs(np.tril(r, -1)).max() < 1e-12
     diag = np.einsum("mii->mi", r)
     assert (diag.real > 0).all() and np.abs(diag.imag).max() < 1e-12
 
 
+def _gram_residual(u):
+    d = u.shape[-1]
+    return np.abs(u.conj().transpose(0, 2, 1) @ u - np.eye(d)).max()
+
+
+def _gram_residual_by_columns(u):
+    # column j of Q^H Q contracted over rows as the sweep does it
+    q, eye = u.T, np.eye(u.shape[-1])
+    return max(
+        np.abs(np.einsum("kim,im->km", q[:j + 1].conj(), q[j]) - eye[:j + 1, j, None]).max()
+        for j in range(u.shape[-1])
+    )
+
+
+@pytest.mark.parametrize("d", [1, 5, 9, 10, 16])
+def test_residual_is_that_of_the_returned_unitaries(d):
+    u, residual = haar_batch(d, 128, _chunk_rng(SEED, 0))
+    assert residual > 0 or d == 1
+    if d > GRAM_SCHMIDT_MAX_D:
+        assert residual == _gram_residual(u)
+    else:
+        assert residual == _gram_residual_by_columns(u)
+        assert abs(residual - _gram_residual(u)) <= 4 * d * np.finfo(float).eps
+
+
 def test_haar_phase_correction_removes_qr_bias():
     # with the phase fix, the diagonal of R is positive real; the first
     # column of U must have uniformly distributed phases, so its mean
     # should be near zero rather than biased along the positive axis
-    u = haar_batch(2, 4000, _chunk_rng(SEED, 0))
+    u = haar_batch(2, 4000, _chunk_rng(SEED, 0))[0]
     mean_entry = u[:, 0, 0].mean()
     assert abs(mean_entry) < 0.05
 
@@ -123,6 +173,47 @@ def test_elementary_from_traces_exact_match():
         frac_spec = tuple(Fraction(v) for v in spec)
         want = elementary_symmetric(frac_spec)[1:]
         assert np.allclose(row, [float(w) for w in want])
+
+
+def _statistic(monkeypatch, a, b, mode):
+    # mc_charpoly hands its per-batch statistic to _sample; keep it instead
+    monkeypatch.setattr(
+        montecarlo, "_sample",
+        lambda d, n, seed, chunk_size, mode, labels, statistic, extras=None: statistic,
+    )
+    return mc_charpoly(a, b, n=2, seed=SEED, mode=mode)
+
+
+def _word(u, a, b, mode):
+    big_a = np.diag(a)
+    t = u @ np.diag(b) @ u.conj().transpose(0, 2, 1)
+    return {"commutator": big_a @ t - t @ big_a, "sum": big_a + t, "product": big_a @ t}[mode]
+
+
+# Ten times the worst per-k median relative error that the d - 1 product
+# statistic (traces of W, W^2, ..., W^d) had on these spectra and samples,
+# rounded up to a power of ten, at least 1e-14: 0, 3.3e-16, 1.8e-15,
+# 1.1e-12, 4.1e-12 and 1.1e-7. Newton's identities lose the high e_k as d grows.
+E_K_TOLERANCE = {1: 1e-14, 2: 1e-14, 3: 1e-13, 8: 1e-10, 9: 1e-10, 16: 1e-5}
+
+
+@pytest.mark.parametrize("mode", ["commutator", "sum", "product"])
+@pytest.mark.parametrize("d", sorted(E_K_TOLERANCE))
+def test_paired_traces_match_eigenvalues(monkeypatch, d, mode):
+    # distinct nonzero spectra, so no e_k of W vanishes identically except
+    # e_1 = tr W of the commutator
+    a = np.arange(1, d + 1) / 2
+    b = np.array([(d - i) * (-1) ** i / 3 for i in range(d)])
+    u = haar_batch(d, 64, _chunk_rng(SEED, d))[0]
+    got = _statistic(monkeypatch, a, b, mode)(u)
+    roots = np.linalg.eigvals(_word(u, a, b, mode))
+    want = np.array([np.poly(r) for r in roots])[:, 1:] * (-1.0) ** np.arange(1, d + 1)
+    if mode == "commutator":
+        assert (got[:, 0] == 0).all()
+        got, want = got[:, 1:], want[:, 1:]
+    if want.size:
+        rel = np.median(np.abs(got - want) / np.abs(want), axis=0)
+        assert rel.max() < E_K_TOLERANCE[d], rel
 
 
 # ------------------------------------------------------------------ reports

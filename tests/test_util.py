@@ -6,7 +6,6 @@ from finfree.util import (
     CapExceededError,
     check_cap,
     factorials,
-    rational_str,
     to_fraction,
 )
 
@@ -25,12 +24,6 @@ def test_to_fraction():
         to_fraction("1/0")
     with pytest.raises(ValueError):
         to_fraction("x")
-
-
-def test_rational_str():
-    assert rational_str(Fraction(8, 3)) == "8/3"
-    assert rational_str(Fraction(-4)) == "-4"
-    assert rational_str(Fraction(0)) == "0"
 
 
 def test_check_cap():
