@@ -61,13 +61,20 @@ from .oracle import (
     telescoping_pair,
     weingarten_gram_inverse,
 )
-from .montecarlo import (
-    McReport,
-    mc_charpoly,
-    mc_conjugation_mean,
-    mc_entry_moments,
-    within_band,
-)
 from .util import CapExceededError
 
 __version__ = "0.1.0"
+
+# The Monte Carlo layer needs numpy; it loads on first use of one of these
+# names (PEP 562), so the exact layer imports without it.
+_MONTECARLO_NAMES = frozenset(
+    ("McReport", "mc_charpoly", "mc_conjugation_mean", "mc_entry_moments", "within_band")
+)
+
+
+def __getattr__(name):
+    if name in _MONTECARLO_NAMES:
+        from . import montecarlo
+
+        return getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

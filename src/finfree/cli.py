@@ -9,7 +9,6 @@ import sys
 from fractions import Fraction
 
 from .immanants import as_matrix, immanant_direct, immanant_gj
-from .montecarlo import mc_charpoly, within_band
 from .partitions import Partition, kostka
 from .polynomials import MonicPoly, boxminus, boxplus, boxtimes, commutator_poly, z_poly
 from .symgroup import character, character_table_json, inverse_kostka
@@ -119,6 +118,8 @@ def cmd_commutator(args) -> int:
     if args.mc is not None:
         if args.seed is None:
             raise InputError("--mc requires --seed")
+        from .montecarlo import mc_charpoly, within_band  # loads numpy
+
         exact_f = _floats(exact.a, "an exact coefficient")
         report = mc_charpoly(
             _floats(spec_a, "a spectrum entry"),
@@ -188,7 +189,7 @@ def cmd_character(args) -> int:
             raise InputError("need --k for a full table, or --shape with --cycle-type")
         try:
             table = character_table_json(args.k, cap=args.cap_k)
-        except CapExceededError as exc:
+        except (ValueError, CapExceededError) as exc:
             raise InputError(str(exc)) from exc
         _emit(
             {"k": args.k, "table": table},

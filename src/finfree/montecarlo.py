@@ -13,6 +13,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+def nan_max(values) -> float:
+    """The largest of some nonnegative values (0.0 if there are none), and
+    NaN if any is NaN. The builtin max keeps its running maximum when the
+    next value is NaN, so it would drop every NaN but a leading one."""
+    return float(np.max(list(values), initial=0.0))
+
+
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,))
     return np.random.default_rng(ss)
@@ -59,7 +66,7 @@ def _gram_schmidt(columns: np.ndarray) -> tuple:
     d = columns.shape[0]
     q = np.empty_like(columns)
     q_conj = np.empty_like(q)
-    residual = 0.0
+    column_residuals = []
     for j in range(d):
         v = columns[j]
         for _ in range(2):
@@ -70,8 +77,8 @@ def _gram_schmidt(columns: np.ndarray) -> tuple:
         q_conj[j] = v.conj()
         gram = np.einsum("kim,im->km", q_conj[:j + 1], v)  # no (j+1, d, m) temporary
         gram[j] -= 1
-        residual = max(residual, float(np.abs(gram).max()))
-    return np.ascontiguousarray(q.transpose(2, 1, 0)), residual
+        column_residuals.append(np.abs(gram).max())
+    return np.ascontiguousarray(q.transpose(2, 1, 0)), nan_max(column_residuals)
 
 
 def _householder(z: np.ndarray) -> tuple:
@@ -209,10 +216,10 @@ def _sample(d: int, n: int, seed: int, chunk_size: int, mode: str, labels: list,
     (m, len(labels)); batches are drawn and folded in chunk order.
     """
     acc = _Accumulator(len(labels))
-    residual = 0.0
+    residuals = []
     for index, take in _iter_chunks(n, chunk_size):
         u, chunk_residual = haar_batch(d, take, _chunk_rng(seed, index))
-        residual = max(residual, chunk_residual)
+        residuals.append(chunk_residual)
         acc.add(statistic(u))
     mean, se_re, se_im = acc.finalize()
     return McReport(
@@ -225,7 +232,7 @@ def _sample(d: int, n: int, seed: int, chunk_size: int, mode: str, labels: list,
         means=[complex(v) for v in mean],
         se_re=[float(v) for v in se_re],
         se_im=[float(v) for v in se_im],
-        unitarity_residual_max=residual,
+        unitarity_residual_max=nan_max(residuals),
         extras=extras or {},
     )
 

@@ -319,6 +319,16 @@ def test_character_arg_validation(capsys):
     assert main(["character", "--shape", "2,1", "--cycle-type", "2,2"]) == 2
 
 
+def test_character_negative_k_is_a_usage_error(capsys):
+    assert main(["character", "--k", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == ["error: k must be nonnegative"]
+    # the one-entry table of S_0 is an answer, not an error
+    code, out = run_cli(capsys, "character", "--k", "0")
+    assert code == 0 and json.loads(out)["table"] == {"|": 1}
+
+
 # ------------------------------------------------------------------- kostka
 
 def test_kostka_cli(capsys):
@@ -386,3 +396,62 @@ def test_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["pretty"] == "x^3 + 27/8*x"
+
+
+# Runs in a fresh interpreter: which exact commands load numpy, and that the
+# Monte Carlo names still resolve from the package.
+NUMPY_PROBE = """
+import json, sys, tempfile
+from pathlib import Path
+
+def write(name, payload):
+    path = Path(tmp) / name
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+tmp = tempfile.mkdtemp()
+p = write("p.json", {"d": 2, "a": ["1", "0", "-1"]})
+a = write("a.json", [1, -1])
+y = write("y.json", [[1, 2], [3, 4]])
+
+from finfree.cli import main
+
+exact = [
+    ["conv", "add", p, p], ["conv", "sub", p, p], ["conv", "mul", p, p],
+    ["zpoly", "--d", "3"], ["commutator", a, a],
+    ["weingarten", "--k", "3", "--d", "4"],
+    ["immanant", "--shape", "2", y], ["character", "--k", "4"],
+    ["kostka", "--shape", "2,1", "--weight", "1,1,1"],
+    ["verify", "oddk"], ["verify", "immanant"],
+]
+codes = [main(argv) for argv in exact]
+exact_numpy = "numpy" in sys.modules
+mc_code = main(["commutator", a, a, "--mc", "100", "--seed", "1"])
+mc_numpy = "numpy" in sys.modules
+
+import finfree
+from finfree import mc_charpoly
+
+resolved = [finfree.McReport.__name__, mc_charpoly.__module__]
+print(json.dumps([codes, exact_numpy, mc_code, mc_numpy, resolved]))
+"""
+
+
+def test_exact_commands_do_not_load_numpy():
+    env = {**os.environ, "PYTHONPATH": str(Path(finfree.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE], capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes, exact_numpy, mc_code, mc_numpy, resolved = json.loads(
+        proc.stdout.splitlines()[-1]
+    )
+    assert codes == [0] * 11 and not exact_numpy
+    assert mc_code == 0 and mc_numpy
+    assert resolved == ["McReport", "finfree.montecarlo"]
+
+
+def test_package_resolves_only_its_own_names():
+    assert finfree.within_band is finfree.montecarlo.within_band
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        finfree.no_such_name

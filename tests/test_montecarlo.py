@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from finfree import montecarlo
+from finfree import montecarlo, verify
 from finfree.montecarlo import (
     GRAM_SCHMIDT_MAX_D,
     _Accumulator,
@@ -16,6 +16,7 @@ from finfree.montecarlo import (
     mc_charpoly,
     mc_conjugation_mean,
     mc_entry_moments,
+    nan_max,
     within_band,
 )
 from finfree.polynomials import MonicPoly, boxplus, boxtimes, commutator_poly
@@ -336,3 +337,45 @@ def test_conjugation_mean_is_trace_projection():
 def test_unitarity_residual_tracked():
     rep = mc_entry_moments(3, n=2000, seed=SEED)
     assert 0 < rep.unitarity_residual_max < 1e-12
+
+
+def _zero_a_column(monkeypatch, on_calls):
+    # column 1 of the first sample of a chunk becomes zero before the sweep,
+    # so its normalization divides 0 by 0; returns the list of call numbers
+    sweep, calls = montecarlo._gram_schmidt, []
+
+    def sweep_with_zero_column(columns):
+        calls.append(len(calls) + 1)
+        if calls[-1] in on_calls:
+            columns = columns.copy()
+            columns[1, :, 0] = 0
+        return sweep(columns)
+
+    monkeypatch.setattr(montecarlo, "_gram_schmidt", sweep_with_zero_column)
+    return calls
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_zero_ginibre_column_gives_a_nan_residual_that_fails(monkeypatch):
+    # the NaN sits in the middle column of the sweep and in the second chunk,
+    # where a fold with the builtin max would keep the finite value before it
+    calls = _zero_a_column(monkeypatch, on_calls={2})
+    report = mc_conjugation_mean((1, 2, 3), n=16, seed=SEED, chunk_size=8)
+    assert calls == [1, 2]
+    assert np.isnan(report.unitarity_residual_max)
+    assert report.to_json_dict()["unitarity_residual_max"] == "nan"
+    assert verify._conjugation_failure(report) == "d=3: unitarity residual nan"
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_haar_suite_fails_a_nan_residual(monkeypatch):
+    _zero_a_column(monkeypatch, on_calls={1, 2, 3})
+    [row] = verify.verify_haar(mc_n=8)
+    assert not row.passed and row.detail == "d=2: unitarity residual nan"
+
+
+def test_nan_max_propagates_nan():
+    nan = float("nan")
+    assert nan_max([]) == 0.0 and nan_max([1.0, 3.0, 2.0]) == 3.0
+    for values in ([nan, 1.0], [1.0, nan], [1.0, nan, 2.0]):
+        assert np.isnan(nan_max(values)), values
