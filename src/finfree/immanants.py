@@ -22,12 +22,11 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 from .partitions import Partition
 from .symfunc import as_spectrum, cross_sum
 from .symgroup import character, cycle_type
-from .util import IMMANANT_CAP, PARTITION_CAP, check_cap, to_fraction
+from .util import IMMANANT_CAP, PARTITION_CAP, check_cap, clear_denominators, to_fraction
 
 # Integer matrices whose class sums or principal elementaries are kept. The
 # verify suite asks for every shape of one matrix before it moves on.
@@ -46,8 +45,9 @@ def as_matrix(rows) -> tuple:
 def _cleared(y) -> tuple:
     """(Y', L): L the lcm of the entry denominators and Y' = L Y in ints."""
     y = as_matrix(y)
-    scale = lcm(*(v.denominator for row in y for v in row))
-    mat = tuple(tuple(v.numerator * (scale // v.denominator) for v in row) for row in y)
+    n = len(y)
+    scale, flat = clear_denominators([v for row in y for v in row])
+    mat = tuple(tuple(flat[i : i + n]) for i in range(0, n * n, n))
     return mat, scale
 
 

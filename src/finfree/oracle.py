@@ -10,9 +10,10 @@ fast layer is meaningful evidence.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .partitions import partitions_of, two_column
 from .polynomials import falling
@@ -21,7 +22,6 @@ from .symfunc import (
     cross_sum,
     elementary_symmetric,
     eval_monomial,
-    power_sums,
     schur_principal,
 )
 from .symgroup import (
@@ -34,39 +34,52 @@ from .symgroup import (
     perm_sign,
 )
 from .weingarten import ClassFunction, weingarten
-from .util import DIMENSION_CAP, PARTITION_CAP, check_cap, to_fraction
-
-
-def _prod(values):
-    out = Fraction(1)
-    for v in values:
-        out *= v
-    return out
+from .util import DIMENSION_CAP, PARTITION_CAP, check_cap, clear_denominators, to_fraction
 
 
 @lru_cache(maxsize=None)
-def _sym_ingredients(k: int):
-    # For each derangement sigma: (images, sign). For each tau: (images,
-    # orbit lengths of tau). Shared across subsets since everything is
-    # relabeled to 0..k-1.
-    perms = list(itertools.permutations(range(k)))
-    derangements = [
-        (p, perm_sign(p)) for p in perms if all(p[i] != i for i in range(k))
-    ]
-    taus = [(p, tuple(cycle_type(p))) for p in perms]
-    return derangements, taus
+def _derangement_classes(k: int) -> tuple:
+    """(rhos, classes): rhos = partitions_of(k), and one (sign, members,
+    counts) per cycle type of a derangement sigma of S_k.
+
+    members holds the images of every sigma of the type. counts holds
+    (i, j, n): n permutations tau have ct(sigma . tau) = rhos[i] and
+    ct(tau) = rhos[j]. The counts are taken at one member; conjugating sigma
+    and tau by one permutation keeps both cycle types, so every member has
+    the same table.
+    """
+    rhos = partitions_of(k)
+    index = {rho: i for i, rho in enumerate(rhos)}
+    type_of = {p: index[cycle_type(p)] for p in itertools.permutations(range(k))}
+    members = {}
+    for p, t in type_of.items():
+        if all(p[i] != i for i in range(k)):
+            members.setdefault(t, []).append(p)
+    classes = []
+    for group in members.values():
+        sigma = group[0]
+        counts = Counter((type_of[compose(sigma, tau)], t) for tau, t in type_of.items())
+        classes.append((
+            perm_sign(sigma),
+            tuple(group),
+            tuple((i, j, n) for (i, j), n in counts.items()),
+        ))
+    return rhos, tuple(classes)
 
 
 def brute_force_expected_ek(spec_a, spec_b, k: int, wg_fn=weingarten,
                             cap: int = DIMENSION_CAP) -> Fraction:
     """E[e_k] of A U B U* - U B U* A by minor expansion and Haar moments.
 
-    Expands e_k into principal k x k minors, each minor into permutations,
-    and each product of conjugated-matrix entries into a Weingarten sum.
-    Maps p: S -> [d] are folded analytically: summing prod b_{p(i)} over the
-    maps fixed by tau gives a product of power sums over tau's cycles.
-    The Weingarten table itself is injectable so a corrupted table must
-    break the agreement with the closed forms.
+    Expands e_k into principal k x k minors, each minor into permutations
+    sigma, and each product of conjugated-matrix entries into a sum over
+    tau of Wg(sigma . tau) times prod b_{p(i)} over the maps p: S -> [d]
+    fixed by tau; those maps fold into a product of power sums over tau's
+    cycles. The tau sum depends only on the cycle type of sigma, so the
+    signed minor terms prod_i (a_i - a_sigma(i)) are summed per class, and
+    each class sum meets its tau sum once. Both spectra are cleared to
+    ints, and so is the Weingarten table, which is injectable so that a
+    corrupted table must break the agreement with the closed forms.
     """
     spec_a, spec_b = as_spectrum(spec_a), as_spectrum(spec_b)
     d = len(spec_a)
@@ -77,28 +90,31 @@ def brute_force_expected_ek(spec_a, spec_b, k: int, wg_fn=weingarten,
     check_cap(d, cap, "brute-force dimension")
     if k == 0:
         return Fraction(1)
+    rhos, classes = _derangement_classes(k)
     wg = wg_fn(k, d)
-    pb = power_sums(spec_b, k)
-    derangements, taus = _sym_ingredients(k)
-    tau_weights = [
-        (p, _prod(pb[c - 1] for c in ctype)) for p, ctype in taus
-    ]
-    total = Fraction(0)
-    for subset in itertools.combinations(range(d), k):
-        a_sub = [spec_a[i] for i in subset]
-        for sigma, sign in derangements:
-            diff = Fraction(1)
-            for i in range(k):
-                diff *= a_sub[i] - a_sub[sigma[i]]
-                if not diff:
-                    break
-            if not diff:
-                continue
-            wg_acc = Fraction(0)
-            for tau, weight in tau_weights:
-                wg_acc += wg(cycle_type(compose(sigma, tau))) * weight
-            total += sign * diff * wg_acc
-    return total
+    wg_scale, wg_ints = clear_denominators([wg(rho) for rho in rhos])
+    a_scale, a = clear_denominators(spec_a)
+    b_scale, b = clear_denominators(spec_b)
+    pb = [sum(v**j for v in b) for j in range(1, k + 1)]
+    pb_by_type = [prod(pb[c - 1] for c in rho) for rho in rhos]
+    class_sums = [0] * len(classes)
+    for sub in itertools.combinations(a, k):
+        for c, (_, members, _) in enumerate(classes):
+            acc = 0
+            for sigma in members:
+                term = 1
+                for i, s in enumerate(sigma):
+                    term *= sub[i] - sub[s]
+                    if not term:
+                        break
+                acc += term
+            class_sums[c] += acc
+    total = sum(
+        sign * class_sum * sum(n * wg_ints[i] * pb_by_type[j] for i, j, n in counts)
+        for class_sum, (sign, _, counts) in zip(class_sums, classes)
+        if class_sum
+    )
+    return Fraction(total, wg_scale * (a_scale * b_scale) ** k)
 
 
 def weingarten_gram_inverse(k: int, d: int, cap: int = PARTITION_CAP) -> ClassFunction:
@@ -188,13 +204,15 @@ def identity_leftdep(spec_a, k: int) -> tuple:
     d = len(spec_a)
     if not 0 <= k <= d:
         raise ValueError(f"need 0 <= k <= {d}, got k={k}")
-    raw = Fraction(0)
-    for l in range(k + 1):
-        subset_acc = Fraction(0)
-        for subset in itertools.combinations(spec_a, k):
-            e = elementary_symmetric(subset) if k else (Fraction(1),)
-            subset_acc += e[k - l] * e[l]
-        raw += Fraction((-1) ** l, comb(k, l)) * subset_acc
+    subset_acc = [Fraction(0)] * (k + 1)
+    for subset in itertools.combinations(spec_a, k):
+        e = elementary_symmetric(subset) if k else (Fraction(1),)
+        for l in range(k + 1):
+            subset_acc[l] += e[k - l] * e[l]
+    raw = sum(
+        (Fraction((-1) ** l, comb(k, l)) * acc for l, acc in enumerate(subset_acc)),
+        Fraction(0),
+    )
     if k % 2:
         return raw, Fraction(0)
     h = k // 2
@@ -215,17 +233,17 @@ def identity_rightdep(spec_b, k: int) -> tuple:
     d = len(spec_b)
     if not 0 <= k <= d:
         raise ValueError(f"need 0 <= k <= {d}, got k={k}")
+    monomials = [eval_monomial(two_column(k, q), spec_b) for q in range(k // 2 + 1)]
     raw = Fraction(0)
     for p in range(k // 2 + 1):
         lam = two_column(k, p)
         inner = Fraction(0)
         for q in range(p + 1):
-            mu = two_column(k, q)
             inner += (
-                c_constant(lam, mu)
+                c_constant(lam, two_column(k, q))
                 * factorial(q)
                 * factorial(k - 2 * q)
-                * eval_monomial(mu, spec_b)
+                * monomials[q]
             )
         raw += (
             (-1) ** p

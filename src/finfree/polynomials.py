@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 
 from .symfunc import as_spectrum, cross_sum, elementary_symmetric
-from .util import factorials, to_fraction
+from .util import clear_denominators, factorials, to_fraction
 
 
 def falling(n, j: int) -> Fraction:
@@ -153,11 +153,8 @@ def _cleared(poly: MonicPoly, fact: list) -> tuple:
     """(D, [P_0, ..., P_d]) with P_i = a_i D (d-i)! and D the lcm of the
     denominators: the normalized coefficients a_i (d-i)!/d! times D d!."""
     d = poly.degree
-    den = lcm(*(v.denominator for v in poly.a))
-    return den, [
-        v.numerator * (den // v.denominator) * fact[d - i]
-        for i, v in enumerate(poly.a)
-    ]
+    den, ints = clear_denominators(poly.a)
+    return den, [v * fact[d - i] for i, v in enumerate(ints)]
 
 
 def boxplus(p: MonicPoly, q: MonicPoly) -> MonicPoly:

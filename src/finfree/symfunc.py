@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, lcm, prod
+from math import factorial, prod
 
 from .partitions import (
     Partition,
@@ -20,7 +20,7 @@ from .partitions import (
     hooks_and_contents,
 )
 from .symgroup import dim_irrep, inverse_kostka
-from .util import PARTITION_CAP, check_cap, factorials, to_fraction
+from .util import PARTITION_CAP, check_cap, clear_denominators, factorials, to_fraction
 
 
 def as_spectrum(values) -> tuple:
@@ -37,11 +37,9 @@ def scaled_elementary(x) -> tuple:
     The values are scaled by L to integers, and the one-pass product
     recurrence runs on those.
     """
-    x = tuple(to_fraction(v) for v in x)
-    scale = lcm(*(v.denominator for v in x))
-    e = [1] + [0] * len(x)
-    for i, v in enumerate(x):
-        v = v.numerator * (scale // v.denominator)
+    scale, ints = clear_denominators([to_fraction(v) for v in x])
+    e = [1] + [0] * len(ints)
+    for i, v in enumerate(ints):
         for j in range(i + 1, 0, -1):
             e[j] += v * e[j - 1]
     return scale, e
@@ -73,12 +71,6 @@ def elementary_symmetric(x) -> tuple:
     return tuple(Fraction(v, scale**k) for k, v in enumerate(e))
 
 
-def power_sums(x, upto: int) -> tuple:
-    """p_1..p_upto of the values."""
-    x = tuple(to_fraction(v) for v in x)
-    return tuple(sum(v**j for v in x) for j in range(1, upto + 1))
-
-
 def eval_elementary(lam, x) -> Fraction:
     """Product of e_{lam_i} at the spectrum."""
     lam = Partition(lam)
@@ -92,27 +84,38 @@ def eval_elementary(lam, x) -> Fraction:
     return out
 
 
+def _cleared_powers(x, top: int) -> tuple:
+    """(L, P): L clears the denominators of x, P[i][e] = (L x_i)^e for e <= top."""
+    scale, ints = clear_denominators(x)
+    return scale, [[v**e for e in range(top + 1)] for v in ints]
+
+
 def eval_monomial(lam, x) -> Fraction:
-    """Sum of all distinct monomials with exponent multiset lam."""
+    """Sum of all distinct monomials with exponent multiset lam.
+
+    The sum runs on the spectrum cleared to ints and is divided by L^|lam|.
+    """
     lam = Partition(lam)
     x = as_spectrum(x)
     d = len(x)
     if lam.length > d:
         return Fraction(0)
-    total = Fraction(0)
+    scale, powers = _cleared_powers(x, lam[0] if lam else 0)
+    total = 0
     for expo in distinct_permutations(lam.pad(d)):
-        term = Fraction(1)
-        for v, e in zip(x, expo):
+        term = 1
+        for row, e in zip(powers, expo):
             if e:
-                term *= v**e
+                term *= row[e]
         total += term
-    return total
+    return Fraction(total, scale**lam.size)
 
 
 def eval_quasisym(comp, x) -> Fraction:
     """Quasisymmetric monomial: ordered exponents on an increasing index chain.
 
     comp may contain zeros; a zero exponent still occupies an index slot.
+    The sum runs on the spectrum cleared to ints and is divided by L^|comp|.
     """
     comp = tuple(int(c) for c in comp)
     if any(c < 0 for c in comp):
@@ -120,14 +123,15 @@ def eval_quasisym(comp, x) -> Fraction:
     x = as_spectrum(x)
     if len(comp) > len(x):
         raise ValueError(f"composition length {len(comp)} exceeds {len(x)} values")
-    total = Fraction(0)
-    for chain in itertools.combinations(range(len(x)), len(comp)):
-        term = Fraction(1)
-        for idx, e in zip(chain, comp):
+    scale, powers = _cleared_powers(x, max(comp, default=0))
+    total = 0
+    for chain in itertools.combinations(powers, len(comp)):
+        term = 1
+        for row, e in zip(chain, comp):
             if e:
-                term *= x[idx] ** e
+                term *= row[e]
         total += term
-    return total
+    return Fraction(total, scale ** sum(comp))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
-"""Shared plumbing: enumeration caps, exact-rational coercion, factorials."""
+"""Shared plumbing: enumeration caps, exact-rational coercion, denominator
+clearing, factorials."""
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 # Defaults for the enumeration guards. Partition and tableau searches grow
 # super-polynomially and set partitions grow like Bell numbers, so sizes past
@@ -9,7 +11,7 @@ from functools import lru_cache
 PARTITION_CAP = 10
 SET_PARTITION_CAP = 8
 MOMENT_CAP = 6
-DIMENSION_CAP = 4
+DIMENSION_CAP = 7
 IMMANANT_CAP = 9
 
 
@@ -39,6 +41,16 @@ def to_fraction(value):
         except ZeroDivisionError as exc:
             raise ValueError(f"zero denominator in {value!r}") from exc
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def clear_denominators(values) -> tuple:
+    """(L, ints): L the lcm of the denominators and ints[i] = L * values[i].
+
+    values is a sequence of Fractions or ints. A homogeneous polynomial of
+    degree n in the values is the same polynomial in the ints over L^n.
+    """
+    scale = lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
 @lru_cache(maxsize=None)

@@ -39,7 +39,7 @@ from .partitions import (
     two_row,
 )
 from .polynomials import MonicPoly, commutator_coefficient, commutator_poly
-from .symfunc import e_to_m, eval_monomial, eval_quasisym, m_to_e
+from .symfunc import as_spectrum, e_to_m, eval_monomial, eval_quasisym, m_to_e
 from .symgroup import c_constant, c_constant_bruteforce, character, perm_of_cycle_type
 from .weingarten import integrate_moment, weingarten
 
@@ -83,13 +83,11 @@ def _spectra_grid(d: int, entries=(-2, -1, 0, 1, 2)):
 
 def _triple_route_failure(spec_a, spec_b, wg_fn):
     """Compare brute force, coefficient formula, and convolution for all k."""
-    d = len(spec_a)
-    p = MonicPoly.from_spectrum(spec_a)
-    q = MonicPoly.from_spectrum(spec_b)
-    conv = commutator_poly(p, q)
-    for k in range(d + 1):
-        brute = brute_force_expected_ek(spec_a, spec_b, k, wg_fn=wg_fn, cap=d)
-        closed = commutator_coefficient(k, spec_a, spec_b)
+    a, b = as_spectrum(spec_a), as_spectrum(spec_b)
+    conv = commutator_poly(MonicPoly.from_spectrum(a), MonicPoly.from_spectrum(b))
+    for k in range(len(a) + 1):
+        brute = brute_force_expected_ek(a, b, k, wg_fn=wg_fn, cap=len(a))
+        closed = commutator_coefficient(k, a, b)
         if brute != closed or closed != conv.coefficient(k):
             return (
                 f"A={spec_a} B={spec_b} k={k}: "
@@ -114,12 +112,21 @@ def verify_convolution(seed: int = DEFAULT_SEED, d4_pairs: int = 50,
         ))
     rng = random.Random(seed)
 
-    def draw():
-        return tuple(sorted(rng.randint(-2, 2) for _ in range(4)))
+    def draw(d):
+        return tuple(sorted(rng.randint(-2, 2) for _ in range(d)))
 
+    # Drawn up front, so the d=5..7 pairs do not depend on where the d=4
+    # row stopped.
+    sampled = [(draw(4), draw(4)) for _ in range(d4_pairs)]
+    larger = [(draw(d), draw(d)) for d in (5, 6, 7)]
     results.append(first_failure(
         f"triple route d=4 sampled ({d4_pairs} pairs)",
-        (_triple_route_failure(draw(), draw(), wg_fn) for _ in range(d4_pairs)),
+        (_triple_route_failure(a, b, wg_fn) for a, b in sampled),
+        f"seed={seed}",
+    ))
+    results.append(first_failure(
+        "triple route d=5..7 sampled (one pair each)",
+        (_triple_route_failure(a, b, wg_fn) for a, b in larger),
         f"seed={seed}",
     ))
     results.append(_runtime("convolution suite", start, 120))

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from finfree.oracle import (
+    _derangement_classes,
     alternating_binomial_pair,
     brute_force_expected_ek,
     gen_binom,
@@ -16,7 +18,7 @@ from finfree.oracle import (
 )
 from finfree.polynomials import MonicPoly, commutator_coefficient, commutator_poly
 from finfree.symfunc import elementary_symmetric
-from finfree.symgroup import perm_sign
+from finfree.symgroup import compose, cycle_type, perm_sign
 from finfree.weingarten import ClassFunction, integrate_moment, weingarten
 from finfree.util import CapExceededError
 
@@ -104,7 +106,38 @@ def test_brute_force_validation():
     with pytest.raises(ValueError):
         brute_force_expected_ek((1, 2), (1, 2), 3)
     with pytest.raises(CapExceededError):
-        brute_force_expected_ek((1,) * 5, (1,) * 5, 2)
+        brute_force_expected_ek((1,) * 8, (1,) * 8, 2)
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_derangement_class_tables_hold_for_every_member(k):
+    # the class sums rest on (ct(sigma tau), ct(tau)) counts being the same
+    # for every sigma of a class; the counts cover all of S_k
+    rhos, classes = _derangement_classes(k)
+    perms = list(itertools.permutations(range(k)))
+    members = set()
+    for sign, group, counts in classes:
+        table = {(rhos[i], rhos[j]): n for i, j, n in counts}
+        assert sum(table.values()) == factorial(k)
+        for sigma in group:
+            assert sign == perm_sign(sigma)
+            assert all(sigma[i] != i for i in range(k))
+            assert Counter(
+                (cycle_type(compose(sigma, tau)), cycle_type(tau)) for tau in perms
+            ) == table
+            members.add(sigma)
+    assert members == {p for p in perms if all(p[i] != i for i in range(k))}
+
+
+@pytest.mark.parametrize("d", [5, 6])
+def test_brute_force_matches_convolution_beyond_d4(d):
+    sa = (Fraction(1, 2), Fraction(-1), Fraction(0), Fraction(3, 2), Fraction(2),
+          Fraction(-2, 3))[:d]
+    sb = (Fraction(1), Fraction(-2, 3), Fraction(1, 3), Fraction(0), Fraction(2),
+          Fraction(-1, 4))[:d]
+    conv = commutator_poly(MonicPoly.from_spectrum(sa), MonicPoly.from_spectrum(sb))
+    for k in range(d + 1):
+        assert brute_force_expected_ek(sa, sb, k) == conv.coefficient(k), k
 
 
 def test_brute_force_detects_corrupted_weingarten():

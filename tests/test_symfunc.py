@@ -16,7 +16,6 @@ from finfree.symfunc import (
     eval_monomial,
     eval_quasisym,
     m_to_e,
-    power_sums,
     schur_principal,
 )
 
@@ -42,11 +41,6 @@ def test_as_spectrum():
 def test_elementary_symmetric_frozen():
     assert elementary_symmetric((1, 2, 3)) == (1, 6, 11, 6)
     assert elementary_symmetric((Fraction(1, 2),)) == (1, Fraction(1, 2))
-
-
-def test_power_sums_frozen():
-    assert power_sums((1, 2, 3), 3) == (6, 14, 36)
-    assert power_sums((2,), 4) == (2, 4, 8, 16)
 
 
 @given(spectrum_st())
@@ -127,6 +121,44 @@ def test_eval_quasisym():
         eval_quasisym((1, 1, 1, 1), x)
     with pytest.raises(ValueError):
         eval_quasisym((1, -1), x)
+
+
+def _monomial_reference(lam, x):
+    """m_lam(x) over Fractions: every distinct exponent vector, term by term."""
+    padded = tuple(lam) + (0,) * (len(x) - len(lam))
+    return sum(
+        (_prod(v**e for v, e in zip(x, expo)) for expo in set(itertools.permutations(padded))),
+        Fraction(0),
+    )
+
+
+def _quasisym_reference(comp, x):
+    """M_comp(x) over Fractions: every increasing chain, term by term."""
+    return sum(
+        (_prod(v**e for v, e in zip(chain, comp))
+         for chain in itertools.combinations(x, len(comp))),
+        Fraction(0),
+    )
+
+
+partition_st = st.lists(st.integers(1, 3), max_size=5).map(
+    lambda parts: Partition(sorted(parts, reverse=True))
+)
+
+
+@given(spectrum_st(), partition_st)
+def test_eval_monomial_matches_fraction_sum(x, lam):
+    # entries with denominators 1..4, zeros included; too many parts give 0
+    want = _monomial_reference(lam, x) if lam.length <= len(x) else 0
+    assert eval_monomial(lam, x) == want
+
+
+@given(st.data())
+def test_eval_quasisym_matches_fraction_sum(data):
+    # zero exponents and the empty composition included
+    x = data.draw(spectrum_st())
+    comp = data.draw(st.lists(st.integers(0, 3), max_size=len(x)))
+    assert eval_quasisym(comp, x) == _quasisym_reference(comp, x)
 
 
 @given(spectrum_st(min_size=2, max_size=4))

@@ -243,6 +243,19 @@ def test_c_constant_bruteforce_all_types(k):
                     assert got == 0, (lam, mu, rho)
 
 
+@pytest.mark.parametrize("k", range(1, 5))
+def test_c_constant_bruteforce_is_a_class_function(k):
+    # each sigma is enumerated on its own, so every member of a class is
+    # checked against the representative that the verify suite uses
+    for sigma in itertools.permutations(range(k)):
+        rep = perm_of_cycle_type(cycle_type(sigma))
+        for lam in partitions_of(k):
+            for mu in partitions_of(k):
+                assert c_constant_bruteforce(lam, mu, sigma) == c_constant_bruteforce(
+                    lam, mu, rep
+                ), (lam, mu, sigma)
+
+
 @pytest.mark.parametrize("k", range(1, 6))
 def test_c_constant_dominance_vanishing(k):
     from finfree.partitions import dominance_leq

@@ -1,7 +1,16 @@
 from fractions import Fraction
 
+import pytest
+
 from finfree import cli
-from finfree.verify import SUITES, VERIFY_GROUPS, CheckResult, first_failure, run_suites
+from finfree.verify import (
+    SUITES,
+    VERIFY_GROUPS,
+    CheckResult,
+    _triple_route_failure,
+    first_failure,
+    run_suites,
+)
 from finfree.weingarten import ClassFunction, weingarten
 
 
@@ -58,10 +67,24 @@ def test_injected_wg_error_details():
             "A=(-2, -2, -1) B=(-2, -2, -2) k=2: brute=9/125 closed=0 conv=0",
         "triple route d=4 sampled (50 pairs)":
             "A=(-2, -1, 0, 1) B=(-2, -2, 0, 2) k=2: brute=1106/75 closed=44/3 conv=44/3",
+        "triple route d=5..7 sampled (one pair each)":
+            "A=(-2, -1, -1, 1, 1) B=(-1, -1, 1, 1, 2) k=2: brute=1368/125 closed=54/5 conv=54/5",
         "Wg_{2,d} closed values for d=2..6": "d=2: got (1/3, -497/3000)",
         "Gram-system oracle matches character expansion (k<=4, k<=d<=6)":
             "k=1 d=1: Gram solve disagrees",
     }
+
+
+@pytest.mark.parametrize("spec_a,spec_b", [
+    ((-1, 0, 0, 1, 1), (-1, -1, -1, 0, 2)),
+    ((-2, -2, 0, 1, 1, 1), (-1, 0, 0, 1, 2, 2)),
+    ((-2, -2, -1, 0, 0, 0, 1), (-2, -2, -1, -1, -1, 0, 2)),
+])
+def test_larger_triple_route_pairs_catch_the_injected_error(spec_a, spec_b):
+    # the d=5..7 pairs of the default seed: each one alone holds with the
+    # true table and fails with the corrupted one
+    assert _triple_route_failure(spec_a, spec_b, weingarten) is None
+    assert _triple_route_failure(spec_a, spec_b, cli._corrupted_weingarten)
 
 
 def test_run_suites_filters_kwargs():
