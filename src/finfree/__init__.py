@@ -27,9 +27,7 @@ from .symgroup import (
     perm_sign,
 )
 from .symfunc import (
-    SymExpansion,
     e_to_m,
-    eval_elementary,
     eval_monomial,
     eval_quasisym,
     m_to_e,

@@ -12,7 +12,7 @@ from .immanants import as_matrix, immanant_direct, immanant_gj
 from .partitions import Partition, kostka
 from .polynomials import MonicPoly, boxminus, boxplus, boxtimes, commutator_poly, z_poly
 from .symgroup import character, character_table_json, inverse_kostka
-from .util import CapExceededError, IMMANANT_CAP, PARTITION_CAP, to_fraction
+from .util import IMMANANT_CAP, PARTITION_CAP, to_fraction
 from .verify import VERIFY_GROUPS, run_suites
 from .weingarten import ClassFunction, weingarten
 
@@ -152,7 +152,7 @@ def cmd_commutator(args) -> int:
 def cmd_weingarten(args) -> int:
     try:
         table = weingarten(args.k, args.d, cap=args.cap_k)
-    except (ValueError, CapExceededError) as exc:
+    except ValueError as exc:
         raise InputError(str(exc)) from exc
     payload = table.to_json_dict(d=args.d)
     lines = [
@@ -173,7 +173,7 @@ def cmd_immanant(args) -> int:
     func = immanant_direct if args.method == "direct" else immanant_gj
     try:
         value = func(shape, mat, cap=args.cap_n)
-    except (ValueError, CapExceededError) as exc:
+    except ValueError as exc:
         raise InputError(str(exc)) from exc
     _emit(
         {"shape": list(shape), "method": args.method, "value": str(value)},
@@ -189,7 +189,7 @@ def cmd_character(args) -> int:
             raise InputError("need --k for a full table, or --shape with --cycle-type")
         try:
             table = character_table_json(args.k, cap=args.cap_k)
-        except (ValueError, CapExceededError) as exc:
+        except ValueError as exc:
             raise InputError(str(exc)) from exc
         _emit(
             {"k": args.k, "table": table},
@@ -202,7 +202,7 @@ def cmd_character(args) -> int:
     lam, rho = _parse_partition(args.shape), _parse_partition(args.cycle_type)
     try:
         value = character(lam, rho, cap=args.cap_k)
-    except (ValueError, CapExceededError) as exc:
+    except ValueError as exc:
         raise InputError(str(exc)) from exc
     _emit(
         {"shape": list(lam), "cycle_type": list(rho), "value": value},
@@ -217,7 +217,7 @@ def cmd_kostka(args) -> int:
     func = inverse_kostka if args.inverse else kostka
     try:
         value = func(lam, mu, cap=args.cap_k)
-    except (ValueError, CapExceededError) as exc:
+    except ValueError as exc:
         raise InputError(str(exc)) from exc
     _emit(
         {
@@ -330,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_immanant)
 
     p = sub.add_parser("character", help="symmetric group character values")
-    p.add_argument("--k", type=int, help="dump the full table for S_k")
+    p.add_argument("--k", type=_int_at_least(1), help="dump the full table for S_k")
     p.add_argument("--shape", help="partition, e.g. 2,1")
     p.add_argument("--cycle-type", help="partition, e.g. 1,1,1")
     p.add_argument("--cap-k", type=int, default=PARTITION_CAP)
@@ -355,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--inject-wg-error",
         action="store_true",
         help="negative control: add 1/1000 to the largest class of every "
-        "Weingarten table. The three triple-route rows of 'commutator' and "
+        "Weingarten table. The four triple-route rows of 'commutator' and "
         "the closed Wg_{2,d} and Gram-system rows of 'weingarten' fail under "
         "it; the flagship and odd-k rows read the table but still pass",
     )

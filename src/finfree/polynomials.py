@@ -44,32 +44,14 @@ class MonicPoly:
     def degree(self) -> int:
         return len(self.a) - 1
 
-    def coefficient(self, k: int) -> Fraction:
-        """Unsigned coefficient a_k (elementary symmetric in the roots)."""
-        return self.a[k]
-
     def signed_coefficient(self, k: int) -> Fraction:
         """Coefficient of x^(d-k) in the displayed polynomial."""
         return (-1) ** k * self.a[k]
-
-    def evaluate(self, x) -> Fraction:
-        x = to_fraction(x)
-        d = self.degree
-        return sum(
-            ((-1) ** k * self.a[k] * x ** (d - k) for k in range(d + 1)),
-            Fraction(0),
-        )
 
     @classmethod
     def from_spectrum(cls, values) -> "MonicPoly":
         """Monic polynomial with the given roots."""
         return cls(elementary_symmetric(as_spectrum(values)))
-
-    @classmethod
-    def power_of_x(cls, d: int) -> "MonicPoly":
-        if d < 1:
-            raise ValueError("degree must be at least 1")
-        return cls((Fraction(1),) + (Fraction(0),) * d)
 
     def negate_roots(self) -> "MonicPoly":
         return MonicPoly(tuple(-v if k % 2 else v for k, v in enumerate(self.a)))

@@ -8,7 +8,6 @@ and their inverses rather than hard-coded tables.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, prod
 
@@ -71,19 +70,6 @@ def elementary_symmetric(x) -> tuple:
     return tuple(Fraction(v, scale**k) for k, v in enumerate(e))
 
 
-def eval_elementary(lam, x) -> Fraction:
-    """Product of e_{lam_i} at the spectrum."""
-    lam = Partition(lam)
-    x = as_spectrum(x)
-    e = elementary_symmetric(x)
-    out = Fraction(1)
-    for part in lam:
-        if part > len(x):
-            return Fraction(0)
-        out *= e[part]
-    return out
-
-
 def _cleared_powers(x, top: int) -> tuple:
     """(L, P): L clears the denominators of x, P[i][e] = (L x_i)^e for e <= top."""
     scale, ints = clear_denominators(x)
@@ -134,60 +120,8 @@ def eval_quasisym(comp, x) -> Fraction:
     return Fraction(total, scale ** sum(comp))
 
 
-@dataclass(frozen=True)
-class SymExpansion:
-    """A symmetric function written in the monomial or elementary basis."""
-
-    basis: str
-    k: int
-    coeffs: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.basis not in ("monomial", "elementary"):
-            raise ValueError(f"unknown basis {self.basis!r}")
-        clean = {}
-        for key, val in self.coeffs.items():
-            key = Partition(key)
-            if key.size != self.k:
-                raise ValueError(f"term {key} has size != {self.k}")
-            val = to_fraction(val)
-            if val:
-                clean[key] = val
-        object.__setattr__(self, "coeffs", clean)
-
-    def evaluate(self, x) -> Fraction:
-        evaluator = eval_monomial if self.basis == "monomial" else eval_elementary
-        return sum((c * evaluator(mu, x) for mu, c in self.coeffs.items()), Fraction(0))
-
-    def __eq__(self, other):
-        if not isinstance(other, SymExpansion):
-            return NotImplemented
-        return (
-            self.basis == other.basis
-            and self.k == other.k
-            and self.coeffs == other.coeffs
-        )
-
-    __hash__ = None
-
-    def to_json_dict(self) -> dict:
-        terms = [
-            {"partition": list(mu), "coeff": str(c)}
-            for mu, c in sorted(self.coeffs.items(), reverse=True)
-        ]
-        return {"basis": self.basis, "k": self.k, "terms": terms}
-
-    @classmethod
-    def from_json_dict(cls, payload) -> "SymExpansion":
-        coeffs = {
-            Partition(t["partition"]): to_fraction(t["coeff"])
-            for t in payload["terms"]
-        }
-        return cls(payload["basis"], int(payload["k"]), coeffs)
-
-
-def e_to_m(lam, cap: int = PARTITION_CAP) -> SymExpansion:
-    """Expand the elementary function e_lam in the monomial basis."""
+def e_to_m(lam, cap: int = PARTITION_CAP) -> dict:
+    """e_lam in the monomial basis: {mu: nonzero int coefficient of m_mu}."""
     lam = Partition(lam)
     k = lam.size
     check_cap(k, cap, "transition degree")
@@ -198,12 +132,12 @@ def e_to_m(lam, cap: int = PARTITION_CAP) -> SymExpansion:
             kostka(nu, lam, cap) * kostka(nu.transpose(), mu, cap) for nu in parts
         )
         if total:
-            coeffs[mu] = Fraction(total)
-    return SymExpansion("monomial", k, coeffs)
+            coeffs[mu] = total
+    return coeffs
 
 
-def m_to_e(lam, cap: int = PARTITION_CAP) -> SymExpansion:
-    """Expand the monomial function m_lam in the elementary basis."""
+def m_to_e(lam, cap: int = PARTITION_CAP) -> dict:
+    """m_lam in the elementary basis: {mu: nonzero int coefficient of e_mu}."""
     lam = Partition(lam)
     k = lam.size
     check_cap(k, cap, "transition degree")
@@ -215,8 +149,8 @@ def m_to_e(lam, cap: int = PARTITION_CAP) -> SymExpansion:
             for nu in parts
         )
         if total:
-            coeffs[mu] = Fraction(total)
-    return SymExpansion("elementary", k, coeffs)
+            coeffs[mu] = total
+    return coeffs
 
 
 def schur_principal(lam, d: int) -> Fraction:

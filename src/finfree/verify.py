@@ -86,12 +86,12 @@ def _triple_route_failure(spec_a, spec_b, wg_fn):
     a, b = as_spectrum(spec_a), as_spectrum(spec_b)
     conv = commutator_poly(MonicPoly.from_spectrum(a), MonicPoly.from_spectrum(b))
     for k in range(len(a) + 1):
-        brute = brute_force_expected_ek(a, b, k, wg_fn=wg_fn, cap=len(a))
+        brute = brute_force_expected_ek(a, b, k, wg_fn=wg_fn)
         closed = commutator_coefficient(k, a, b)
-        if brute != closed or closed != conv.coefficient(k):
+        if brute != closed or closed != conv.a[k]:
             return (
                 f"A={spec_a} B={spec_b} k={k}: "
-                f"brute={brute} closed={closed} conv={conv.coefficient(k)}"
+                f"brute={brute} closed={closed} conv={conv.a[k]}"
             )
         if k % 2 and closed != 0:
             return f"A={spec_a} B={spec_b} k={k}: odd coefficient {closed} != 0"
@@ -194,7 +194,7 @@ def verify_oddk(seed: int = DEFAULT_SEED, trials: int = 25, wg_fn=weingarten) ->
             vals = (
                 commutator_coefficient(k, spec_a, spec_b),
                 brute_force_expected_ek(spec_a, spec_b, k, wg_fn=wg_fn),
-                conv.coefficient(k),
+                conv.a[k],
             )
             if any(v != 0 for v in vals):
                 return f"A={spec_a} B={spec_b} k={k}: {vals}"
@@ -340,8 +340,8 @@ def verify_cconst() -> list:
 
 
 def _em_failure(k, p):
-    expected = {two_column(k, q): Fraction(comb(k - 2 * q, p - q)) for q in range(p + 1)}
-    return _differ(f"k={k} p={p}", dict(e_to_m(two_row(k, p)).coeffs), expected)
+    expected = {two_column(k, q): comb(k - 2 * q, p - q) for q in range(p + 1)}
+    return _differ(f"k={k} p={p}", e_to_m(two_row(k, p)), expected)
 
 
 def _me_failure(k, q):
@@ -352,16 +352,14 @@ def _me_failure(k, q):
                 comb(k - q - r, k - 2 * q) + comb(k - q - r - 1, k - 2 * q)
             )
             if coeff:
-                expected[two_row(k, r)] = Fraction(coeff)
+                expected[two_row(k, r)] = coeff
     else:
         for i in range(k + 1):
             j = k - i
             key = Partition(v for v in (max(i, j), min(i, j)) if v)
-            expected[key] = expected.get(key, Fraction(0)) + (-1) ** (
-                k // 2
-            ) * (-1) ** i
+            expected[key] = expected.get(key, 0) + (-1) ** (k // 2) * (-1) ** i
         expected = {key: v for key, v in expected.items() if v}
-    return _differ(f"k={k} q={q}", dict(m_to_e(two_column(k, q)).coeffs), expected)
+    return _differ(f"k={k} q={q}", m_to_e(two_column(k, q)), expected)
 
 
 def _telescoping_failure(k, p, q):

@@ -33,12 +33,7 @@ class ClassFunction:
         object.__setattr__(self, "values", clean)
 
     def __call__(self, rho) -> Fraction:
-        return self.values[Partition(rho)]
-
-    def __eq__(self, other):
-        if not isinstance(other, ClassFunction):
-            return NotImplemented
-        return self.k == other.k and self.values == other.values
+        return self.values[tuple(rho)]
 
     __hash__ = None
 
@@ -51,14 +46,6 @@ class ClassFunction:
             for rho, v in sorted(self.values.items(), reverse=True)
         ]
         return payload
-
-    @classmethod
-    def from_json_dict(cls, payload) -> "ClassFunction":
-        values = {
-            Partition(entry["cycle_type"]): to_fraction(entry["rational"])
-            for entry in payload["values"]
-        }
-        return cls(int(payload["k"]), values)
 
 
 @lru_cache(maxsize=None)

