@@ -8,7 +8,7 @@ to the byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,7 +122,6 @@ class McReport:
     se_re: list
     se_im: list
     unitarity_residual_max: float
-    extras: dict = field(default_factory=dict)
 
     def mean(self, label) -> complex:
         return self.means[self.labels.index(label)]
@@ -131,8 +130,20 @@ class McReport:
         i = self.labels.index(label)
         return self.se_re[i], self.se_im[i]
 
+    def band_misses(self, expected) -> list:
+        """The labels of `expected`, in report order, whose mean misses its
+        band: the real part around expected[label], the imaginary part
+        around 0, each by within_band. Labels not in `expected` are skipped."""
+        rows = zip(self.labels, self.means, self.se_re, self.se_im)
+        return [
+            label for label, mean, se_re, se_im in rows
+            if label in expected
+            and not (within_band(expected[label], mean.real, se_re)
+                     and within_band(0.0, mean.imag, se_im))
+        ]
+
     def to_json_dict(self) -> dict:
-        payload = {
+        return {
             "d": self.d,
             "n": self.n,
             "seed": self.seed,
@@ -152,9 +163,6 @@ class McReport:
                 )
             ],
         }
-        if self.extras:
-            payload["extras"] = {k: repr(v) for k, v in sorted(self.extras.items())}
-        return payload
 
 
 class _Accumulator:
@@ -209,7 +217,7 @@ def _iter_chunks(n: int, chunk_size: int):
 
 
 def _sample(d: int, n: int, seed: int, chunk_size: int, mode: str, labels: list,
-            statistic, extras=None) -> McReport:
+            statistic) -> McReport:
     """Means and standard errors of statistic(U) over n Haar samples.
 
     statistic maps a batch of unitaries (m, d, d) to per-sample values
@@ -233,7 +241,6 @@ def _sample(d: int, n: int, seed: int, chunk_size: int, mode: str, labels: list,
         se_re=[float(v) for v in se_re],
         se_im=[float(v) for v in se_im],
         unitarity_residual_max=nan_max(residuals),
-        extras=extras or {},
     )
 
 
@@ -308,14 +315,14 @@ def mc_conjugation_mean(spec_x, n: int, seed: int, chunk_size: int = 4096) -> Mc
 
     return _sample(d, n, seed, chunk_size, "conjugation",
                    [f"entry_{i}_{j}" for i in range(1, d + 1) for j in range(1, d + 1)],
-                   conjugate, extras={"trace_over_d": float(x.sum() / d)})
+                   conjugate)
 
 
-def within_band(exact, mean, se, sigmas: float = 4.0, floor: float = 1e-9) -> bool:
-    """|mean - exact| <= sigmas*se + floor*max(1, |exact|).
+def within_band(exact, mean, se) -> bool:
+    """|mean - exact| <= 4 se + 1e-9 max(1, |exact|).
 
     The additive floor only matters when the per-sample statistic is an
     exact constant (se == 0), where pure se bands have zero width.
     """
     exact = float(exact)
-    return abs(mean - exact) <= sigmas * se + floor * max(1.0, abs(exact))
+    return abs(mean - exact) <= 4.0 * se + 1e-9 * max(1.0, abs(exact))

@@ -206,7 +206,7 @@ def identity_leftdep(spec_a, k: int) -> tuple:
         raise ValueError(f"need 0 <= k <= {d}, got k={k}")
     subset_acc = [Fraction(0)] * (k + 1)
     for subset in itertools.combinations(spec_a, k):
-        e = elementary_symmetric(subset) if k else (Fraction(1),)
+        e = elementary_symmetric(subset)
         for l in range(k + 1):
             subset_acc[l] += e[k - l] * e[l]
     raw = sum(

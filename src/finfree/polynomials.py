@@ -80,11 +80,14 @@ class MonicPoly:
 
     @classmethod
     def from_json_dict(cls, payload) -> "MonicPoly":
+        if not isinstance(payload["a"], list):
+            raise TypeError(f"'a' must be a list, got {payload['a']!r}")
         poly = cls(tuple(to_fraction(v) for v in payload["a"]))
-        if "d" in payload and int(payload["d"]) != poly.degree:
-            raise ValueError(
-                f"declared degree {payload['d']} != coefficient count {poly.degree}"
-            )
+        degree = payload.get("d", poly.degree)
+        if isinstance(degree, bool) or not isinstance(degree, int):
+            raise TypeError(f"'d' must be an int, got {degree!r}")
+        if degree != poly.degree:
+            raise ValueError(f"declared degree {degree} != coefficient count {poly.degree}")
         return poly
 
 

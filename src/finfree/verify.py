@@ -136,7 +136,7 @@ def verify_convolution(seed: int = DEFAULT_SEED, d4_pairs: int = 50,
 def verify_flagship(mc_n: int = 200_000, seed: int = DEFAULT_SEED,
                     wg_fn=weingarten) -> list:
     """d=2, A=B=(1,-1): x^2 + 8/3 on three exact routes, then Monte Carlo."""
-    from .montecarlo import mc_charpoly, within_band  # loads numpy
+    from .montecarlo import mc_charpoly  # loads numpy
 
     start = time.monotonic()
     spec = (1, -1)
@@ -160,18 +160,11 @@ def verify_flagship(mc_n: int = 200_000, seed: int = DEFAULT_SEED,
         )
     )
     report = mc_charpoly(spec, spec, mc_n, seed)
-    m1, m2 = report.mean("e_1"), report.mean("e_2")
-    se1, se2 = report.se("e_1"), report.se("e_2")
-    mc_ok = (
-        within_band(0.0, m1.real, se1[0])
-        and within_band(0.0, m1.imag, se1[1])
-        and within_band(float(target), m2.real, se2[0])
-        and within_band(0.0, m2.imag, se2[1])
-    )
+    m2, se2 = report.mean("e_2"), report.se("e_2")
     results.append(
         CheckResult(
             f"flagship Monte Carlo n={mc_n}",
-            mc_ok,
+            not report.band_misses({"e_1": 0, "e_2": target}),
             f"E[e_2] = {m2.real:.5f} (target {float(target):.5f}, se {se2[0]:.2g})",
         )
     )
@@ -210,7 +203,7 @@ def verify_oddk(seed: int = DEFAULT_SEED, trials: int = 25, wg_fn=weingarten) ->
 def verify_weingarten(mc_n: int = 100_000, seed: int = DEFAULT_SEED,
                       wg_fn=weingarten) -> list:
     """Closed Wg values, exact entry moments, MC bands, and the Gram oracle."""
-    from .montecarlo import mc_entry_moments, within_band  # loads numpy
+    from .montecarlo import mc_entry_moments  # loads numpy
 
     def closed_values(d):
         wg = wg_fn(2, d)
@@ -229,15 +222,10 @@ def verify_weingarten(mc_n: int = 100_000, seed: int = DEFAULT_SEED,
 
     def sampled_moments(d):
         report = mc_entry_moments(d, mc_n, seed)
-        pairs = (
-            (Fraction(1, d), "abs_u11_sq"),
-            (Fraction(2, d * (d + 1)), "abs_u11_4th"),
-        )
-        for exact, label in pairs:
-            mean = report.mean(label)
-            se = report.se(label)
-            if not within_band(float(exact), mean.real, se[0]):
-                return f"d={d} {label}: mean {mean.real:.6f} vs {float(exact):.6f}"
+        expected = {"abs_u11_sq": Fraction(1, d), "abs_u11_4th": Fraction(2, d * (d + 1))}
+        for label in report.band_misses(expected):  # the first miss
+            mean, want = report.mean(label).real, float(expected[label])
+            return f"d={d} {label}: mean {mean:.6f} vs {want:.6f}"
         return None
 
     def gram(k, d):
@@ -446,23 +434,17 @@ def verify_identities(seed: int = DEFAULT_SEED) -> list:
     ]
 
 
-def _conjugation_failure(report):
-    from .montecarlo import within_band  # a report to check means numpy is loaded
-
+def _conjugation_failure(report, spec_x):
     d = report.d
     if not report.unitarity_residual_max < 1e-10:  # NaN fails too
         return f"d={d}: unitarity residual {report.unitarity_residual_max:.2e}"
-    target = report.extras["trace_over_d"]
-    for i, j in itertools.product(range(1, d + 1), repeat=2):
-        label = f"entry_{i}_{j}"
-        mean = report.mean(label)
-        se = report.se(label)
-        want = target if i == j else 0.0
-        if not (
-            within_band(want, mean.real, se[0])
-            and within_band(0.0, mean.imag, se[1])
-        ):
-            return f"d={d} {label}: mean {mean:.6f} vs {want:.6f}"
+    trace_over_d = float(sum(spec_x)) / d
+    expected = {
+        f"entry_{i}_{j}": trace_over_d if i == j else 0.0
+        for i, j in itertools.product(range(1, d + 1), repeat=2)
+    }
+    for label in report.band_misses(expected):  # the first miss
+        return f"d={d} {label}: mean {report.mean(label):.6f} vs {expected[label]:.6f}"
     return None
 
 
@@ -472,11 +454,12 @@ def verify_haar(mc_n: int = 100_000, seed: int = DEFAULT_SEED) -> list:
 
     # Each run is seeded on its own, so all three are sampled up front: the
     # passing detail reports the worst residual over every d.
-    reports = [mc_conjugation_mean(tuple(range(1, d + 1)), mc_n, seed) for d in (2, 3, 5)]
+    spectra = [tuple(range(1, d + 1)) for d in (2, 3, 5)]
+    reports = [mc_conjugation_mean(spec, mc_n, seed) for spec in spectra]
     worst = nan_max(r.unitarity_residual_max for r in reports)
     return [first_failure(
         f"Haar sampler: residual < 1e-10 and E[UXU*] = (tr X/d) I (n={mc_n})",
-        map(_conjugation_failure, reports),
+        map(_conjugation_failure, reports, spectra),
         f"max residual {worst:.2e}, d in {{2,3,5}}",
     )]
 

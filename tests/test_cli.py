@@ -109,6 +109,53 @@ def test_conv_malformed_poly(capsys, tmp_path):
     assert main(["conv", "add", bad, bad]) == 2
 
 
+def _assert_one_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    [line] = captured.err.splitlines()
+    assert line.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"a": "13"},  # a string, which would be read character by character
+        {"d": 1.5, "a": [1, 2]},
+        {"d": True, "a": [1, 2]},
+    ],
+)
+def test_conv_refuses_malformed_documents(capsys, tmp_path, document):
+    bad = write_json(tmp_path, "bad.json", document)
+    good = write_json(tmp_path, "good.json", {"a": [1, 2]})
+    assert main(["conv", "add", bad, good]) == 2
+    _assert_one_error_line(capsys)
+
+
+# Each library refusal that main reports as exit 2, by command; {p3} is a
+# cubic and {p}, {m} a quadratic and a 3 x 3 matrix.
+REFUSED_ARGUMENTS = [
+    ["conv", "add", "{p}", "{p3}"],
+    ["zpoly", "--d", "0"],
+    ["weingarten", "--k", "11", "--d", "3"],
+    ["immanant", "--shape", "2,2", "{m}"],
+    ["character", "--k", "11"],
+    ["character", "--shape", "2,1", "--cycle-type", "2,2"],
+    ["kostka", "--shape", "2,1", "--weight", "1,1"],
+]
+
+
+@pytest.mark.parametrize("argv", REFUSED_ARGUMENTS, ids=lambda argv: " ".join(argv[:3]))
+def test_library_refusals_exit_2_with_one_error_line(capsys, tmp_path, argv):
+    files = {
+        "{p}": write_json(tmp_path, "p.json", {"d": 2, "a": ["1", "0", "-1"]}),
+        "{p3}": write_json(tmp_path, "p3.json", {"d": 3, "a": ["1", "0", "0", "1"]}),
+        "{m}": write_json(tmp_path, "m.json", [[1, 2, 3], [4, 5, 6], [7, 8, 9]]),
+    }
+    assert main([files.get(arg, arg) for arg in argv]) == 2
+    _assert_one_error_line(capsys)
+
+
 # -------------------------------------------------------------------- zpoly
 
 def test_zpoly(capsys):

@@ -7,6 +7,7 @@ import pytest
 from finfree import montecarlo, verify
 from finfree.montecarlo import (
     GRAM_SCHMIDT_MAX_D,
+    McReport,
     _Accumulator,
     _chunk_rng,
     _elementary_from_traces,
@@ -180,7 +181,7 @@ def _statistic(monkeypatch, a, b, mode):
     # mc_charpoly hands its per-batch statistic to _sample; keep it instead
     monkeypatch.setattr(
         montecarlo, "_sample",
-        lambda d, n, seed, chunk_size, mode, labels, statistic, extras=None: statistic,
+        lambda d, n, seed, chunk_size, mode, labels, statistic: statistic,
     )
     return mc_charpoly(a, b, n=2, seed=SEED, mode=mode)
 
@@ -255,12 +256,26 @@ def test_within_band():
     assert not within_band(1.0, 1.001, 0.0)
 
 
+def test_band_misses_lists_missed_labels_in_report_order():
+    rep = McReport(
+        d=2, n=10, seed=0, chunk_size=10, mode="test",
+        labels=["a", "b", "c", "d"],
+        means=[1.5 + 0j, 1.0 + 1j, 0.0 + 0j, 9.0 + 0j],
+        se_re=[0.1, 0.1, 0.1, 0.1],
+        se_im=[0.1, 0.1, 0.1, 0.1],
+        unitarity_residual_max=0.0,
+    )
+    # a misses in the real part, b only in the imaginary part, c hits, and
+    # d misses but is left out of expected; the dict order is not the report's
+    assert rep.band_misses({"c": 0, "b": 1, "a": Fraction(1)}) == ["a", "b"]
+    assert rep.band_misses({"c": 0.0}) == []
+    assert rep.band_misses({"d": 9, "a": 1.5}) == []
+    assert rep.band_misses({}) == []
+
+
 def test_commutator_means_hit_exact_values():
-    exact = Fraction(8, 3)
     rep = mc_charpoly((1, -1), (1, -1), n=40000, seed=SEED)
-    m, se = rep.mean("e_2"), rep.se("e_2")
-    assert within_band(float(exact), m.real, se[0])
-    assert within_band(0.0, m.imag, se[1])
+    assert rep.band_misses({"e_2": Fraction(8, 3)}) == []
     # the commutator is traceless sample by sample
     m1, se1 = rep.mean("e_1"), rep.se("e_1")
     assert m1 == 0 and se1 == (0.0, 0.0)
@@ -272,10 +287,7 @@ def test_sum_mode_matches_boxplus():
     q = MonicPoly.from_spectrum(sb)
     want = boxplus(p, q)
     rep = mc_charpoly(sa, sb, n=60000, seed=SEED, mode="sum")
-    for k in range(1, 4):
-        m, se = rep.mean(f"e_{k}"), rep.se(f"e_{k}")
-        assert within_band(float(want.a[k]), m.real, se[0]), k
-        assert within_band(0.0, m.imag, se[1]), k
+    assert rep.band_misses({f"e_{k}": want.a[k] for k in range(1, 4)}) == []
 
 
 def test_product_mode_matches_boxtimes():
@@ -284,10 +296,7 @@ def test_product_mode_matches_boxtimes():
     q = MonicPoly.from_spectrum(sb)
     want = boxtimes(p, q)
     rep = mc_charpoly(sa, sb, n=60000, seed=SEED, mode="product")
-    for k in range(1, 3):
-        m, se = rep.mean(f"e_{k}"), rep.se(f"e_{k}")
-        assert within_band(float(want.a[k]), m.real, se[0]), k
-        assert within_band(0.0, m.imag, se[1]), k
+    assert rep.band_misses({f"e_{k}": want.a[k] for k in range(1, 3)}) == []
 
 
 def test_commutator_mode_matches_convolution_d3():
@@ -296,10 +305,7 @@ def test_commutator_mode_matches_convolution_d3():
         MonicPoly.from_spectrum(sa), MonicPoly.from_spectrum(sb)
     )
     rep = mc_charpoly(sa, sb, n=60000, seed=SEED)
-    for k in range(1, 4):
-        m, se = rep.mean(f"e_{k}"), rep.se(f"e_{k}")
-        assert within_band(float(want.a[k]), m.real, se[0]), k
-        assert within_band(0.0, m.imag, se[1]), k
+    assert rep.band_misses({f"e_{k}": want.a[k] for k in range(1, 4)}) == []
 
 
 def test_mode_validation():
@@ -316,22 +322,17 @@ def test_mode_validation():
 def test_entry_moment_bands():
     for d in (2, 4):
         rep = mc_entry_moments(d, n=40000, seed=SEED)
-        m, se = rep.mean("abs_u11_sq"), rep.se("abs_u11_sq")
-        assert within_band(1 / d, m.real, se[0])
-        m, se = rep.mean("abs_u11_4th"), rep.se("abs_u11_4th")
-        assert within_band(2 / (d * (d + 1)), m.real, se[0])
+        expected = {"abs_u11_sq": 1 / d, "abs_u11_4th": 2 / (d * (d + 1))}
+        assert rep.band_misses(expected) == [], d
 
 
 def test_conjugation_mean_is_trace_projection():
     spec = (Fraction(3), Fraction(1), Fraction(-1))
     rep = mc_conjugation_mean(spec, n=40000, seed=SEED)
-    assert rep.extras["trace_over_d"] == 1.0
-    for i in range(1, 4):
-        for j in range(1, 4):
-            m, se = rep.mean(f"entry_{i}_{j}"), rep.se(f"entry_{i}_{j}")
-            want = 1.0 if i == j else 0.0
-            assert within_band(want, m.real, se[0]), (i, j)
-            assert within_band(0.0, m.imag, se[1]), (i, j)
+    expected = {f"entry_{i}_{j}": 1.0 if i == j else 0.0
+                for i in range(1, 4) for j in range(1, 4)}
+    assert rep.band_misses(expected) == []
+    assert verify._conjugation_failure(rep, spec) is None
 
 
 def test_unitarity_residual_tracked():
@@ -364,7 +365,7 @@ def test_zero_ginibre_column_gives_a_nan_residual_that_fails(monkeypatch):
     assert calls == [1, 2]
     assert np.isnan(report.unitarity_residual_max)
     assert report.to_json_dict()["unitarity_residual_max"] == "nan"
-    assert verify._conjugation_failure(report) == "d=3: unitarity residual nan"
+    assert verify._conjugation_failure(report, (1, 2, 3)) == "d=3: unitarity residual nan"
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")

@@ -6,6 +6,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from finfree.cli import _corrupted_weingarten
 from finfree.oracle import (
     _derangement_classes,
     alternating_binomial_pair,
@@ -19,7 +20,7 @@ from finfree.oracle import (
 from finfree.polynomials import MonicPoly, commutator_coefficient, commutator_poly
 from finfree.symfunc import elementary_symmetric
 from finfree.symgroup import compose, cycle_type, perm_sign
-from finfree.weingarten import ClassFunction, integrate_moment, weingarten
+from finfree.weingarten import integrate_moment
 from finfree.util import CapExceededError
 
 rational_st = st.fractions(min_value=-3, max_value=3, max_denominator=2)
@@ -141,18 +142,11 @@ def test_brute_force_matches_convolution_beyond_d4(d):
 
 
 def test_brute_force_detects_corrupted_weingarten():
-    def corrupted(k, d, cap=10):
-        wg = weingarten(k, d)
-        values = dict(wg.values)
-        top = max(values)
-        values[top] = values[top] + Fraction(1, 1000)
-        return ClassFunction(k, values)
-
     # needs a spectrum with nonzero trace: the corrupted class multiplies
     # a power-sum factor that vanishes on trace-free spectra
     sa, sb = (Fraction(1), Fraction(2)), (Fraction(1), Fraction(3))
     good = brute_force_expected_ek(sa, sb, 2)
-    bad = brute_force_expected_ek(sa, sb, 2, wg_fn=corrupted)
+    bad = brute_force_expected_ek(sa, sb, 2, wg_fn=_corrupted_weingarten)
     assert good != bad
 
 

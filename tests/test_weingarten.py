@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from finfree.cli import _corrupted_weingarten
 from finfree.oracle import gram_identity_residual, weingarten_gram_inverse
 from finfree.partitions import Partition
 from finfree.util import CapExceededError
@@ -61,14 +62,7 @@ def test_gram_identity_residual_vanishes(k):
 
 
 def test_gram_identity_residual_detects_corruption():
-    def corrupted(k, d, cap=10):
-        wg = weingarten(k, d)
-        values = dict(wg.values)
-        top = max(values)
-        values[top] = values[top] + Fraction(1, 1000)
-        return ClassFunction(k, values)
-
-    assert gram_identity_residual(2, 3, wg_fn=corrupted) > 0
+    assert gram_identity_residual(2, 3, wg_fn=_corrupted_weingarten) > 0
 
 
 # ------------------------------------------------------------ entry moments
