@@ -23,12 +23,14 @@ class InputError(ValueError):
 
 def _load_json(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _load_poly(path) -> MonicPoly:
@@ -66,26 +68,24 @@ def _emit(payload, fmt: str, pretty_lines):
             print(line)
 
 
-def _poly_payload(poly: MonicPoly) -> dict:
-    return {"pretty": poly.pretty(), "result": poly.to_json_dict()}
+def _rendered(poly: MonicPoly, **head) -> tuple:
+    """(JSON payload, pretty lines) of a polynomial result, rendered once;
+    `head` holds the payload's other keys."""
+    text, doc = poly.pretty(), poly.to_json_dict()
+    return {**head, "pretty": text, "result": doc}, [text, f"a = {doc['a']}"]
 
 
 def cmd_conv(args) -> int:
     p, q = _load_poly(args.p), _load_poly(args.q)
     ops = {"add": boxplus, "mul": boxtimes, "sub": boxminus}
-    result = ops[args.op](p, q)
-    payload = {"op": args.op, **_poly_payload(result)}
-    _emit(payload, args.format, [result.pretty(), f"a = {[str(v) for v in result.a]}"])
+    payload, lines = _rendered(ops[args.op](p, q), op=args.op)
+    _emit(payload, args.format, lines)
     return 0
 
 
 def cmd_zpoly(args) -> int:
-    result = z_poly(args.d)
-    _emit(
-        _poly_payload(result),
-        args.format,
-        [result.pretty(), f"a = {[str(v) for v in result.a]}"],
-    )
+    payload, lines = _rendered(z_poly(args.d))
+    _emit(payload, args.format, lines)
     return 0
 
 
@@ -106,8 +106,7 @@ def cmd_commutator(args) -> int:
     exact = commutator_poly(
         MonicPoly.from_spectrum(spec_a), MonicPoly.from_spectrum(spec_b)
     )
-    payload = {"d": exact.degree, **_poly_payload(exact)}
-    lines = [exact.pretty(), f"a = {[str(v) for v in exact.a]}"]
+    payload, lines = _rendered(exact, d=exact.degree)
     code = 0
     if args.mc is not None:
         if args.seed is None:

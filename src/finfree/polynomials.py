@@ -44,10 +44,6 @@ class MonicPoly:
     def degree(self) -> int:
         return len(self.a) - 1
 
-    def signed_coefficient(self, k: int) -> Fraction:
-        """Coefficient of x^(d-k) in the displayed polynomial."""
-        return (-1) ** k * self.a[k]
-
     @classmethod
     def from_spectrum(cls, values) -> "MonicPoly":
         """Monic polynomial with the given roots."""
@@ -57,23 +53,27 @@ class MonicPoly:
         return MonicPoly(tuple(-v if k % 2 else v for k, v in enumerate(self.a)))
 
     def pretty(self) -> str:
+        """The displayed polynomial, e.g. "x^3 - 3/2*x + 1".
+
+        Each term's sign and digits come from the numerator and denominator
+        of a_k: the term x^(d-k) is negative when exactly one of "a_k < 0"
+        and "k odd" holds. a_0 = 1, so the leading term is always x^d.
+        """
         d = self.degree
-        pieces = []
-        for k in range(d + 1):
-            c = self.signed_coefficient(k)
-            if c == 0:
+        pieces = ["x" if d == 1 else f"x^{d}"]
+        for k, v in enumerate(self.a[1:], start=1):
+            num, den = v.numerator, v.denominator
+            if not num:
                 continue
+            digits = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
             power = d - k
-            if power == 0:
-                body = str(abs(c))
-            else:
+            if power:
                 xpow = "x" if power == 1 else f"x^{power}"
-                body = xpow if abs(c) == 1 else f"{abs(c)}*{xpow}"
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
+                body = xpow if digits == "1" else f"{digits}*{xpow}"
             else:
-                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(pieces) if pieces else "0"
+                body = digits
+            pieces.append(f"- {body}" if (num < 0) != (k % 2 == 1) else f"+ {body}")
+        return " ".join(pieces)
 
     def to_json_dict(self) -> dict:
         return {"d": self.degree, "a": [str(v) for v in self.a]}
@@ -186,10 +186,16 @@ def boxminus(p: MonicPoly, q: MonicPoly) -> MonicPoly:
 
 
 def boxtimes(p: MonicPoly, q: MonicPoly) -> MonicPoly:
-    """Multiplicative convolution: expected polynomial of A UBU*."""
+    """Multiplicative convolution: expected polynomial of A UBU*.
+
+    a_k = p_k q_k / C(d, k), formed from the numerators and denominators as
+    one integer ratio.
+    """
     d = _common_degree(p, q)
-    a = tuple(p.a[k] * q.a[k] / comb(d, k) for k in range(d + 1))
-    return MonicPoly(a)
+    return MonicPoly(tuple(
+        Fraction(u.numerator * v.numerator, u.denominator * v.denominator * comb(d, k))
+        for k, (u, v) in enumerate(zip(p.a, q.a))
+    ))
 
 
 def z_poly(d: int) -> MonicPoly:

@@ -1,11 +1,14 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import finfree
 from finfree.cli import main
@@ -115,6 +118,7 @@ def _assert_one_error_line(capsys):
     assert "Traceback" not in captured.err
     [line] = captured.err.splitlines()
     assert line.startswith("error:")
+    return line
 
 
 @pytest.mark.parametrize(
@@ -130,6 +134,15 @@ def test_conv_refuses_malformed_documents(capsys, tmp_path, document):
     good = write_json(tmp_path, "good.json", {"a": [1, 2]})
     assert main(["conv", "add", bad, good]) == 2
     _assert_one_error_line(capsys)
+
+
+def test_undecodable_file_is_named(capsys, tmp_path):
+    # a UTF-16 byte-order mark: not UTF-8, so json cannot even read the text
+    path = tmp_path / "bin.json"
+    path.write_bytes(b"\xff\xfe[1, 2]")
+    assert main(["commutator", str(path), str(path)]) == 2
+    line = _assert_one_error_line(capsys)
+    assert str(path) in line and "is not UTF-8 text" in line
 
 
 # Each library refusal that main reports as exit 2, by command; {p3} is a
@@ -446,6 +459,102 @@ def test_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["pretty"] == "x^3 + 27/8*x"
+
+
+# Generated argv for the commands that never sample. Files hold spectra,
+# polynomial documents or junk, or are missing; values include bad flags,
+# huge ints and unparsable text. A huge int goes only where a cap or a size
+# check meets it, or where it is a parameter (the d of Wg), never to a
+# polynomial degree, which no cap guards yet.
+_HUGE = str(10**23)
+_SMALL_RATIONAL = st.one_of(st.integers(-9, 9), st.sampled_from(["1/2", "-7/3", "0/5"]))
+_FUZZ_DOCUMENT = st.one_of(
+    st.lists(_SMALL_RATIONAL, min_size=1, max_size=8),
+    st.lists(_SMALL_RATIONAL, min_size=1, max_size=8).map(
+        lambda tail: {"d": len(tail), "a": [1, *tail]}
+    ),
+    st.sampled_from([
+        [True, False], [[1, 2], [3]], ["1/0"], [10**400, 1], [0.5, 1], [], {},
+        None, "1/2", {"a": "13"}, {"d": True, "a": [1, 2]}, {"d": 2, "a": [2, 0, 1]},
+        {"d": 1, "a": ["1", "1/0"]},
+    ]),
+)
+# bytes are a file's contents, None a path that does not exist; a JSON
+# document comes twice as often as raw bytes or a missing file
+_FUZZ_JSON_FILE = _FUZZ_DOCUMENT.map(lambda doc: json.dumps(doc).encode())
+_FUZZ_FILE = st.one_of(
+    _FUZZ_JSON_FILE,
+    _FUZZ_JSON_FILE,
+    st.sampled_from([b"", b"\xff\xfe[1]", b"[1, 2", ("[" + "7" * 5000 + "]").encode()]),
+    st.none(),
+)
+_DEGREE_TEXT = st.one_of(st.integers(-2, 8).map(str), st.sampled_from(["x", "", "1.5"]))
+_K_TEXT = st.one_of(st.integers(-2, 6).map(str), st.sampled_from(["x", _HUGE]))
+_PARTITION_TEXT = st.one_of(
+    st.lists(st.integers(-1, 2), max_size=3).map(lambda parts: ",".join(map(str, parts))),
+    st.sampled_from(["[2,1]", "x", "", _HUGE]),
+)
+# k and the partitions stay small unless huge, so a generous cap stays fast
+_CAP_TEXT = st.sampled_from(["-1", "0", "6", "12"])
+_FUZZ_OPTIONS = {
+    "conv": {"--format": st.sampled_from(["json", "pretty", "xml"])},
+    "commutator": {"--format": st.sampled_from(["json", "pretty"])},
+    "zpoly": {"--d": _DEGREE_TEXT, "--format": st.sampled_from(["json", "pretty"])},
+    "weingarten": {
+        "--k": _K_TEXT, "--d": st.one_of(_DEGREE_TEXT, st.just(_HUGE)), "--cap-k": _CAP_TEXT,
+    },
+    "character": {
+        "--k": _K_TEXT, "--shape": _PARTITION_TEXT, "--cycle-type": _PARTITION_TEXT,
+        "--cap-k": _CAP_TEXT,
+    },
+    "kostka": {
+        "--shape": _PARTITION_TEXT, "--weight": _PARTITION_TEXT, "--cap-k": _CAP_TEXT,
+        "--inverse": st.none(),
+    },
+}
+
+
+@st.composite
+def fuzz_argv(draw):
+    command = draw(st.sampled_from(sorted(_FUZZ_OPTIONS)))
+    argv = [command]
+    if command == "conv":
+        argv.append(draw(st.sampled_from(["add", "sub", "mul", "div"])))
+    if command in ("conv", "commutator"):
+        count = draw(st.sampled_from([2, 2, 2, 0, 1, 3]))
+        files = draw(st.lists(_FUZZ_FILE, min_size=count, max_size=count))
+        if count >= 2 and draw(st.booleans()):
+            files[1] = files[0]  # equal contents, so degrees and lengths agree
+        argv += files
+    options = _FUZZ_OPTIONS[command]
+    for flag in sorted(options):
+        if not draw(st.sampled_from([True] * 4 + [False])):  # left out one time in five
+            continue
+        value = draw(options[flag])
+        argv += [flag] if value is None else [flag, value]
+    extra = draw(st.sampled_from([None] * 12 + ["--bogus", "--mc", "-x", "extra"]))
+    return argv if extra is None else [*argv, extra]
+
+
+@settings(max_examples=300, deadline=None)
+@given(fuzz_argv())
+def test_fuzzed_argv_exit_0_or_2_without_traceback(tmp_path_factory, template):
+    directory = tmp_path_factory.getbasetemp() / "fuzz"
+    directory.mkdir(exist_ok=True)
+    argv = []
+    for i, item in enumerate(template):
+        if isinstance(item, bytes):
+            path = directory / f"file{i}.json"
+            path.write_bytes(item)
+            item = str(path)
+        elif item is None:
+            item = str(directory / "missing.json")
+        argv.append(item)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 # Runs in a fresh interpreter: which exact commands load numpy, and that the

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import comb, factorial, isqrt, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from finfree.polynomials import (
     MonicPoly,
@@ -53,7 +53,7 @@ def test_from_spectrum_and_evaluate():
     for r in (1, 2, 3):
         assert _evaluate(p, r) == 0
     assert _evaluate(p, 0) == -6
-    assert p.signed_coefficient(1) == -6
+    assert p.pretty() == "x^3 - 6*x^2 + 11*x - 6"
     assert p.a[1] == 6
 
 
@@ -238,6 +238,27 @@ def ref_boxtimes(p, q):
     return MonicPoly(tuple(p.a[k] * q.a[k] / comb(d, k) for k in range(d + 1)))
 
 
+def ref_pretty(p):
+    """MonicPoly.pretty as it was written over the signed coefficients."""
+    d = p.degree
+    pieces = []
+    for k in range(d + 1):
+        c = (-1) ** k * p.a[k]
+        if c == 0:
+            continue
+        power = d - k
+        if power == 0:
+            body = str(abs(c))
+        else:
+            xpow = "x" if power == 1 else f"x^{power}"
+            body = xpow if abs(c) == 1 else f"{abs(c)}*{xpow}"
+        if not pieces:
+            pieces.append(body if c > 0 else f"-{body}")
+        else:
+            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(pieces) if pieces else "0"
+
+
 def ref_elementary(x):
     return tuple(
         sum((prod(c, start=Fraction(1)) for c in itertools.combinations(x, k)),
@@ -273,6 +294,32 @@ def test_convolutions_match_definition(pair):
     assert boxplus(p, q) == ref_boxplus(p, q)
     assert boxminus(p, q) == ref_boxplus(p, q, sign=-1)
     assert boxtimes(p, q) == ref_boxtimes(p, q)
+
+
+@st.composite
+def display_poly_st(draw):
+    # 0, +-1, other integers and non-integral rationals of either sign, and
+    # sometimes a zero constant term
+    d = draw(st.integers(1, 10))
+    entry = st.one_of(
+        st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+        st.integers(-(10**6), 10**6).map(Fraction),
+        big_rational_st,
+    )
+    tail = draw(st.lists(entry, min_size=d, max_size=d))
+    if draw(st.booleans()):
+        tail[-1] = Fraction(0)
+    return MonicPoly((Fraction(1), *tail))
+
+
+@settings(max_examples=200, deadline=None)
+@given(display_poly_st())
+@example(MonicPoly((1, 0)))
+@example(MonicPoly((1, 1)))
+@example(MonicPoly((1, Fraction(-3, 2))))
+@example(MonicPoly((1, -1, Fraction(1, 3), 0)))
+def test_pretty_matches_reference(p):
+    assert p.pretty() == ref_pretty(p)
 
 
 @st.composite
