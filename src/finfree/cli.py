@@ -12,7 +12,7 @@ from .immanants import as_matrix, immanant_direct, immanant_gj
 from .partitions import Partition, kostka
 from .polynomials import MonicPoly, boxminus, boxplus, boxtimes, commutator_poly, z_poly
 from .symgroup import character, character_table_json, inverse_kostka
-from .util import IMMANANT_CAP, PARTITION_CAP, to_fraction
+from .util import IMMANANT_CAP, MC_CHUNK_SIZE, PARTITION_CAP, to_fraction
 from .verify import VERIFY_GROUPS, run_suites
 from .weingarten import ClassFunction, weingarten
 
@@ -25,12 +25,12 @@ def _load_json(path):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: an int past Python's digit limit
+        raise InputError(f"cannot read {path}: {exc}") from exc
 
 
 def _load_poly(path) -> MonicPoly:
@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, help="Monte Carlo seed")
     p.add_argument(
-        "--chunk", type=_int_at_least(1), default=4096, help="samples per chunk"
+        "--chunk", type=_int_at_least(1), default=MC_CHUNK_SIZE, help="samples per chunk"
     )
     add_format(p)
     p.set_defaults(func=cmd_commutator)

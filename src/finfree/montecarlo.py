@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .util import MC_CHUNK_SIZE
+
 
 def nan_max(values) -> float:
     """The largest of some nonnegative values (0.0 if there are none), and
@@ -245,7 +247,7 @@ def _sample(d: int, n: int, seed: int, chunk_size: int, mode: str, labels: list,
 
 
 def mc_charpoly(spec_a, spec_b, n: int, seed: int, mode: str = "commutator",
-                chunk_size: int = 4096) -> McReport:
+                chunk_size: int = MC_CHUNK_SIZE) -> McReport:
     """Sampled means of e_1..e_d for a two-matrix word in A and UBU*.
 
     mode selects the word: 'commutator' (AT - TA), 'sum' (A + T), or
@@ -289,18 +291,19 @@ def mc_charpoly(spec_a, spec_b, n: int, seed: int, mode: str = "commutator",
                    [f"e_{k}" for k in range(1, d + 1)], elementary)
 
 
-def mc_entry_moments(d: int, n: int, seed: int, chunk_size: int = 4096) -> McReport:
+def mc_entry_moments(d: int, n: int, seed: int) -> McReport:
     """Sampled |u_11|^2 and |u_11|^4 of Haar unitaries."""
 
     def moments(u):
         sq = np.abs(u[:, 0, 0]) ** 2
         return np.stack([sq, sq**2], axis=1).astype(complex)
 
-    return _sample(d, n, seed, chunk_size, "entry_moments",
+    return _sample(d, n, seed, MC_CHUNK_SIZE, "entry_moments",
                    ["abs_u11_sq", "abs_u11_4th"], moments)
 
 
-def mc_conjugation_mean(spec_x, n: int, seed: int, chunk_size: int = 4096) -> McReport:
+def mc_conjugation_mean(spec_x, n: int, seed: int,
+                        chunk_size: int = MC_CHUNK_SIZE) -> McReport:
     """Sampled mean of U X U* entrywise, X diagonal with the given spectrum.
 
     The exact mean is (tr X / d) times the identity; the report labels are

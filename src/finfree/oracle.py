@@ -16,7 +16,6 @@ from functools import lru_cache
 from math import comb, factorial, prod
 
 from .partitions import partitions_of, two_column
-from .polynomials import falling
 from .symfunc import (
     as_spectrum,
     cross_sum,
@@ -67,8 +66,7 @@ def _derangement_classes(k: int) -> tuple:
     return rhos, tuple(classes)
 
 
-def brute_force_expected_ek(spec_a, spec_b, k: int, wg_fn=weingarten,
-                            cap: int = DIMENSION_CAP) -> Fraction:
+def brute_force_expected_ek(spec_a, spec_b, k: int, wg_fn=weingarten) -> Fraction:
     """E[e_k] of A U B U* - U B U* A by minor expansion and Haar moments.
 
     Expands e_k into principal k x k minors, each minor into permutations
@@ -87,7 +85,7 @@ def brute_force_expected_ek(spec_a, spec_b, k: int, wg_fn=weingarten,
         raise ValueError(f"spectrum lengths differ: {d} != {len(spec_b)}")
     if not 0 <= k <= d:
         raise ValueError(f"need 0 <= k <= {d}, got k={k}")
-    check_cap(d, cap, "brute-force dimension")
+    check_cap(d, DIMENSION_CAP, "brute-force dimension")
     if k == 0:
         return Fraction(1)
     rhos, classes = _derangement_classes(k)
@@ -117,7 +115,7 @@ def brute_force_expected_ek(spec_a, spec_b, k: int, wg_fn=weingarten,
     return Fraction(total, wg_scale * (a_scale * b_scale) ** k)
 
 
-def weingarten_gram_inverse(k: int, d: int, cap: int = PARTITION_CAP) -> ClassFunction:
+def weingarten_gram_inverse(k: int, d: int) -> ClassFunction:
     """Weingarten function recovered from its defining Gram system.
 
     Solves sum_sigma Wg(sigma) d^{cycles(sigma^-1 tau)} = [tau == id] for
@@ -126,8 +124,8 @@ def weingarten_gram_inverse(k: int, d: int, cap: int = PARTITION_CAP) -> ClassFu
     """
     if d < k:
         raise ValueError(f"need d >= k for an invertible system, got d={d} < k={k}")
-    check_cap(k, cap, "Gram system order")
-    classes = partitions_of(k, cap)
+    check_cap(k, PARTITION_CAP, "Gram system order")
+    classes = partitions_of(k)
     perms = list(itertools.permutations(range(k)))
     by_class = {rho: [] for rho in classes}
     for p in perms:
@@ -259,6 +257,15 @@ def identity_rightdep(spec_b, k: int) -> tuple:
         factorial(k) * (d + 1 - h), factorial(d + 1) * factorial(d)
     )
     return raw, closed
+
+
+def falling(n, j: int) -> Fraction:
+    """Falling factorial n (n-1) ... (n-j+1)."""
+    n = to_fraction(n)
+    out = Fraction(1)
+    for t in range(j):
+        out *= n - t
+    return out
 
 
 def gen_binom(a, m: int) -> Fraction:

@@ -124,11 +124,11 @@ def distinct_permutations(entries):
     return out
 
 
-def set_partitions(k: int, cap: int = SET_PARTITION_CAP) -> list[tuple]:
+def set_partitions(k: int) -> list[tuple]:
     """All set partitions of {1..k}; blocks sorted, ordered by their minima."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    check_cap(k, cap, "set partition ground-set size")
+    check_cap(k, SET_PARTITION_CAP, "set partition ground-set size")
     out: list[tuple] = []
     blocks: list[list[int]] = []
 
@@ -153,9 +153,9 @@ def set_partition_type(blocks) -> Partition:
     return Partition(sorted((len(b) for b in blocks), reverse=True))
 
 
-def set_partitions_of_type(mu, cap: int = SET_PARTITION_CAP) -> list[tuple]:
+def set_partitions_of_type(mu) -> list[tuple]:
     mu = Partition(mu)
-    return [p for p in set_partitions(mu.size, cap) if set_partition_type(p) == mu]
+    return [p for p in set_partitions(mu.size) if set_partition_type(p) == mu]
 
 
 def count_set_partitions_of_type(mu) -> int:
@@ -244,13 +244,13 @@ def hooks_and_contents(lam):
     return tuple(hooks), tuple(contents)
 
 
-def split_chains(k: int, l: int, m: int, cap: int = PARTITION_CAP) -> list[tuple]:
+def split_chains(k: int, l: int, m: int) -> list[tuple]:
     """Maps [k] -> [m] increasing on 1..k-l and on k-l+1..k, as value tuples."""
     if not 0 <= l <= k:
         raise ValueError(f"need 0 <= l <= k, got k={k}, l={l}")
     if m < 0:
         raise ValueError("m must be nonnegative")
-    check_cap(m, cap, "split-chain codomain")
+    check_cap(m, PARTITION_CAP, "split-chain codomain")
     heads = list(itertools.combinations(range(1, m + 1), k - l))
     tails = list(itertools.combinations(range(1, m + 1), l))
     return [h + t for h in heads for t in tails]
@@ -264,13 +264,13 @@ def chain_multiplicity(i_map, m: int) -> tuple:
     return tuple(counts)
 
 
-def split_chain_type_count(k: int, l: int, q: int, cap: int = PARTITION_CAP) -> int:
+def split_chain_type_count(k: int, l: int, q: int) -> int:
     """Split chains [k] -> [k] hitting q values twice and k-2q values once."""
     if not 0 <= 2 * q <= k:
         raise ValueError(f"need 0 <= 2q <= k, got k={k}, q={q}")
     target = Partition((2,) * q + (1,) * (k - 2 * q))
     total = 0
-    for i_map in split_chains(k, l, k, cap):
+    for i_map in split_chains(k, l, k):
         counts = chain_multiplicity(i_map, k)
         shape = Partition(sorted((c for c in counts if c), reverse=True))
         if shape == target:

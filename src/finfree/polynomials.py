@@ -19,15 +19,6 @@ from .symfunc import as_spectrum, cross_sum, elementary_symmetric
 from .util import clear_denominators, factorials, to_fraction
 
 
-def falling(n, j: int) -> Fraction:
-    """Falling factorial n (n-1) ... (n-j+1)."""
-    n = to_fraction(n)
-    out = Fraction(1)
-    for t in range(j):
-        out *= n - t
-    return out
-
-
 @dataclass(frozen=True)
 class MonicPoly:
     a: tuple

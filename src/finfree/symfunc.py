@@ -120,32 +120,32 @@ def eval_quasisym(comp, x) -> Fraction:
     return Fraction(total, scale ** sum(comp))
 
 
-def e_to_m(lam, cap: int = PARTITION_CAP) -> dict:
+def e_to_m(lam) -> dict:
     """e_lam in the monomial basis: {mu: nonzero int coefficient of m_mu}."""
     lam = Partition(lam)
     k = lam.size
-    check_cap(k, cap, "transition degree")
-    parts = partitions_of(k, cap)
+    check_cap(k, PARTITION_CAP, "transition degree")
+    parts = partitions_of(k)
     coeffs = {}
     for mu in parts:
         total = sum(
-            kostka(nu, lam, cap) * kostka(nu.transpose(), mu, cap) for nu in parts
+            kostka(nu, lam) * kostka(nu.transpose(), mu) for nu in parts
         )
         if total:
             coeffs[mu] = total
     return coeffs
 
 
-def m_to_e(lam, cap: int = PARTITION_CAP) -> dict:
+def m_to_e(lam) -> dict:
     """m_lam in the elementary basis: {mu: nonzero int coefficient of e_mu}."""
     lam = Partition(lam)
     k = lam.size
-    check_cap(k, cap, "transition degree")
-    parts = partitions_of(k, cap)
+    check_cap(k, PARTITION_CAP, "transition degree")
+    parts = partitions_of(k)
     coeffs = {}
     for mu in parts:
         total = sum(
-            inverse_kostka(lam, nu.transpose(), cap) * inverse_kostka(mu, nu, cap)
+            inverse_kostka(lam, nu.transpose()) * inverse_kostka(mu, nu)
             for nu in parts
         )
         if total:

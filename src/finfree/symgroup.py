@@ -189,17 +189,17 @@ def c_constant(lam, mu) -> Fraction:
 
 # (mu, sigma) count tables kept; the cconst suite asks for 88 of them.
 @lru_cache(maxsize=256)
-def _subgroup_cycle_types(mu: Partition, sigma: tuple, cap: int) -> tuple:
+def _subgroup_cycle_types(mu: Partition, sigma: tuple) -> tuple:
     """((rho, n), ...): over the tau of every Young subgroup of shape mu,
     n of them give sigma . tau the cycle type rho. Shared by every lam."""
     return tuple(Counter(
         cycle_type(compose(sigma, tau))
-        for blocks in set_partitions_of_type(mu, cap)
+        for blocks in set_partitions_of_type(mu)
         for tau in young_subgroup_elements(blocks, len(sigma))
     ).items())
 
 
-def c_constant_bruteforce(lam, mu, sigma, cap: int = SET_PARTITION_CAP) -> Fraction:
+def c_constant_bruteforce(lam, mu, sigma) -> Fraction:
     """Character-level check of c_constant at one permutation.
 
     Sums chi^lam(sigma . tau) over tau in every Young subgroup of shape mu,
@@ -211,9 +211,9 @@ def c_constant_bruteforce(lam, mu, sigma, cap: int = SET_PARTITION_CAP) -> Fract
     k = lam.size
     if mu.size != k or len(sigma) != k:
         raise ValueError("lam, mu, sigma must share one size")
-    check_cap(k, cap, "brute-force subgroup sum size")
+    check_cap(k, SET_PARTITION_CAP, "brute-force subgroup sum size")
     total = sum(
-        n * character(lam, rho) for rho, n in _subgroup_cycle_types(mu, tuple(sigma), cap)
+        n * character(lam, rho) for rho, n in _subgroup_cycle_types(mu, tuple(sigma))
     )
     chi = character(lam, cycle_type(sigma))
     if chi:

@@ -5,14 +5,17 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-# Defaults for the enumeration guards. Partition and tableau searches grow
-# super-polynomially and set partitions grow like Bell numbers, so sizes past
-# these need an explicit cap override from the caller.
+# Limits of the enumeration guards. Partition and tableau searches grow
+# super-polynomially and set partitions grow like Bell numbers. A guard whose
+# function takes a `cap` argument (one the CLI's --cap-k or --cap-n reaches)
+# defaults to PARTITION_CAP or IMMANANT_CAP; every other guard is fixed.
 PARTITION_CAP = 10
 SET_PARTITION_CAP = 8
 MOMENT_CAP = 6
 DIMENSION_CAP = 7
 IMMANANT_CAP = 9
+
+MC_CHUNK_SIZE = 4096  # Haar samples per Monte Carlo chunk, unless a caller picks another
 
 
 class CapExceededError(ValueError):

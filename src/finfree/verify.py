@@ -50,7 +50,7 @@ DEFAULT_SEED = 20260814
 class CheckResult:
     name: str
     passed: bool
-    detail: str = ""
+    detail: str
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -77,8 +77,8 @@ def _differ(where: str, lhs, rhs):
     return f"{where}: {lhs} != {rhs}" if lhs != rhs else None
 
 
-def _spectra_grid(d: int, entries=(-2, -1, 0, 1, 2)):
-    return list(itertools.combinations_with_replacement(entries, d))
+def _spectra_grid(d: int):
+    return list(itertools.combinations_with_replacement((-2, -1, 0, 1, 2), d))
 
 
 def _triple_route_failure(spec_a, spec_b, wg_fn):
@@ -98,8 +98,7 @@ def _triple_route_failure(spec_a, spec_b, wg_fn):
     return None
 
 
-def verify_convolution(seed: int = DEFAULT_SEED, d4_pairs: int = 50,
-                       wg_fn=weingarten) -> list:
+def verify_convolution(seed: int = DEFAULT_SEED, wg_fn=weingarten) -> list:
     """Triple-route equality (and odd-k vanishing) over the spectra grids."""
     results = []
     start = time.monotonic()
@@ -117,10 +116,10 @@ def verify_convolution(seed: int = DEFAULT_SEED, d4_pairs: int = 50,
 
     # Drawn up front, so the d=5..7 pairs do not depend on where the d=4
     # row stopped.
-    sampled = [(draw(4), draw(4)) for _ in range(d4_pairs)]
+    sampled = [(draw(4), draw(4)) for _ in range(50)]
     larger = [(draw(d), draw(d)) for d in (5, 6, 7)]
     results.append(first_failure(
-        f"triple route d=4 sampled ({d4_pairs} pairs)",
+        "triple route d=4 sampled (50 pairs)",
         (_triple_route_failure(a, b, wg_fn) for a, b in sampled),
         f"seed={seed}",
     ))
@@ -172,7 +171,7 @@ def verify_flagship(mc_n: int = 200_000, seed: int = DEFAULT_SEED,
     return results
 
 
-def verify_oddk(seed: int = DEFAULT_SEED, trials: int = 25, wg_fn=weingarten) -> list:
+def verify_oddk(seed: int = DEFAULT_SEED, wg_fn=weingarten) -> list:
     """Odd coefficients vanish on every exact route, on random spectra."""
     rng = random.Random(seed)
 
@@ -194,8 +193,8 @@ def verify_oddk(seed: int = DEFAULT_SEED, trials: int = 25, wg_fn=weingarten) ->
         return None
 
     return [first_failure(
-        f"odd-k coefficients vanish ({trials} random spectra)",
-        (trial() for _ in range(trials)),
+        "odd-k coefficients vanish (25 random spectra)",
+        (trial() for _ in range(25)),
         f"seed={seed}",
     )]
 
@@ -257,8 +256,7 @@ def verify_weingarten(mc_n: int = 100_000, seed: int = DEFAULT_SEED,
     ]
 
 
-def verify_immanant(seed: int = DEFAULT_SEED, spectra_per_k: int = 20,
-                    matrices_per_n: int = 10) -> list:
+def verify_immanant(seed: int = DEFAULT_SEED) -> list:
     """Two-row closed form vs direct sums; multilinear route vs direct sums."""
     start = time.monotonic()
     rng = random.Random(seed)
@@ -280,13 +278,13 @@ def verify_immanant(seed: int = DEFAULT_SEED, spectra_per_k: int = 20,
 
     return [
         first_failure(
-            f"imm_delta_minus == immanant_direct (k<=7, {spectra_per_k} spectra each)",
-            (closed_form(k) for k in range(1, 8) for _ in range(spectra_per_k)),
+            "imm_delta_minus == immanant_direct (k<=7, 20 spectra each)",
+            (closed_form(k) for k in range(1, 8) for _ in range(20)),
             f"seed={seed}",
         ),
         first_failure(
-            f"immanant_gj == immanant_direct (n<=5, {matrices_per_n} matrices each)",
-            (multilinear(n) for n in range(1, 6) for _ in range(matrices_per_n)),
+            "immanant_gj == immanant_direct (n<=5, 10 matrices each)",
+            (multilinear(n) for n in range(1, 6) for _ in range(10)),
             f"seed={seed}",
         ),
         _runtime("immanant suite", start, 120),

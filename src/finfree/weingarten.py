@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -19,7 +19,7 @@ class ClassFunction:
     """A function on cycle types of S_k, with exact rational values."""
 
     k: int
-    values: dict = field(default_factory=dict)
+    values: dict
 
     def __post_init__(self):
         clean = {}
@@ -37,15 +37,12 @@ class ClassFunction:
 
     __hash__ = None
 
-    def to_json_dict(self, d=None) -> dict:
-        payload = {"k": self.k}
-        if d is not None:
-            payload["d"] = d
-        payload["values"] = [
+    def to_json_dict(self, d: int) -> dict:
+        values = [
             {"cycle_type": list(rho), "rational": str(v)}
             for rho, v in sorted(self.values.items(), reverse=True)
         ]
-        return payload
+        return {"k": self.k, "d": d, "values": values}
 
 
 @lru_cache(maxsize=None)
@@ -72,7 +69,7 @@ def weingarten(k: int, d: int, cap: int = PARTITION_CAP) -> ClassFunction:
     return ClassFunction(k, values)
 
 
-def integrate_moment(i, j, i2, j2, d: int, cap: int = MOMENT_CAP) -> Fraction:
+def integrate_moment(i, j, i2, j2, d: int) -> Fraction:
     """Exact Haar moment E[ u_{i1 j1} ... u_{ik jk} conj(u_{i'1 j'1}) ... ].
 
     Indices are 1-based rows i, columns j for the plain factors and i2, j2
@@ -90,8 +87,8 @@ def integrate_moment(i, j, i2, j2, d: int, cap: int = MOMENT_CAP) -> Fraction:
         return Fraction(0)
     if k == 0:
         return Fraction(1)
-    check_cap(k, cap, "moment order")
-    wg = weingarten(k, d, cap=max(k, PARTITION_CAP))
+    check_cap(k, MOMENT_CAP, "moment order")
+    wg = weingarten(k, d)
     perms = list(itertools.permutations(range(k)))
     pis = [p for p in perms if all(i[t] == i2[p[t]] for t in range(k))]
     sigmas = [s for s in perms if all(j[t] == j2[s[t]] for t in range(k))]

@@ -145,6 +145,16 @@ def test_undecodable_file_is_named(capsys, tmp_path):
     assert str(path) in line and "is not UTF-8 text" in line
 
 
+def test_overlong_int_in_file_is_named(capsys, tmp_path):
+    # valid JSON, but past Python's 4300-digit int/str limit, so json.load
+    # raises a plain ValueError rather than a JSONDecodeError
+    path = tmp_path / "big.json"
+    path.write_text("[1" + "0" * 5000 + ", 2]")
+    assert main(["commutator", str(path), str(path)]) == 2
+    line = _assert_one_error_line(capsys)
+    assert str(path) in line and "4300 digits" in line
+
+
 # Each library refusal that main reports as exit 2, by command; {p3} is a
 # cubic and {p}, {m} a quadratic and a 3 x 3 matrix.
 REFUSED_ARGUMENTS = [

@@ -1,5 +1,5 @@
 """Every top-level function and class of finfree, and every method, has a
-caller in the package.
+caller in the package, and every parameter with a default a call that sets it.
 
 A top-level definition counts as used when some module of src/finfree other
 than __init__.py names it (a Name or an Attribute node) outside the
@@ -9,6 +9,12 @@ reference `C.m`, where C names a package class, counts only for C, and any
 other `obj.m` counts for every class that defines m. Re-exports in
 __init__.py and calls from the tests do not count, so a name that only the
 tests reach shows up here and gets deleted or allowed below with its reason.
+
+A parameter with a default is a setting, and it counts as used when a call
+in such a module that names its function (`f(...)` or `obj.f(...)`; a class
+name for its __init__ or __new__) passes it, by keyword or by position,
+outside the function's own body. A parameter nothing passes gets deleted,
+and a guard it overrode keeps its fixed limit.
 """
 
 import ast
@@ -86,6 +92,102 @@ def _orphan_methods(sources: dict) -> set:
     return orphans
 
 
+# (module, function, parameter) kept with no call in the package that passes
+# it by name, and why
+FUNC_VARIABLE = "cli passes --cap-n or --cap-k through its `func` variable"
+ALLOWED_PARAMETERS = {
+    ("cli", "main", "argv"): "the tests and perfbench call main(argv) in-process",
+    ("immanants", "immanant_direct", "cap"): FUNC_VARIABLE,
+    ("immanants", "immanant_gj", "cap"): FUNC_VARIABLE,
+    ("partitions", "kostka", "cap"): FUNC_VARIABLE,
+    ("symgroup", "inverse_kostka", "cap"): FUNC_VARIABLE,
+    ("partitions", "semistandard_tableaux", "max_entry"):
+        "the tests count tableaux with it to check schur_principal",
+    ("montecarlo", "mc_charpoly", "mode"):
+        "the only Monte Carlo reference of the tests for boxplus and boxtimes",
+    ("montecarlo", "mc_conjugation_mean", "chunk_size"):
+        "a test puts the NaN fault in chunk 2 with it",
+    **{
+        ("verify", suite, parameter): "cli passes it through run_suites(**overrides)"
+        for suite, parameters in {
+            "verify_convolution": ("seed", "wg_fn"),
+            "verify_flagship": ("mc_n", "seed", "wg_fn"),
+            "verify_oddk": ("seed", "wg_fn"),
+            "verify_weingarten": ("mc_n", "seed", "wg_fn"),
+            "verify_immanant": ("seed",),
+            "verify_identities": ("seed",),
+            "verify_haar": ("mc_n", "seed"),
+        }.items()
+        for parameter in parameters
+    },
+}
+
+
+def _settings(node, method: bool) -> list:
+    """(parameter, position) of each parameter of the def `node` that has a
+    default. position counts the arguments a call passes before it, without
+    a method's self or cls, and is None for a keyword-only parameter."""
+    args = node.args
+    positional = [*args.posonlyargs, *args.args]
+    first = len(positional) - len(args.defaults)
+    return [
+        (arg.arg, i - method) for i, arg in enumerate(positional) if i >= first
+    ] + [
+        (arg.arg, None) for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+        if default is not None
+    ]
+
+
+def _passes(call, parameter, position) -> bool:
+    """The call may pass the parameter: by keyword, through **mapping, by
+    position, or through *args."""
+    if any(kw.arg in (parameter, None) for kw in call.keywords):
+        return True
+    return position is not None and (
+        len(call.args) > position
+        or any(isinstance(arg, ast.Starred) for arg in call.args)
+    )
+
+
+def _orphan_parameters(sources: dict) -> set:
+    """(module, function, parameter) of each default no other call passes."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    calls = {}  # called name -> [(module, Call)]
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else func.attr
+                calls.setdefault(name, []).append((module, node))
+    orphans = set()
+    for module, tree in trees.items():
+        owners = {}  # def -> its class, for methods
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                owners.update((node, cls) for node in cls.body if isinstance(node, FUNCTIONS))
+        for node in ast.walk(tree):
+            if not isinstance(node, FUNCTIONS):
+                continue
+            cls = owners.get(node)
+            names = [node.name]
+            if cls and node.name in ("__init__", "__new__"):
+                names.append(cls.name)
+            method = cls is not None and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list
+            )
+            reaching = [
+                call
+                for name in names
+                for where, call in calls.get(name, ())
+                if not (where == module and node.lineno <= call.lineno <= node.end_lineno)
+            ]
+            for parameter, position in _settings(node, method):
+                if not any(_passes(call, parameter, position) for call in reaching):
+                    qualified = f"{cls.name}.{node.name}" if cls else node.name
+                    orphans.add((module, qualified, parameter))
+    return orphans
+
+
 def _package_sources() -> dict:
     return {
         path.stem: path.read_text()
@@ -102,6 +204,16 @@ def test_no_orphan_symbols():
 def test_no_orphan_methods():
     orphans = _orphan_methods(_package_sources())
     assert not orphans, f"methods never used in the package: {sorted(orphans)}"
+
+
+def test_no_orphan_parameters():
+    orphans = _orphan_parameters(_package_sources()) - set(ALLOWED_PARAMETERS)
+    assert not orphans, f"parameters no call in the package passes: {sorted(orphans)}"
+
+
+def test_allowed_parameters_exist():
+    orphans = _orphan_parameters(_package_sources())
+    assert set(ALLOWED_PARAMETERS) <= orphans, set(ALLOWED_PARAMETERS) - orphans
 
 
 def test_allowed_symbols_exist():
@@ -137,3 +249,22 @@ def test_scan_finds_an_orphan_method():
     }
     # Used.load reaches only Used; obj.size reaches every class with a size
     assert _orphan_methods(sources) == {("a", "Used.walk"), ("a", "Unused.load")}
+
+
+def test_scan_finds_an_orphan_parameter():
+    defs = (
+        "def f(x, by_position=1, by_keyword=2, unset=3, *, only_keyword=4):\n"
+        "    return f(x, 0, 0, 0, only_keyword=0)\n\n"
+        "class C:\n"
+        "    def __init__(self, width=1):\n        pass\n\n"
+        "    def m(self, step=1, spare=2):\n        return self.m(step, spare)\n"
+    )
+    calls = "from .a import C, f\n\ndef main(obj):\n    return {}\n"
+    # recursion does not count; C(4) reaches __init__ and obj.m(5) reaches step
+    named = calls.format("f(1, 2, by_keyword=3), C(4), obj.m(5)")
+    assert _orphan_parameters({"a": defs, "b": named}) == {
+        ("a", "f", "unset"), ("a", "f", "only_keyword"), ("a", "C.m", "spare"),
+    }
+    # *args may pass any positional parameter, and **mapping any parameter
+    unpacked = calls.format("f(*obj), f(**obj), C(4), obj.m(5)")
+    assert _orphan_parameters({"a": defs, "b": unpacked}) == {("a", "C.m", "spare")}

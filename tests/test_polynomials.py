@@ -12,10 +12,10 @@ from finfree.polynomials import (
     boxtimes,
     commutator_coefficient,
     commutator_poly,
-    falling,
     low_product,
     z_poly,
 )
+from finfree.oracle import falling
 from finfree.symfunc import elementary_symmetric
 
 rational_st = st.fractions(min_value=-4, max_value=4, max_denominator=3)
