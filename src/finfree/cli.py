@@ -68,10 +68,34 @@ def _emit(payload, fmt: str, pretty_lines):
             print(line)
 
 
+def _digits(n: int) -> int:
+    """Decimal digits of |n|, counted without converting n to a string."""
+    n = abs(n)
+    estimate = int(n.bit_length() * 0.30102999566398120) + 1  # true count or one more
+    return estimate if n >= 10 ** (estimate - 1) or n == 0 else estimate - 1
+
+
+def _too_long(poly: MonicPoly):
+    """Name the first coefficient whose digits pass Python's int/str limit,
+    or None if none does."""
+    limit = sys.get_int_max_str_digits()
+    for k, v in enumerate(poly.a):
+        digits = max(_digits(v.numerator), _digits(v.denominator))
+        if limit and digits > limit:
+            return (
+                f"result coefficient a_{k} has {digits} digits, past Python's "
+                f"{limit}-digit limit for int/str conversion"
+            )
+    return None
+
+
 def _rendered(poly: MonicPoly, **head) -> tuple:
     """(JSON payload, pretty lines) of a polynomial result, rendered once;
     `head` holds the payload's other keys."""
-    text, doc = poly.pretty(), poly.to_json_dict()
+    try:
+        text, doc = poly.pretty(), poly.to_json_dict()
+    except ValueError as exc:  # a coefficient past Python's int/str digit limit
+        raise InputError(_too_long(poly) or str(exc)) from exc
     return {**head, "pretty": text, "result": doc}, [text, f"a = {doc['a']}"]
 
 

@@ -223,6 +223,19 @@ def _kostka_cached(lam: tuple, mu: tuple) -> int:
     return sum(1 for _ in semistandard_tableaux(lam, weight=mu))
 
 
+@lru_cache(maxsize=None)
+def kostka_rows(k: int) -> dict:
+    """{lam: {mu: K_lam,mu}} over the partitions of k, in partitions_of order.
+
+    Row lam holds the mu that lam dominates; every other Kostka number is 0.
+    """
+    parts = partitions_of(k)
+    return {
+        lam: {mu: _kostka_cached(lam, mu) for mu in parts if dominance_leq(mu, lam)}
+        for lam in parts
+    }
+
+
 def kostka(lam, mu, cap: int = PARTITION_CAP) -> int:
     """Number of SSYT of shape lam and weight mu."""
     lam, mu = Partition(lam), Partition(mu)

@@ -1,47 +1,110 @@
 """Monic polynomials and their finite free convolutions.
 
-A degree-d monic polynomial is stored by its unsigned coefficient vector
-(a_0, ..., a_d) with a_0 = 1, standing for
+A degree-d monic polynomial
 
-    sum_k x^(d-k) (-1)^k a_k,
+    sum_k x^(d-k) (-1)^k a_k,    a_0 = 1,
 
-so a_k is the k-th elementary symmetric function of the roots and the
-alternating signs appear only on display and evaluation.
+has the unsigned coefficients a_k, the elementary symmetric functions of
+its roots; the alternating signs appear only on display. It is stored in
+the normalized coefficients c_k = a_k (d-k)!/d! of Marcus, Spielman and
+Srivastava, as integers over one denominator: c_k = nums[k]/den, with
+den > 0 and gcd(den, *nums) = 1. That form is unique, so equality and
+hashing are exact. In it the additive convolution is a plain polynomial
+product and the multiplicative one is c_k = c^p_k c^q_k k!, so every
+convolution runs on ints. The reduced rationals a_k are formed once, on
+demand, for display.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from functools import cached_property
+from math import gcd
 
-from .symfunc import as_spectrum, cross_sum, elementary_symmetric
-from .util import clear_denominators, factorials, to_fraction
+from .symfunc import as_spectrum, cross_sum, scaled_elementary
+from .util import (
+    DEGREE_CAP,
+    check_cap,
+    clear_denominators,
+    factorials,
+    signed_slots,
+    slot_bytes,
+    to_fraction,
+)
 
 
-@dataclass(frozen=True)
+def _check_degree(d: int):
+    if d < 1:
+        raise ValueError("degree must be at least 1")
+    check_cap(d, DEGREE_CAP, "polynomial degree")
+
+
+@dataclass(frozen=True, init=False)
 class MonicPoly:
-    a: tuple
+    den: int
+    nums: tuple
 
-    def __post_init__(self):
-        a = tuple(to_fraction(v) for v in self.a)
-        if len(a) < 2:
-            raise ValueError("degree must be at least 1")
+    def __init__(self, a):
+        """The polynomial with unsigned coefficients a: rationals, a_0 = 1."""
+        a = tuple(to_fraction(v) for v in a)
+        d = len(a) - 1
+        _check_degree(d)
         if a[0] != 1:
             raise ValueError(f"leading coefficient must be 1, got {a[0]}")
-        object.__setattr__(self, "a", a)
+        fact = factorials(d)
+        scale, ints = clear_denominators(a)
+        self._settle(scale * fact[d], [v * fact[d - k] for k, v in enumerate(ints)])
+
+    def _settle(self, den: int, nums) -> "MonicPoly":
+        """Store c_k = nums[k]/den with the common content divided out."""
+        g = gcd(den, *nums)
+        if g != 1:
+            den, nums = den // g, [v // g for v in nums]
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", tuple(nums))
+        return self
+
+    @classmethod
+    def _normalized(cls, den: int, nums) -> "MonicPoly":
+        """The polynomial with c_k = nums[k]/den (den > 0, nums[0] = den)."""
+        return object.__new__(cls)._settle(den, nums)
 
     @property
     def degree(self) -> int:
-        return len(self.a) - 1
+        return len(self.nums) - 1
+
+    @cached_property
+    def a(self) -> tuple:
+        """The unsigned coefficients a_k = c_k d!/(d-k)!, as reduced Fractions."""
+        d, out, falling = self.degree, [], 1
+        for k, v in enumerate(self.nums):
+            out.append(Fraction(v * falling, self.den))
+            falling *= d - k
+        return tuple(out)
 
     @classmethod
     def from_spectrum(cls, values) -> "MonicPoly":
-        """Monic polynomial with the given roots."""
-        return cls(elementary_symmetric(as_spectrum(values)))
+        """Monic polynomial with the given roots.
+
+        With (L, E) from scaled_elementary, E_k = L^k e_k, the normalized
+        c_k = e_k (d-k)!/d! is E_k L^(d-k) (d-k)! over L^d d!.
+        """
+        spec = as_spectrum(values)
+        d = len(spec)
+        _check_degree(d)
+        scale, e = scaled_elementary(spec)
+        fact = factorials(d)
+        nums, power = [0] * (d + 1), 1
+        for k in range(d, -1, -1):
+            nums[k] = e[k] * power * fact[d - k]
+            power *= scale
+        return cls._normalized(nums[0], nums)
 
     def negate_roots(self) -> "MonicPoly":
-        return MonicPoly(tuple(-v if k % 2 else v for k, v in enumerate(self.a)))
+        return MonicPoly._normalized(
+            self.den, [-v if k % 2 else v for k, v in enumerate(self.nums)]
+        )
 
     def pretty(self) -> str:
         """The displayed polynomial, e.g. "x^3 - 3/2*x + 1".
@@ -73,7 +136,7 @@ class MonicPoly:
     def from_json_dict(cls, payload) -> "MonicPoly":
         if not isinstance(payload["a"], list):
             raise TypeError(f"'a' must be a list, got {payload['a']!r}")
-        poly = cls(tuple(to_fraction(v) for v in payload["a"]))
+        poly = cls(payload["a"])
         degree = payload.get("d", poly.degree)
         if isinstance(degree, bool) or not isinstance(degree, int):
             raise TypeError(f"'d' must be an int, got {degree!r}")
@@ -100,112 +163,81 @@ def low_product(f, g, n: int) -> list:
 
     Kronecker substitution: both coefficient lists are packed into one big
     int each, in slots wide enough for any product coefficient, so a single
-    big-int product does the whole convolution. The slot width is a whole
-    number of bytes, and the signed digits are read back in one pass by
-    biasing every slot by half its range, which leaves no borrows to carry.
-    Passing the same list as f and g squares it.
+    big-int product does the whole convolution, and util.signed_slots reads
+    the coefficients back. Passing the same list as f and g squares it.
     """
     if n < 1:
         return []
     bound = min(n, len(f), len(g)) * max(1, *map(abs, f)) * max(1, *map(abs, g))
-    nbytes = (bound.bit_length() + 1 + 7) // 8
-    half = 1 << (8 * nbytes - 1)
-    bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * n, "little")
-    width = 8 * nbytes * n
+    nbytes = slot_bytes(bound)
     if g is f:
         # one operand, so the big-int product takes its squaring path
         packed = _pack(f, nbytes)
         packed *= packed
     else:
         packed = _pack(f, nbytes) * _pack(g, nbytes)
-    raw = ((packed + bias) & ((1 << width) - 1)).to_bytes(nbytes * n, "little")
-    return [
-        int.from_bytes(raw[i : i + nbytes], "little") - half
-        for i in range(0, nbytes * n, nbytes)
-    ]
-
-
-def _cleared(poly: MonicPoly, fact: list) -> tuple:
-    """(D, [P_0, ..., P_d]) with P_i = a_i D (d-i)! and D the lcm of the
-    denominators: the normalized coefficients a_i (d-i)!/d! times D d!."""
-    d = poly.degree
-    den, ints = clear_denominators(poly.a)
-    return den, [v * fact[d - i] for i, v in enumerate(ints)]
+    return signed_slots(packed, nbytes, n)
 
 
 def boxplus(p: MonicPoly, q: MonicPoly) -> MonicPoly:
     """Additive convolution: expected polynomial of A + UBU*.
 
-    In the normalized coefficients a_k (d-k)!/d! the convolution is the
-    plain polynomial product (Marcus-Spielman-Srivastava). Both inputs are
-    cleared to integers P_i = a_i D (d-i)!, with D the lcm of their
-    denominators, multiplied once, and each output is one ratio
-    R_k / (D_p D_q d! (d-k)!).
+    In the normalized coefficients the convolution is the plain polynomial
+    product (Marcus-Spielman-Srivastava): the numerators are multiplied
+    once over the product of the denominators.
     """
     d = _common_degree(p, q)
-    fact = factorials(d)
-    dp, pa = _cleared(p, fact)
-    dq, qa = _cleared(q, fact)
-    r = low_product(pa, qa, d + 1)
-    scale = dp * dq * fact[d]
-    return MonicPoly(tuple(Fraction(r[k], scale * fact[d - k]) for k in range(d + 1)))
+    return MonicPoly._normalized(p.den * q.den, low_product(p.nums, q.nums, d + 1))
 
 
 def boxminus(p: MonicPoly, q: MonicPoly) -> MonicPoly:
     """Subtractive convolution: expected polynomial of A - UBU*.
 
-    For q == p this is f(x) f(-x) with f = sum P_i x^i in the cleared basis
-    of boxplus. Writing f = E(x^2) + x O(x^2) gives E(x^2)^2 - x^2 O(x^2)^2:
-    two squares of half the length, and every odd coefficient exactly 0
-    (A - UAU* has the law of its negative). Otherwise it is boxplus with
-    the roots of q negated.
+    For q == p this is f(x) f(-x) with f = sum nums_i x^i, over den^2.
+    Writing f = E(x^2) + x O(x^2) gives E(x^2)^2 - x^2 O(x^2)^2: two squares
+    of half the length, and every odd coefficient exactly 0 (A - UAU* has
+    the law of its negative). Otherwise it is boxplus with the roots of q
+    negated.
     """
     if p != q:
         return boxplus(p, q.negate_roots())
-    d = p.degree
-    fact = factorials(d)
-    den, pa = _cleared(p, fact)
-    half = d // 2
-    even, odd = pa[0::2], pa[1::2]
+    half = p.degree // 2
+    even, odd = p.nums[0::2], p.nums[1::2]
     e = low_product(even, even, half + 1)
     o = [0] + low_product(odd, odd, half)
-    scale = den * den * fact[d]
-    a = [Fraction(0)] * (d + 1)
-    for m in range(half + 1):
-        a[2 * m] = Fraction(e[m] - o[m], scale * fact[d - 2 * m])
-    return MonicPoly(tuple(a))
+    nums = [0] * (p.degree + 1)
+    nums[0::2] = [u - v for u, v in zip(e, o)]
+    return MonicPoly._normalized(p.den * p.den, nums)
 
 
 def boxtimes(p: MonicPoly, q: MonicPoly) -> MonicPoly:
     """Multiplicative convolution: expected polynomial of A UBU*.
 
-    a_k = p_k q_k / C(d, k), formed from the numerators and denominators as
-    one integer ratio.
+    a_k = p_k q_k / C(d, k), which in the normalized coefficients is
+    c_k = c^p_k c^q_k k!.
     """
     d = _common_degree(p, q)
-    return MonicPoly(tuple(
-        Fraction(u.numerator * v.numerator, u.denominator * v.denominator * comb(d, k))
-        for k, (u, v) in enumerate(zip(p.a, q.a))
-    ))
+    return MonicPoly._normalized(
+        p.den * q.den, [u * v * f for u, v, f in zip(p.nums, q.nums, factorials(d))]
+    )
 
 
 def z_poly(d: int) -> MonicPoly:
     """The degree-d commutator kernel polynomial (even coefficients only).
 
     a_2m = C(d, 2m) (d)_m m!/(2m)! (d+1-m)/(d+1), with (d)_m = d!/(d-m)!
-    the falling factorial, taken as one integer ratio.
+    the falling factorial; normalized, c_2m = (d)_m m! (d+1-m) over
+    (2m)!^2 (d+1), put on the common denominator (2h)!^2 (d+1), h = d // 2.
     """
-    if d < 1:
-        raise ValueError("degree must be at least 1")
+    _check_degree(d)
     fact = factorials(d)
-    a = [Fraction(0)] * (d + 1)
-    a[0] = Fraction(1)
-    for m in range(1, d // 2 + 1):
-        a[2 * m] = Fraction(
-            comb(d, 2 * m) * fact[d] * fact[m] * (d + 1 - m),
-            fact[d - m] * fact[2 * m] * (d + 1),
+    top = fact[2 * (d // 2)]
+    nums = [0] * (d + 1)
+    for m in range(d // 2 + 1):
+        nums[2 * m] = (
+            fact[d] // fact[d - m] * fact[m] * (d + 1 - m) * (top // fact[2 * m]) ** 2
         )
-    return MonicPoly(tuple(a))
+    return MonicPoly._normalized((d + 1) * top * top, nums)
 
 
 def commutator_poly(p: MonicPoly, q: MonicPoly) -> MonicPoly:

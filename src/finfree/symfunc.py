@@ -15,11 +15,19 @@ from .partitions import (
     Partition,
     distinct_permutations,
     partitions_of,
-    kostka,
+    kostka_rows,
     hooks_and_contents,
 )
 from .symgroup import dim_irrep, inverse_kostka
-from .util import PARTITION_CAP, check_cap, clear_denominators, factorials, to_fraction
+from .util import (
+    PARTITION_CAP,
+    check_cap,
+    clear_denominators,
+    factorials,
+    signed_slots,
+    slot_bytes,
+    to_fraction,
+)
 
 
 def as_spectrum(values) -> tuple:
@@ -33,15 +41,18 @@ def as_spectrum(values) -> tuple:
 def scaled_elementary(x) -> tuple:
     """(L, E) with L the lcm of the denominators and E_k = L^k e_k(x) in ints.
 
-    The values are scaled by L to integers, and the one-pass product
-    recurrence runs on those.
+    x holds ints or Fractions. With v_i = L x_i, prod (1 + v_i t) is
+    evaluated at t = 2^w by shift-and-add on one big int (Kronecker
+    substitution), and E is read back from its base-2^w digits. Every |E_k|
+    is at most prod (1 + |v_i|), which sizes the slots.
     """
-    scale, ints = clear_denominators([to_fraction(v) for v in x])
-    e = [1] + [0] * len(ints)
-    for i, v in enumerate(ints):
-        for j in range(i + 1, 0, -1):
-            e[j] += v * e[j - 1]
-    return scale, e
+    scale, ints = clear_denominators(x)
+    nbytes = slot_bytes(prod(1 + abs(v) for v in ints))
+    shift = 8 * nbytes
+    packed = 1
+    for v in ints:
+        packed += (packed * v) << shift
+    return scale, signed_slots(packed, nbytes, len(ints) + 1)
 
 
 def cross_sum(x, k: int) -> Fraction:
@@ -52,7 +63,7 @@ def cross_sum(x, k: int) -> Fraction:
     c(x) c(-x): zero for odd k, and (d!)^2 at k = 0. The sum runs on the
     integers E_i = L^i e_i and is divided by L^k once.
     """
-    scale, e = scaled_elementary(x)
+    scale, e = scaled_elementary([to_fraction(v) for v in x])
     d = len(e) - 1
     if not 0 <= k <= d:
         raise ValueError(f"need 0 <= k <= {d}, got k={k}")
@@ -65,8 +76,8 @@ def cross_sum(x, k: int) -> Fraction:
 
 
 def elementary_symmetric(x) -> tuple:
-    """e_0..e_d of the values, by the one-pass product recurrence."""
-    scale, e = scaled_elementary(x)
+    """e_0..e_d of the values, from scaled_elementary."""
+    scale, e = scaled_elementary([to_fraction(v) for v in x])
     return tuple(Fraction(v, scale**k) for k, v in enumerate(e))
 
 
@@ -121,33 +132,37 @@ def eval_quasisym(comp, x) -> Fraction:
 
 
 def e_to_m(lam) -> dict:
-    """e_lam in the monomial basis: {mu: nonzero int coefficient of m_mu}."""
+    """e_lam in the monomial basis: {mu: nonzero int coefficient of m_mu}.
+
+    The coefficient is sum_nu K_nu,lam K_nu',mu, read from kostka_rows.
+    """
     lam = Partition(lam)
     k = lam.size
     check_cap(k, PARTITION_CAP, "transition degree")
-    parts = partitions_of(k)
-    coeffs = {}
-    for mu in parts:
-        total = sum(
-            kostka(nu, lam) * kostka(nu.transpose(), mu) for nu in parts
-        )
-        if total:
-            coeffs[mu] = total
-    return coeffs
+    rows = kostka_rows(k)
+    totals = dict.fromkeys(rows, 0)
+    for nu, row in rows.items():
+        outer = row.get(lam)
+        if outer:
+            for mu, inner in rows[nu.transpose()].items():
+                totals[mu] += outer * inner
+    return {mu: total for mu, total in totals.items() if total}
 
 
 def m_to_e(lam) -> dict:
-    """m_lam in the elementary basis: {mu: nonzero int coefficient of e_mu}."""
+    """m_lam in the elementary basis: {mu: nonzero int coefficient of e_mu}.
+
+    The coefficient is sum_nu K^-1_lam,nu' K^-1_mu,nu, over the nu whose
+    first factor is nonzero.
+    """
     lam = Partition(lam)
     k = lam.size
     check_cap(k, PARTITION_CAP, "transition degree")
     parts = partitions_of(k)
+    outer = [(nu, x) for nu in parts if (x := inverse_kostka(lam, nu.transpose()))]
     coeffs = {}
     for mu in parts:
-        total = sum(
-            inverse_kostka(lam, nu.transpose()) * inverse_kostka(mu, nu)
-            for nu in parts
-        )
+        total = sum(x * inverse_kostka(mu, nu) for nu, x in outer)
         if total:
             coeffs[mu] = total
     return coeffs

@@ -11,6 +11,7 @@ from math import factorial, prod
 from .partitions import (
     Partition,
     kostka,
+    kostka_rows,
     partitions_of,
     set_partitions_of_type,
     count_set_partitions_of_type,
@@ -137,9 +138,10 @@ def _inverse_kostka_matrix(k: int) -> dict:
     # The Kostka matrix is unitriangular in decreasing lex order (which
     # refines dominance), so its inverse is integral and computable by
     # back substitution.
-    parts = partitions_of(k)
+    rows = kostka_rows(k)
+    parts = list(rows)
     n = len(parts)
-    K = [[kostka(parts[i], parts[j]) for j in range(n)] for i in range(n)]
+    K = [[rows[lam].get(mu, 0) for mu in parts] for lam in parts]
     X = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for width in range(1, n):
         for i in range(n - width):

@@ -1,19 +1,22 @@
-"""Shared plumbing: enumeration caps, exact-rational coercion, denominator
-clearing, factorials."""
+"""Shared plumbing: size caps, exact-rational coercion, denominator
+clearing, factorials, signed big-int slots."""
 
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-# Limits of the enumeration guards. Partition and tableau searches grow
-# super-polynomially and set partitions grow like Bell numbers. A guard whose
-# function takes a `cap` argument (one the CLI's --cap-k or --cap-n reaches)
-# defaults to PARTITION_CAP or IMMANANT_CAP; every other guard is fixed.
+# Limits of the size guards. Partition and tableau searches grow
+# super-polynomially and set partitions grow like Bell numbers; the exact
+# commutator costs about ten times more per doubling of the degree. A guard
+# whose function takes a `cap` argument (one the CLI's --cap-k or --cap-n
+# reaches) defaults to PARTITION_CAP or IMMANANT_CAP; every other guard is
+# fixed.
 PARTITION_CAP = 10
 SET_PARTITION_CAP = 8
 MOMENT_CAP = 6
 DIMENSION_CAP = 7
 IMMANANT_CAP = 9
+DEGREE_CAP = 1000  # polynomial degree and spectrum length
 
 MC_CHUNK_SIZE = 4096  # Haar samples per Monte Carlo chunk, unless a caller picks another
 
@@ -63,3 +66,25 @@ def factorials(n: int) -> tuple:
     for m in range(1, n + 1):
         table.append(table[-1] * m)
     return tuple(table)
+
+
+def slot_bytes(bound: int) -> int:
+    """Bytes per slot that hold any signed int of absolute value at most bound."""
+    return (bound.bit_length() + 1 + 7) // 8
+
+
+def signed_slots(packed: int, nbytes: int, n: int) -> list:
+    """The n low digits of packed in base 2^(8 nbytes), as signed ints.
+
+    packed = sum_i c_i 2^(8 nbytes i) with every |c_i| < 2^(8 nbytes - 1),
+    for i < n (higher digits are dropped). Biasing every slot by half its
+    range leaves no borrows to carry, so the digits are read in one pass.
+    """
+    half = 1 << (8 * nbytes - 1)
+    bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * n, "little")
+    width = 8 * nbytes * n
+    raw = ((packed + bias) & ((1 << width) - 1)).to_bytes(nbytes * n, "little")
+    return [
+        int.from_bytes(raw[i : i + nbytes], "little") - half
+        for i in range(0, nbytes * n, nbytes)
+    ]

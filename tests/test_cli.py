@@ -155,11 +155,24 @@ def test_overlong_int_in_file_is_named(capsys, tmp_path):
     assert str(path) in line and "4300 digits" in line
 
 
+def test_result_past_digit_limit_names_the_coefficient(capsys, tmp_path):
+    # a 1201-digit root: the inputs print, but a_2 of the commutator has
+    # more digits than Python's 4300-digit int/str limit lets str() print
+    path = write_json(tmp_path, "big.json", ["1" + "0" * 1200, 2, 3, 4])
+    assert main(["commutator", path, path]) == 2
+    line = _assert_one_error_line(capsys)
+    assert "result coefficient a_2 has 4801 digits" in line and "4300" in line
+
+
 # Each library refusal that main reports as exit 2, by command; {p3} is a
-# cubic and {p}, {m} a quadratic and a 3 x 3 matrix.
+# cubic, {p}, {m} a quadratic and a 3 x 3 matrix, and {p1001}, {s1001} a
+# polynomial and a spectrum one past the degree cap.
 REFUSED_ARGUMENTS = [
     ["conv", "add", "{p}", "{p3}"],
     ["zpoly", "--d", "0"],
+    ["zpoly", "--d", "100000000"],
+    ["conv", "mul", "{p1001}", "{p1001}"],
+    ["commutator", "{s1001}", "{s1001}"],
     ["weingarten", "--k", "11", "--d", "3"],
     ["immanant", "--shape", "2,2", "{m}"],
     ["character", "--k", "11"],
@@ -174,6 +187,8 @@ def test_library_refusals_exit_2_with_one_error_line(capsys, tmp_path, argv):
         "{p}": write_json(tmp_path, "p.json", {"d": 2, "a": ["1", "0", "-1"]}),
         "{p3}": write_json(tmp_path, "p3.json", {"d": 3, "a": ["1", "0", "0", "1"]}),
         "{m}": write_json(tmp_path, "m.json", [[1, 2, 3], [4, 5, 6], [7, 8, 9]]),
+        "{p1001}": write_json(tmp_path, "p1001.json", {"d": 1001, "a": [1] + [0] * 1001}),
+        "{s1001}": write_json(tmp_path, "s1001.json", [1] * 1001),
     }
     assert main([files.get(arg, arg) for arg in argv]) == 2
     _assert_one_error_line(capsys)
@@ -474,8 +489,8 @@ def test_entry_point_runs():
 # Generated argv for the commands that never sample. Files hold spectra,
 # polynomial documents or junk, or are missing; values include bad flags,
 # huge ints and unparsable text. A huge int goes only where a cap or a size
-# check meets it, or where it is a parameter (the d of Wg), never to a
-# polynomial degree, which no cap guards yet.
+# check meets it, or where it is a parameter (the d of Wg). Polynomial
+# degrees and spectrum lengths reach past the degree cap.
 _HUGE = str(10**23)
 _SMALL_RATIONAL = st.one_of(st.integers(-9, 9), st.sampled_from(["1/2", "-7/3", "0/5"]))
 _FUZZ_DOCUMENT = st.one_of(
@@ -486,7 +501,7 @@ _FUZZ_DOCUMENT = st.one_of(
     st.sampled_from([
         [True, False], [[1, 2], [3]], ["1/0"], [10**400, 1], [0.5, 1], [], {},
         None, "1/2", {"a": "13"}, {"d": True, "a": [1, 2]}, {"d": 2, "a": [2, 0, 1]},
-        {"d": 1, "a": ["1", "1/0"]},
+        {"d": 1, "a": ["1", "1/0"]}, [1] * 1001, {"d": 1001, "a": [1] + [0] * 1001},
     ]),
 )
 # bytes are a file's contents, None a path that does not exist; a JSON
@@ -498,7 +513,9 @@ _FUZZ_FILE = st.one_of(
     st.sampled_from([b"", b"\xff\xfe[1]", b"[1, 2", ("[" + "7" * 5000 + "]").encode()]),
     st.none(),
 )
-_DEGREE_TEXT = st.one_of(st.integers(-2, 8).map(str), st.sampled_from(["x", "", "1.5"]))
+_DEGREE_TEXT = st.one_of(
+    st.integers(-2, 8).map(str), st.sampled_from(["x", "", "1.5", "1001", "100000000"]),
+)
 _K_TEXT = st.one_of(st.integers(-2, 6).map(str), st.sampled_from(["x", _HUGE]))
 _PARTITION_TEXT = st.one_of(
     st.lists(st.integers(-1, 2), max_size=3).map(lambda parts: ",".join(map(str, parts))),
@@ -509,7 +526,10 @@ _CAP_TEXT = st.sampled_from(["-1", "0", "6", "12"])
 _FUZZ_OPTIONS = {
     "conv": {"--format": st.sampled_from(["json", "pretty", "xml"])},
     "commutator": {"--format": st.sampled_from(["json", "pretty"])},
-    "zpoly": {"--d": _DEGREE_TEXT, "--format": st.sampled_from(["json", "pretty"])},
+    "zpoly": {
+        "--d": st.one_of(_DEGREE_TEXT, st.just(_HUGE)),
+        "--format": st.sampled_from(["json", "pretty"]),
+    },
     "weingarten": {
         "--k": _K_TEXT, "--d": st.one_of(_DEGREE_TEXT, st.just(_HUGE)), "--cap-k": _CAP_TEXT,
     },

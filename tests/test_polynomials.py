@@ -1,6 +1,6 @@
 import itertools
 from fractions import Fraction
-from math import comb, factorial, isqrt, prod
+from math import comb, factorial, gcd, isqrt, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -346,8 +346,40 @@ def test_self_boxminus_matches_definition(p):
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(big_rational_st, min_size=1, max_size=12))
+# the Kronecker slots of scaled_elementary are sized from prod(1 + |v_i|):
+# all zeros, one value at a byte edge, equal-size mixed signs, 400 digits
+@example([Fraction(0)] * 5)
+@example([Fraction(127)])
+@example([Fraction(-126)])
+@example([Fraction(255), Fraction(-255), Fraction(255), Fraction(-255)])
+@example([Fraction(-(10**6), 7), Fraction(10**6, 7), Fraction(-(10**6), 7)])
+@example([Fraction(10**399 + 7), Fraction(-3, 2), Fraction(-(10**399) - 7)])
 def test_elementary_symmetric_matches_definition(x):
     assert elementary_symmetric(x) == ref_elementary(x)
+
+
+def _assert_canonical(p):
+    assert p.den > 0 and p.nums[0] == p.den
+    assert gcd(p.den, *p.nums) == 1
+    for q in (MonicPoly(p.a), MonicPoly.from_json_dict(p.to_json_dict())):
+        assert q == p and hash(q) == hash(p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(self_poly_st())
+def test_coefficient_form_is_canonical(p):
+    _assert_canonical(p)
+    for r in (boxminus(p, p), boxplus(p, p), boxtimes(p, p.negate_roots())):
+        _assert_canonical(r)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(big_rational_st, min_size=1, max_size=12))
+def test_from_spectrum_is_canonical(x):
+    p = MonicPoly.from_spectrum(x)
+    _assert_canonical(p)
+    q = MonicPoly(elementary_symmetric(x))
+    assert q == p and hash(q) == hash(p)
 
 
 def ref_commutator_coefficient(k, spec_a, spec_b):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from finfree.util import (
+    DEGREE_CAP,
     MOMENT_CAP,
     PARTITION_CAP,
     SET_PARTITION_CAP,
@@ -64,7 +65,7 @@ FIXED_CAPS = {
         lambda m: m.integrate_moment((1,) * 7, (1,) * 7, (1,) * 7, (1,) * 7, 7),
         MOMENT_CAP, ("weingarten", "itertools")),
     "e_to_m": ("symfunc", lambda m: m.e_to_m((11,)),
-               PARTITION_CAP, ("partitions_of", "kostka")),
+               PARTITION_CAP, ("kostka_rows",)),
     "m_to_e": ("symfunc", lambda m: m.m_to_e((11,)),
                PARTITION_CAP, ("partitions_of", "inverse_kostka")),
     "weingarten_gram_inverse": ("oracle", lambda m: m.weingarten_gram_inverse(11, 11),
@@ -76,6 +77,13 @@ FIXED_CAPS = {
     "c_constant_bruteforce": (
         "symgroup", lambda m: m.c_constant_bruteforce((9,), (9,), tuple(range(9))),
         SET_PARTITION_CAP, ("_subgroup_cycle_types", "character")),
+    "z_poly": ("polynomials", lambda m: m.z_poly(DEGREE_CAP + 1),
+               DEGREE_CAP, ("factorials",)),
+    "MonicPoly": ("polynomials", lambda m: m.MonicPoly((1,) + (0,) * (DEGREE_CAP + 1)),
+                  DEGREE_CAP, ("factorials", "clear_denominators")),
+    "from_spectrum": (
+        "polynomials", lambda m: m.MonicPoly.from_spectrum((1,) * (DEGREE_CAP + 1)),
+        DEGREE_CAP, ("scaled_elementary", "factorials")),
     "split_chains": ("partitions", lambda m: m.split_chains(3, 1, 11),
                      PARTITION_CAP, ("itertools",)),
     "split_chain_type_count": ("partitions", lambda m: m.split_chain_type_count(11, 5, 2),
