@@ -12,7 +12,7 @@ from .immanants import as_matrix, immanant_direct, immanant_gj
 from .partitions import Partition, kostka
 from .polynomials import MonicPoly, boxminus, boxplus, boxtimes, commutator_poly, z_poly
 from .symgroup import character, character_table_json, inverse_kostka
-from .util import IMMANANT_CAP, MC_CHUNK_SIZE, PARTITION_CAP, to_fraction
+from .util import IMMANANT_CAP, PARTITION_CAP, to_fraction
 from .verify import VERIFY_GROUPS, run_suites
 from .weingarten import ClassFunction, weingarten
 
@@ -141,7 +141,7 @@ def cmd_commutator(args) -> int:
         report = mc_charpoly(
             _floats(spec_a, "a spectrum entry"),
             _floats(spec_b, "a spectrum entry"),
-            args.mc, args.seed, chunk_size=args.chunk,
+            args.mc, args.seed,
         )
         expected = dict(zip(report.labels, exact_f[1:]))
         bands_ok = not report.band_misses(expected)
@@ -303,9 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="Monte Carlo sample count (at least 2, so a band has a standard error)",
     )
     p.add_argument("--seed", type=int, help="Monte Carlo seed")
-    p.add_argument(
-        "--chunk", type=_int_at_least(1), default=MC_CHUNK_SIZE, help="samples per chunk"
-    )
     add_format(p)
     p.set_defaults(func=cmd_commutator)
 

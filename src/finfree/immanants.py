@@ -26,7 +26,7 @@ from functools import lru_cache
 from .partitions import Partition
 from .symfunc import as_spectrum, cross_sum
 from .symgroup import character, cycle_type
-from .util import IMMANANT_CAP, PARTITION_CAP, check_cap, clear_denominators, to_fraction
+from .util import IMMANANT_CAP, bareiss_det, check_cap, clear_denominators, to_fraction
 
 # Integer matrices whose class sums or principal elementaries are kept. The
 # verify suite asks for every shape of one matrix before it moves on.
@@ -89,7 +89,7 @@ def immanant_direct(lam, y, cap: int = IMMANANT_CAP) -> Fraction:
     lam, mat, scale = _checked(lam, y, cap, "immanant size")
     n = len(mat)
     total = sum(
-        character(lam, rho, cap=max(n, PARTITION_CAP)) * t
+        character(lam, rho, cap=n) * t
         for rho, t in _class_sums(mat)
     )
     return Fraction(total, scale**n)
@@ -154,34 +154,11 @@ def _principal_elementaries(mat: tuple) -> tuple:
     return tuple(out)
 
 
-def _bareiss_det(rows) -> int:
-    """Determinant of an integer matrix by fraction-free elimination (Bareiss).
-
-    Every division is exact. A zero pivot is swapped with a row below it.
-    """
-    a = [list(row) for row in rows]
-    m = len(a)
-    sign, prev = 1, 1
-    for k in range(m - 1):
-        if not a[k][k]:
-            swap = next((i for i in range(k + 1, m) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        pivot = a[k][k]
-        for i in range(k + 1, m):
-            for j in range(k + 1, m):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
-        prev = pivot
-    return sign * a[-1][-1] if m else 1
-
-
 def schur_from_elementary(lam, e) -> int:
     """Dual Jacobi-Trudi determinant det(e_{lam'_i - i + j}) of integer e_0, e_1, ..."""
     lam_t = Partition(lam).transpose()
     m = len(lam_t)
-    return _bareiss_det(
+    return bareiss_det(
         [
             [e[idx] if 0 <= idx < len(e) else 0 for idx in (lam_t[i] - i + j for j in range(m))]
             for i in range(m)

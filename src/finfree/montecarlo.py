@@ -1,14 +1,14 @@
 """Haar-unitary Monte Carlo cross-checks for the exact layer.
 
-Sampling is chunked; chunk c of a run with seed s uses the generator seeded
-by SeedSequence(entropy=s, spawn_key=(c,)), and chunk results are folded in
-index order, so a report is a pure function of (d, n, seed, chunk_size) down
-to the byte.
+Sampling is chunked: chunk c of a run with seed s draws min(MC_CHUNK_SIZE,
+samples left) unitaries from the generator seeded by
+SeedSequence(entropy=s, spawn_key=(c,)), and chunk results are folded in
+index order, so a report is a pure function of (d, n, seed) down to the byte.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -117,7 +117,7 @@ class McReport:
     d: int
     n: int
     seed: int
-    chunk_size: int
+    chunk_size: int = field(default=MC_CHUNK_SIZE, init=False)
     mode: str
     labels: list
     means: list
@@ -206,29 +206,21 @@ class _Accumulator:
         return self.sum / n, se_re, se_im
 
 
-def _iter_chunks(n: int, chunk_size: int):
-    if n < 1 or chunk_size < 1:
-        raise ValueError("need n >= 1 and chunk_size >= 1")
-    index = 0
-    done = 0
-    while done < n:
-        take = min(chunk_size, n - done)
-        yield index, take
-        index += 1
-        done += take
-
-
-def _sample(d: int, n: int, seed: int, chunk_size: int, mode: str, labels: list,
+def _sample(d: int, n: int, seed: int, mode: str, labels: list,
             statistic) -> McReport:
     """Means and standard errors of statistic(U) over n Haar samples.
 
     statistic maps a batch of unitaries (m, d, d) to per-sample values
     (m, len(labels)); batches are drawn and folded in chunk order.
     """
+    if n < 1:
+        raise ValueError("need n >= 1")
     acc = _Accumulator(len(labels))
     residuals = []
-    for index, take in _iter_chunks(n, chunk_size):
-        u, chunk_residual = haar_batch(d, take, _chunk_rng(seed, index))
+    for index, done in enumerate(range(0, n, MC_CHUNK_SIZE)):
+        u, chunk_residual = haar_batch(
+            d, min(MC_CHUNK_SIZE, n - done), _chunk_rng(seed, index)
+        )
         residuals.append(chunk_residual)
         acc.add(statistic(u))
     mean, se_re, se_im = acc.finalize()
@@ -236,7 +228,6 @@ def _sample(d: int, n: int, seed: int, chunk_size: int, mode: str, labels: list,
         d=d,
         n=n,
         seed=seed,
-        chunk_size=chunk_size,
         mode=mode,
         labels=labels,
         means=[complex(v) for v in mean],
@@ -246,8 +237,8 @@ def _sample(d: int, n: int, seed: int, chunk_size: int, mode: str, labels: list,
     )
 
 
-def mc_charpoly(spec_a, spec_b, n: int, seed: int, mode: str = "commutator",
-                chunk_size: int = MC_CHUNK_SIZE) -> McReport:
+def mc_charpoly(spec_a, spec_b, n: int, seed: int,
+                mode: str = "commutator") -> McReport:
     """Sampled means of e_1..e_d for a two-matrix word in A and UBU*.
 
     mode selects the word: 'commutator' (AT - TA), 'sum' (A + T), or
@@ -287,8 +278,7 @@ def mc_charpoly(spec_a, spec_b, n: int, seed: int, mode: str = "commutator",
                 low = high
         return _elementary_from_traces(traces)
 
-    return _sample(d, n, seed, chunk_size, mode,
-                   [f"e_{k}" for k in range(1, d + 1)], elementary)
+    return _sample(d, n, seed, mode, [f"e_{k}" for k in range(1, d + 1)], elementary)
 
 
 def mc_entry_moments(d: int, n: int, seed: int) -> McReport:
@@ -298,12 +288,10 @@ def mc_entry_moments(d: int, n: int, seed: int) -> McReport:
         sq = np.abs(u[:, 0, 0]) ** 2
         return np.stack([sq, sq**2], axis=1).astype(complex)
 
-    return _sample(d, n, seed, MC_CHUNK_SIZE, "entry_moments",
-                   ["abs_u11_sq", "abs_u11_4th"], moments)
+    return _sample(d, n, seed, "entry_moments", ["abs_u11_sq", "abs_u11_4th"], moments)
 
 
-def mc_conjugation_mean(spec_x, n: int, seed: int,
-                        chunk_size: int = MC_CHUNK_SIZE) -> McReport:
+def mc_conjugation_mean(spec_x, n: int, seed: int) -> McReport:
     """Sampled mean of U X U* entrywise, X diagonal with the given spectrum.
 
     The exact mean is (tr X / d) times the identity; the report labels are
@@ -316,7 +304,7 @@ def mc_conjugation_mean(spec_x, n: int, seed: int,
         t = (u * x[None, None, :]) @ u.conj().transpose(0, 2, 1)
         return t.reshape(len(u), d * d)
 
-    return _sample(d, n, seed, chunk_size, "conjugation",
+    return _sample(d, n, seed, "conjugation",
                    [f"entry_{i}_{j}" for i in range(1, d + 1) for j in range(1, d + 1)],
                    conjugate)
 

@@ -33,7 +33,14 @@ from .symgroup import (
     perm_sign,
 )
 from .weingarten import ClassFunction, weingarten
-from .util import DIMENSION_CAP, PARTITION_CAP, check_cap, clear_denominators, to_fraction
+from .util import (
+    DIMENSION_CAP,
+    PARTITION_CAP,
+    bareiss_det,
+    check_cap,
+    clear_denominators,
+    to_fraction,
+)
 
 
 @lru_cache(maxsize=None)
@@ -119,8 +126,9 @@ def weingarten_gram_inverse(k: int, d: int) -> ClassFunction:
     """Weingarten function recovered from its defining Gram system.
 
     Solves sum_sigma Wg(sigma) d^{cycles(sigma^-1 tau)} = [tau == id] for
-    the class function Wg, by exact rational elimination on the class-summed
-    system. Requires d >= k so the Gram matrix is invertible.
+    the class function Wg: the class-summed system has integer entries, and
+    Cramer's rule solves it by fraction-free determinants. Requires d >= k
+    so the Gram matrix is invertible.
     """
     if d < k:
         raise ValueError(f"need d >= k for an invertible system, got d={d} < k={k}")
@@ -130,43 +138,26 @@ def weingarten_gram_inverse(k: int, d: int) -> ClassFunction:
     by_class = {rho: [] for rho in classes}
     for p in perms:
         by_class[cycle_type(p)].append(p)
-    n = len(classes)
     # Row tau-class, column sigma-class; entry sums d^cycles over the
     # sigma class at one representative tau.
-    mat = []
-    rhs = []
-    ident = identity_perm(k)
-    for tau_class in classes:
-        tau = by_class[tau_class][0]
-        row = []
-        for sigma_class in classes:
-            acc = Fraction(0)
-            for sigma in by_class[sigma_class]:
-                cycles = len(cycle_type(compose(inverse_perm(sigma), tau)))
-                acc += Fraction(d) ** cycles
-            row.append(acc)
-        mat.append(row)
-        rhs.append(Fraction(1) if tau == ident else Fraction(0))
-    solution = _solve_exact(mat, rhs)
+    reps = [by_class[rho][0] for rho in classes]
+    mat = [
+        [
+            sum(d ** len(cycle_type(compose(inverse_perm(sigma), tau)))
+                for sigma in by_class[sigma_class])
+            for sigma_class in classes
+        ]
+        for tau in reps
+    ]
+    rhs = [int(tau == identity_perm(k)) for tau in reps]
+    det = bareiss_det(mat)
+    if not det:
+        raise ValueError("singular system")
+    solution = [
+        Fraction(bareiss_det([row[:j] + [b] + row[j + 1:] for row, b in zip(mat, rhs)]), det)
+        for j in range(len(classes))
+    ]
     return ClassFunction(k, dict(zip(classes, solution)))
-
-
-def _solve_exact(mat, rhs):
-    """Gaussian elimination over Fractions with partial pivoting by nonzero."""
-    n = len(mat)
-    m = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular system")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [v * inv for v in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
 
 
 def gram_identity_residual(k: int, d: int, wg_fn=weingarten) -> Fraction:

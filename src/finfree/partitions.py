@@ -228,8 +228,9 @@ def kostka_rows(k: int) -> dict:
     """{lam: {mu: K_lam,mu}} over the partitions of k, in partitions_of order.
 
     Row lam holds the mu that lam dominates; every other Kostka number is 0.
+    The caller checks k against its own cap.
     """
-    parts = partitions_of(k)
+    parts = partitions_of(k, cap=k)
     return {
         lam: {mu: _kostka_cached(lam, mu) for mu in parts if dominance_leq(mu, lam)}
         for lam in parts

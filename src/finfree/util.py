@@ -1,5 +1,5 @@
 """Shared plumbing: size caps, exact-rational coercion, denominator
-clearing, factorials, signed big-int slots."""
+clearing, factorials, integer determinants, signed big-int slots."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -18,7 +18,7 @@ DIMENSION_CAP = 7
 IMMANANT_CAP = 9
 DEGREE_CAP = 1000  # polynomial degree and spectrum length
 
-MC_CHUNK_SIZE = 4096  # Haar samples per Monte Carlo chunk, unless a caller picks another
+MC_CHUNK_SIZE = 4096  # Haar samples per Monte Carlo chunk
 
 
 class CapExceededError(ValueError):
@@ -66,6 +66,29 @@ def factorials(n: int) -> tuple:
     for m in range(1, n + 1):
         table.append(table[-1] * m)
     return tuple(table)
+
+
+def bareiss_det(rows) -> int:
+    """Determinant of an integer matrix by fraction-free elimination (Bareiss).
+
+    Every division is exact. A zero pivot is swapped with a row below it.
+    """
+    a = [list(row) for row in rows]
+    m = len(a)
+    sign, prev = 1, 1
+    for k in range(m - 1):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, m) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        pivot = a[k][k]
+        for i in range(k + 1, m):
+            for j in range(k + 1, m):
+                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
+        prev = pivot
+    return sign * a[-1][-1] if m else 1
 
 
 def slot_bytes(bound: int) -> int:

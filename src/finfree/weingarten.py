@@ -28,7 +28,7 @@ class ClassFunction:
             if rho.size != self.k:
                 raise ValueError(f"cycle type {rho} has size != {self.k}")
             clean[rho] = to_fraction(val)
-        if set(clean) != set(partitions_of(self.k, cap=max(self.k, PARTITION_CAP))):
+        if set(clean) != set(partitions_of(self.k, cap=self.k)):
             raise ValueError("values must cover every cycle type exactly once")
         object.__setattr__(self, "values", clean)
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import finfree
+from finfree import partitions, symgroup
 from finfree.cli import main
 from finfree.partitions import Partition
 from finfree.polynomials import MonicPoly, boxtimes
@@ -232,10 +233,6 @@ def test_commutator_mc_reports_are_byte_identical(capsys, spectra_files):
     _, out1 = run_cli(capsys, "commutator", a, b, "--mc", "3000", "--seed", "5")
     _, out2 = run_cli(capsys, "commutator", a, b, "--mc", "3000", "--seed", "5")
     assert out1 == out2
-    _, out3 = run_cli(
-        capsys, "commutator", a, b, "--mc", "3000", "--seed", "5", "--chunk", "100"
-    )
-    assert json.loads(out3)["mc"]["chunk_size"] == 100
 
 
 def test_commutator_mc_without_seed(capsys, spectra_files):
@@ -275,8 +272,7 @@ def test_commutator_rejects_booleans(capsys, tmp_path, spectra_files):
         ("--mc", "0", "--seed", "1"),
         ("--mc", "1", "--seed", "1"),
         ("--mc", "x", "--seed", "1"),
-        ("--mc", "10", "--seed", "1", "--chunk", "0"),
-        ("--mc", "10", "--seed", "1", "--chunk", "-3"),
+        ("--mc", "100", "--seed", "1", "--chunk", "100"),  # the flag is gone
     ],
 )
 def test_commutator_bad_mc_arguments(capsys, spectra_files, extra):
@@ -432,6 +428,28 @@ def test_kostka_cli(capsys):
 
 def test_kostka_size_mismatch(capsys):
     assert main(["kostka", "--shape", "2,1", "--weight", "1,1"]) == 2
+
+
+@pytest.fixture
+def identity_kostka_counts(monkeypatch):
+    # the real k = 11 tableau counts take seconds; a unit diagonal stands in
+    # for them, and the cached tables built from it are dropped afterwards
+    caches = (partitions.kostka_rows, symgroup._inverse_kostka_matrix)
+    for cache in caches:
+        cache.cache_clear()
+    monkeypatch.setattr(partitions, "_kostka_cached", lambda lam, mu: int(lam == mu))
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+def test_kostka_inverse_under_raised_cap(capsys, identity_kostka_counts):
+    argv = ("kostka", "--shape", "11", "--weight", "11", "--inverse")
+    assert main(list(argv)) == 2
+    assert "exceeds cap 10" in capsys.readouterr().err
+    code, out = run_cli(capsys, *argv, "--cap-k", "11")
+    assert code == 0
+    assert json.loads(out)["value"] == 1
 
 
 # ------------------------------------------------------------------- verify

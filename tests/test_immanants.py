@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from finfree.immanants import (
-    _bareiss_det,
     _class_sums,
     _cleared,
     _principal_elementaries,
@@ -19,7 +18,7 @@ from finfree.immanants import (
 from finfree.partitions import Partition, partitions_of
 from finfree.symfunc import elementary_symmetric
 from finfree.symgroup import character, cycle_type, perm_sign
-from finfree.util import CapExceededError
+from finfree.util import CapExceededError, bareiss_det
 
 rational_st = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 # entries up to 10^6 / 10^6 with mixed denominators, and plenty of zeros
@@ -363,19 +362,19 @@ def _as_fractions(rows):
 
 
 def test_bareiss_small_cases():
-    assert _bareiss_det([]) == 1
-    assert _bareiss_det([[7]]) == 7
-    assert _bareiss_det([[0, 1], [1, 0]]) == -1
+    assert bareiss_det([]) == 1
+    assert bareiss_det([[7]]) == 7
+    assert bareiss_det([[0, 1], [1, 0]]) == -1
     # the second pivot vanishes after the first elimination step
-    assert _bareiss_det([[1, 1, 0], [1, 1, 1], [0, 1, 1]]) == -1
+    assert bareiss_det([[1, 1, 0], [1, 1, 1], [0, 1, 1]]) == -1
     # no nonzero entry under a zero pivot: singular
-    assert _bareiss_det([[0, 1, 2], [0, 3, 4], [0, 5, 6]]) == 0
+    assert bareiss_det([[0, 1, 2], [0, 3, 4], [0, 5, 6]]) == 0
 
 
 @given(int_matrix_st)
 @settings(max_examples=60, deadline=None)
 def test_bareiss_matches_permutation_expansion(rows):
-    assert _bareiss_det(rows) == _det(_as_fractions(rows))
+    assert bareiss_det(rows) == _det(_as_fractions(rows))
 
 
 @given(int_matrix_st.filter(lambda rows: len(rows) > 1))
@@ -383,7 +382,7 @@ def test_bareiss_matches_permutation_expansion(rows):
 def test_bareiss_zero_leading_pivot(rows):
     rows = [list(row) for row in rows]
     rows[0][0] = 0
-    assert _bareiss_det(rows) == _det(_as_fractions(rows))
+    assert bareiss_det(rows) == _det(_as_fractions(rows))
 
 
 @given(int_matrix_st.filter(lambda rows: len(rows) > 1), st.integers(-3, 3))
@@ -394,7 +393,7 @@ def test_bareiss_singular(rows, factor):
     rows[-1] = [factor * a + b for a, b in zip(rows[0], rows[1])]
     if len(rows) == 2:
         rows[-1] = [factor * a for a in rows[0]]
-    assert _bareiss_det(rows) == 0 == _det(_as_fractions(rows))
+    assert bareiss_det(rows) == 0 == _det(_as_fractions(rows))
 
 
 # ------------------------------------------------------ per-matrix caching

@@ -22,6 +22,7 @@ from finfree.montecarlo import (
 )
 from finfree.polynomials import MonicPoly, boxplus, boxtimes, commutator_poly
 from finfree.symfunc import elementary_symmetric
+from finfree.util import MC_CHUNK_SIZE
 
 SEED = 99
 
@@ -181,7 +182,7 @@ def _statistic(monkeypatch, a, b, mode):
     # mc_charpoly hands its per-batch statistic to _sample; keep it instead
     monkeypatch.setattr(
         montecarlo, "_sample",
-        lambda d, n, seed, chunk_size, mode, labels, statistic: statistic,
+        lambda d, n, seed, mode, labels, statistic: statistic,
     )
     return mc_charpoly(a, b, n=2, seed=SEED, mode=mode)
 
@@ -221,17 +222,25 @@ def test_paired_traces_match_eigenvalues(monkeypatch, d, mode):
 # ------------------------------------------------------------------ reports
 
 def test_report_deterministic_across_reruns():
-    a = mc_charpoly((1, -1), (1, -1), n=3000, seed=SEED, chunk_size=1024)
-    b = mc_charpoly((1, -1), (1, -1), n=3000, seed=SEED, chunk_size=1024)
+    a = mc_charpoly((1, -1), (1, -1), n=MC_CHUNK_SIZE + 1000, seed=SEED)
+    b = mc_charpoly((1, -1), (1, -1), n=MC_CHUNK_SIZE + 1000, seed=SEED)
     assert json.dumps(a.to_json_dict(), sort_keys=True) == json.dumps(
         b.to_json_dict(), sort_keys=True
     )
 
 
-def test_report_counts_ragged_final_chunk():
-    rep = mc_charpoly((1, -1), (1, -1), n=1000, seed=SEED, chunk_size=512)
-    assert rep.n == 1000
-    assert rep.chunk_size == 512
+def test_report_counts_ragged_final_chunk(monkeypatch):
+    takes, draw = [], montecarlo.haar_batch
+
+    def recorded(d, m, rng):
+        takes.append(m)
+        return draw(d, m, rng)
+
+    monkeypatch.setattr(montecarlo, "haar_batch", recorded)
+    rep = mc_charpoly((1, -1), (1, -1), n=MC_CHUNK_SIZE + 3, seed=SEED)
+    assert takes == [MC_CHUNK_SIZE, 3]
+    assert rep.n == MC_CHUNK_SIZE + 3
+    assert rep.chunk_size == MC_CHUNK_SIZE
 
 
 def test_report_lookup_and_json_fields():
@@ -258,7 +267,7 @@ def test_within_band():
 
 def test_band_misses_lists_missed_labels_in_report_order():
     rep = McReport(
-        d=2, n=10, seed=0, chunk_size=10, mode="test",
+        d=2, n=10, seed=0, mode="test",
         labels=["a", "b", "c", "d"],
         means=[1.5 + 0j, 1.0 + 1j, 0.0 + 0j, 9.0 + 0j],
         se_re=[0.1, 0.1, 0.1, 0.1],
@@ -361,7 +370,7 @@ def test_zero_ginibre_column_gives_a_nan_residual_that_fails(monkeypatch):
     # the NaN sits in the middle column of the sweep and in the second chunk,
     # where a fold with the builtin max would keep the finite value before it
     calls = _zero_a_column(monkeypatch, on_calls={2})
-    report = mc_conjugation_mean((1, 2, 3), n=16, seed=SEED, chunk_size=8)
+    report = mc_conjugation_mean((1, 2, 3), n=MC_CHUNK_SIZE + 8, seed=SEED)
     assert calls == [1, 2]
     assert np.isnan(report.unitarity_residual_max)
     assert report.to_json_dict()["unitarity_residual_max"] == "nan"

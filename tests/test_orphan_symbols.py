@@ -105,8 +105,6 @@ ALLOWED_PARAMETERS = {
         "the tests count tableaux with it to check schur_principal",
     ("montecarlo", "mc_charpoly", "mode"):
         "the only Monte Carlo reference of the tests for boxplus and boxtimes",
-    ("montecarlo", "mc_conjugation_mean", "chunk_size"):
-        "a test puts the NaN fault in chunk 2 with it",
     **{
         ("verify", suite, parameter): "cli passes it through run_suites(**overrides)"
         for suite, parameters in {

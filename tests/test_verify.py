@@ -83,8 +83,9 @@ def test_injected_wg_error_details():
 def test_larger_triple_route_pairs_catch_the_injected_error(spec_a, spec_b):
     # the d=5..7 pairs of the default seed: each one alone holds with the
     # true table and fails with the corrupted one
-    assert _triple_route_failure(spec_a, spec_b, weingarten) is None
-    assert _triple_route_failure(spec_a, spec_b, cli._corrupted_weingarten)
+    ks = range(len(spec_a) + 1)
+    assert _triple_route_failure(spec_a, spec_b, ks, weingarten) is None
+    assert _triple_route_failure(spec_a, spec_b, ks, cli._corrupted_weingarten)
 
 
 def test_run_suites_filters_kwargs():
