@@ -266,36 +266,26 @@ def _int_at_least(low: int):
     return parse
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="finfree",
-        description="Exact finite free convolutions, Weingarten calculus, "
-        "immanants, and Monte Carlo cross-checks.",
+def _add_format(p):
+    p.add_argument(
+        "--format", choices=("json", "pretty"), default="json",
+        help="output format (default json)",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p):
-        p.add_argument(
-            "--format", choices=("json", "pretty"), default="json",
-            help="output format (default json)",
-        )
 
-    p = sub.add_parser("conv", help="finite free convolution of two polynomials")
+def _conv_arguments(p):
     p.add_argument("op", choices=("add", "mul", "sub"))
     p.add_argument("p", help="path to a polynomial JSON document")
     p.add_argument("q", help="path to a polynomial JSON document")
-    add_format(p)
-    p.set_defaults(func=cmd_conv)
+    _add_format(p)
 
-    p = sub.add_parser("zpoly", help="the degree-d commutator kernel polynomial")
+
+def _zpoly_arguments(p):
     p.add_argument("--d", type=int, required=True)
-    add_format(p)
-    p.set_defaults(func=cmd_zpoly)
+    _add_format(p)
 
-    p = sub.add_parser(
-        "commutator",
-        help="expected characteristic polynomial of the commutator",
-    )
+
+def _commutator_arguments(p):
     p.add_argument("a", help="path to a spectrum JSON array")
     p.add_argument("b", help="path to a spectrum JSON array")
     p.add_argument(
@@ -303,41 +293,41 @@ def build_parser() -> argparse.ArgumentParser:
         help="Monte Carlo sample count (at least 2, so a band has a standard error)",
     )
     p.add_argument("--seed", type=int, help="Monte Carlo seed")
-    add_format(p)
-    p.set_defaults(func=cmd_commutator)
+    _add_format(p)
 
-    p = sub.add_parser("weingarten", help="dump the Weingarten table for (k, d)")
+
+def _weingarten_arguments(p):
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--cap-k", type=int, default=PARTITION_CAP)
-    add_format(p)
-    p.set_defaults(func=cmd_weingarten)
+    _add_format(p)
 
-    p = sub.add_parser("immanant", help="immanant of a rational matrix")
+
+def _immanant_arguments(p):
     p.add_argument("--shape", required=True, help="partition, e.g. 2,1")
     p.add_argument("matrix", help="path to a row-major matrix JSON document")
     p.add_argument("--method", choices=("direct", "multilinear"), default="direct")
     p.add_argument("--cap-n", type=int, default=IMMANANT_CAP)
-    add_format(p)
-    p.set_defaults(func=cmd_immanant)
+    _add_format(p)
 
-    p = sub.add_parser("character", help="symmetric group character values")
+
+def _character_arguments(p):
     p.add_argument("--k", type=_int_at_least(1), help="dump the full table for S_k")
     p.add_argument("--shape", help="partition, e.g. 2,1")
     p.add_argument("--cycle-type", help="partition, e.g. 1,1,1")
     p.add_argument("--cap-k", type=int, default=PARTITION_CAP)
-    add_format(p)
-    p.set_defaults(func=cmd_character)
+    _add_format(p)
 
-    p = sub.add_parser("kostka", help="Kostka or inverse Kostka numbers")
+
+def _kostka_arguments(p):
     p.add_argument("--shape", required=True)
     p.add_argument("--weight", required=True)
     p.add_argument("--inverse", action="store_true")
     p.add_argument("--cap-k", type=int, default=PARTITION_CAP)
-    add_format(p)
-    p.set_defaults(func=cmd_kostka)
+    _add_format(p)
 
-    p = sub.add_parser("verify", help="run verification suites")
+
+def _verify_arguments(p):
     p.add_argument("suite", choices=sorted(VERIFY_GROUPS))
     p.add_argument("--seed", type=int)
     p.add_argument(
@@ -351,13 +341,57 @@ def build_parser() -> argparse.ArgumentParser:
         "the closed Wg_{2,d} and Gram-system rows of 'weingarten' fail under "
         "it; the flagship and odd-k rows read the table but still pass",
     )
-    p.set_defaults(func=cmd_verify)
 
+
+# name: (help, add_arguments, handler), in the order `finfree -h` lists them
+COMMANDS = {
+    "conv": ("finite free convolution of two polynomials", _conv_arguments, cmd_conv),
+    "zpoly": ("the degree-d commutator kernel polynomial", _zpoly_arguments, cmd_zpoly),
+    "commutator": (
+        "expected characteristic polynomial of the commutator",
+        _commutator_arguments, cmd_commutator,
+    ),
+    "weingarten": (
+        "dump the Weingarten table for (k, d)", _weingarten_arguments, cmd_weingarten,
+    ),
+    "immanant": ("immanant of a rational matrix", _immanant_arguments, cmd_immanant),
+    "character": (
+        "symmetric group character values", _character_arguments, cmd_character,
+    ),
+    "kostka": ("Kostka or inverse Kostka numbers", _kostka_arguments, cmd_kostka),
+    "verify": ("run verification suites", _verify_arguments, cmd_verify),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every command, or of `command` alone.
+
+    A one-command parser still names every command in its usage line, which
+    argparse prints for unrecognized arguments; the full parser keeps the
+    default metavar, because its `required` and `invalid choice` errors
+    would change with another.
+    """
+    parser = argparse.ArgumentParser(
+        prog="finfree",
+        description="Exact finite free convolutions, Weingarten calculus, "
+        "immanants, and Monte Carlo cross-checks.",
+    )
+    names = list(COMMANDS) if command is None else [command]
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, add_arguments, handler = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # only the invoked command's arguments are built; -h, an empty argv and
+    # anything that names no command get the full parser and its messages
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .util import MC_CHUNK_SIZE
+from .util import MC_CHUNK_ENTRIES_CAP, MC_CHUNK_SIZE, MC_WORK_CAP, check_cap
 
 
 def nan_max(values) -> float:
@@ -215,6 +215,10 @@ def _sample(d: int, n: int, seed: int, mode: str, labels: list,
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    # refused before a chunk is allocated: memory first, then time
+    check_cap(min(n, MC_CHUNK_SIZE) * d * d, MC_CHUNK_ENTRIES_CAP,
+              f"Monte Carlo chunk at n={n}, d={d}: min(n, {MC_CHUNK_SIZE})*d^2")
+    check_cap(n * d**3, MC_WORK_CAP, f"Monte Carlo work at n={n}, d={d}: n*d^3")
     acc = _Accumulator(len(labels))
     residuals = []
     for index, done in enumerate(range(0, n, MC_CHUNK_SIZE)):

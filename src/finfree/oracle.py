@@ -35,7 +35,7 @@ from .symgroup import (
 from .weingarten import ClassFunction, weingarten
 from .util import (
     DIMENSION_CAP,
-    PARTITION_CAP,
+    GRAM_ORDER_CAP,
     bareiss_det,
     check_cap,
     clear_denominators,
@@ -132,7 +132,7 @@ def weingarten_gram_inverse(k: int, d: int) -> ClassFunction:
     """
     if d < k:
         raise ValueError(f"need d >= k for an invertible system, got d={d} < k={k}")
-    check_cap(k, PARTITION_CAP, "Gram system order")
+    check_cap(k, GRAM_ORDER_CAP, "Gram system order")
     classes = partitions_of(k)
     perms = list(itertools.permutations(range(k)))
     by_class = {rho: [] for rho in classes}

@@ -16,9 +16,17 @@ SET_PARTITION_CAP = 8
 MOMENT_CAP = 6
 DIMENSION_CAP = 7
 IMMANANT_CAP = 9
+GRAM_ORDER_CAP = 8  # the Gram oracle walks all k! permutations: 0.3 s at k = 7, 4-5 s at 8
 DEGREE_CAP = 1000  # polynomial degree and spectrum length
 
 MC_CHUNK_SIZE = 4096  # Haar samples per Monte Carlo chunk
+# A Monte Carlo run costs 1.5-2e-8 s of one core per unit of n*d^3 at
+# d >= 16, more per unit at small d, and a chunk peaks at about 64 bytes per
+# entry of min(n, MC_CHUNK_SIZE)*d^2 (measurements in CHANGES.md). So an
+# accepted run takes at most about 30 s at any d, and a full chunk
+# (d <= 32) about 300 MB.
+MC_WORK_CAP = 2**28
+MC_CHUNK_ENTRIES_CAP = 2**22
 
 
 class CapExceededError(ValueError):

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -11,8 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import finfree
-from finfree import partitions, symgroup
-from finfree.cli import main
+from finfree import cli, partitions, symgroup
+from finfree.cli import COMMANDS, main
 from finfree.partitions import Partition
 from finfree.polynomials import MonicPoly, boxtimes
 from finfree.weingarten import ClassFunction, weingarten
@@ -166,19 +167,22 @@ def test_result_past_digit_limit_names_the_coefficient(capsys, tmp_path):
 
 
 # Each library refusal that main reports as exit 2, by command; {p3} is a
-# cubic, {p}, {m} a quadratic and a 3 x 3 matrix, and {p1001}, {s1001} a
-# polynomial and a spectrum one past the degree cap.
+# cubic, {p}, {m} a quadratic and a 3 x 3 matrix, {p1001}, {s1001} a
+# polynomial and a spectrum one past the degree cap, and {s200} a spectrum
+# whose 4096-sample Monte Carlo chunk is past the chunk cap.
 REFUSED_ARGUMENTS = [
     ["conv", "add", "{p}", "{p3}"],
     ["zpoly", "--d", "0"],
     ["zpoly", "--d", "100000000"],
     ["conv", "mul", "{p1001}", "{p1001}"],
     ["commutator", "{s1001}", "{s1001}"],
+    ["commutator", "{s200}", "{s200}", "--mc", "4096", "--seed", "1"],
     ["weingarten", "--k", "11", "--d", "3"],
     ["immanant", "--shape", "2,2", "{m}"],
     ["character", "--k", "11"],
     ["character", "--shape", "2,1", "--cycle-type", "2,2"],
     ["kostka", "--shape", "2,1", "--weight", "1,1"],
+    ["verify", "haar", "--mc", "1000000000"],
 ]
 
 
@@ -190,9 +194,63 @@ def test_library_refusals_exit_2_with_one_error_line(capsys, tmp_path, argv):
         "{m}": write_json(tmp_path, "m.json", [[1, 2, 3], [4, 5, 6], [7, 8, 9]]),
         "{p1001}": write_json(tmp_path, "p1001.json", {"d": 1001, "a": [1] + [0] * 1001}),
         "{s1001}": write_json(tmp_path, "s1001.json", [1] * 1001),
+        "{s200}": write_json(tmp_path, "s200.json", [1] * 100 + [-1] * 100),
     }
     assert main([files.get(arg, arg) for arg in argv]) == 2
     _assert_one_error_line(capsys)
+
+
+# Per command: an argv that parses, one missing a required argument, and one
+# with a value its parser refuses ({f} is an existing file). Each is run
+# through main as is and with "--bogus" appended, along with -h and no
+# arguments at all.
+PARSER_PROBES = {
+    "conv": (["add", "{f}", "{f}"], ["add", "{f}"], ["add", "{f}", "{f}", "--format", "xml"]),
+    "zpoly": (["--d", "2"], ["--format", "json"], ["--d", "x"]),
+    "commutator": (["{f}", "{f}"], ["{f}"], ["{f}", "{f}", "--mc", "1"]),
+    "weingarten": (["--k", "2", "--d", "2"], ["--k", "2"], ["--k", "x", "--d", "2"]),
+    "immanant": (["--shape", "2", "{f}"], ["--shape", "2"],
+                 ["--shape", "2", "{f}", "--cap-n", "x"]),
+    "character": (["--k", "2"], ["--shape"], ["--k", "0"]),
+    "kostka": (["--shape", "1", "--weight", "1"], ["--shape", "1"],
+               ["--shape", "1", "--weight", "1", "--cap-k", "x"]),
+    "verify": (["oddk"], ["--seed", "1"], ["oddk", "--seed", "x"]),
+}
+
+
+def test_one_command_parser_matches_full_parser(capsys, monkeypatch, spectra_files):
+    assert sorted(PARSER_PROBES) == sorted(COMMANDS)
+    f, _ = spectra_files
+    argvs = []
+    for command, (parses, missing, bad) in PARSER_PROBES.items():
+        tails = [["-h"], [], missing, bad, [*parses, "--bogus"]]
+        argvs += [[command, *(f if arg == "{f}" else arg for arg in tail)] for tail in tails]
+    full_parser = cli.build_parser
+
+    def run(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    one_command = [run(argv) for argv in argvs]
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full_parser())
+    for argv, seen in zip(argvs, one_command):
+        assert run(argv) == seen, argv
+        assert seen[0] in (0, 2) and "Traceback" not in seen[2]
+
+
+def test_main_builds_only_the_invoked_command(capsys, monkeypatch):
+    built, add_parser = [], argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    for argv, count in [(["commutator", "a", "b"], 1), (["-h"], 8), (["comutator"], 8)]:
+        built.clear()
+        assert main(argv) in (0, 2)
+        assert len(built) == count, argv
 
 
 # -------------------------------------------------------------------- zpoly
@@ -565,7 +623,9 @@ _FUZZ_OPTIONS = {
 @st.composite
 def fuzz_argv(draw):
     command = draw(st.sampled_from(sorted(_FUZZ_OPTIONS)))
-    argv = [command]
+    # about one argv in ten names no command, so main builds the full parser
+    lead = draw(st.sampled_from([command] * 27 + [command[:-1], "--format", ""]))
+    argv = [lead]
     if command == "conv":
         argv.append(draw(st.sampled_from(["add", "sub", "mul", "div"])))
     if command in ("conv", "commutator"):

@@ -22,7 +22,7 @@ from finfree.montecarlo import (
 )
 from finfree.polynomials import MonicPoly, boxplus, boxtimes, commutator_poly
 from finfree.symfunc import elementary_symmetric
-from finfree.util import MC_CHUNK_SIZE
+from finfree.util import MC_CHUNK_ENTRIES_CAP, MC_CHUNK_SIZE, CapExceededError
 
 SEED = 99
 
@@ -324,6 +324,20 @@ def test_mode_validation():
         mc_charpoly((1, -1), (1, 2, 3), n=100, seed=1)
     with pytest.raises(ValueError):
         mc_charpoly((1, -1), (1, -1), n=0, seed=1)
+
+
+def test_chunk_cap_refuses_before_sampling(monkeypatch):
+    def forbidden(d, m, rng):
+        raise AssertionError("haar_batch reached")
+
+    monkeypatch.setattr(montecarlo, "haar_batch", forbidden)
+    # one full chunk at d = 32 holds exactly the cap; at d = 33 it is refused
+    assert MC_CHUNK_SIZE * 32**2 == MC_CHUNK_ENTRIES_CAP
+    with pytest.raises(AssertionError, match="haar_batch reached"):
+        mc_charpoly([1.0] * 32, [1.0] * 32, n=MC_CHUNK_SIZE, seed=1)
+    refused = f"n=4096, d=33: .* exceeds cap {MC_CHUNK_ENTRIES_CAP}$"
+    with pytest.raises(CapExceededError, match=refused):
+        mc_charpoly([1.0] * 33, [1.0] * 33, n=MC_CHUNK_SIZE, seed=1)
 
 
 # ---------------------------------------------------------- other observables

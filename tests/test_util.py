@@ -5,6 +5,8 @@ import pytest
 
 from finfree.util import (
     DEGREE_CAP,
+    GRAM_ORDER_CAP,
+    MC_WORK_CAP,
     MOMENT_CAP,
     PARTITION_CAP,
     SET_PARTITION_CAP,
@@ -68,8 +70,11 @@ FIXED_CAPS = {
                PARTITION_CAP, ("kostka_rows",)),
     "m_to_e": ("symfunc", lambda m: m.m_to_e((11,)),
                PARTITION_CAP, ("partitions_of", "inverse_kostka")),
-    "weingarten_gram_inverse": ("oracle", lambda m: m.weingarten_gram_inverse(11, 11),
-                                PARTITION_CAP, ("partitions_of", "itertools")),
+    "weingarten_gram_inverse": (
+        "oracle", lambda m: m.weingarten_gram_inverse(GRAM_ORDER_CAP + 1, GRAM_ORDER_CAP + 1),
+        GRAM_ORDER_CAP, ("partitions_of", "itertools")),
+    "mc_entry_moments": ("montecarlo", lambda m: m.mc_entry_moments(1, MC_WORK_CAP + 1, 1),
+                         MC_WORK_CAP, ("haar_batch",)),
     "set_partitions": ("partitions", lambda m: m.set_partitions(9),
                        SET_PARTITION_CAP, ()),
     "set_partitions_of_type": ("partitions", lambda m: m.set_partitions_of_type((5, 4)),
