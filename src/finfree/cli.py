@@ -12,7 +12,7 @@ from .immanants import as_matrix, immanant_direct, immanant_gj
 from .partitions import Partition, kostka
 from .polynomials import MonicPoly, boxminus, boxplus, boxtimes, commutator_poly, z_poly
 from .symgroup import character, character_table_json, inverse_kostka
-from .util import IMMANANT_CAP, PARTITION_CAP, to_fraction
+from .util import CapExceededError, to_fraction
 from .verify import VERIFY_GROUPS, run_suites
 from .weingarten import ClassFunction, weingarten
 
@@ -160,7 +160,7 @@ def cmd_commutator(args) -> int:
 
 
 def cmd_weingarten(args) -> int:
-    table = weingarten(args.k, args.d, cap=args.cap_k)
+    table = weingarten(args.k, args.d)
     payload = table.to_json_dict(d=args.d)
     lines = [
         f"Wg(k={args.k}, d={args.d}) {','.join(map(str, rho))}: {value}"
@@ -175,10 +175,12 @@ def cmd_immanant(args) -> int:
     payload = _load_json(args.matrix)
     try:
         mat = as_matrix(payload)
+    except CapExceededError:
+        raise  # a size refusal, not a malformed matrix
     except (TypeError, ValueError) as exc:
         raise InputError(f"{args.matrix} is not a rational matrix: {exc}") from exc
     func = immanant_direct if args.method == "direct" else immanant_gj
-    value = func(shape, mat, cap=args.cap_n)
+    value = func(shape, mat)
     _emit(
         {"shape": list(shape), "method": args.method, "value": str(value)},
         args.format,
@@ -191,7 +193,7 @@ def cmd_character(args) -> int:
     if args.shape is None and args.cycle_type is None:
         if args.k is None:
             raise InputError("need --k for a full table, or --shape with --cycle-type")
-        table = character_table_json(args.k, cap=args.cap_k)
+        table = character_table_json(args.k)
         _emit(
             {"k": args.k, "table": table},
             args.format,
@@ -201,7 +203,7 @@ def cmd_character(args) -> int:
     if args.shape is None or args.cycle_type is None:
         raise InputError("--shape and --cycle-type must be given together")
     lam, rho = _parse_partition(args.shape), _parse_partition(args.cycle_type)
-    value = character(lam, rho, cap=args.cap_k)
+    value = character(lam, rho)
     _emit(
         {"shape": list(lam), "cycle_type": list(rho), "value": value},
         args.format,
@@ -213,7 +215,7 @@ def cmd_character(args) -> int:
 def cmd_kostka(args) -> int:
     lam, mu = _parse_partition(args.shape), _parse_partition(args.weight)
     func = inverse_kostka if args.inverse else kostka
-    value = func(lam, mu, cap=args.cap_k)
+    value = func(lam, mu)
     _emit(
         {
             "shape": list(lam),
@@ -292,14 +294,13 @@ def _commutator_arguments(p):
         "--mc", type=_int_at_least(2),
         help="Monte Carlo sample count (at least 2, so a band has a standard error)",
     )
-    p.add_argument("--seed", type=int, help="Monte Carlo seed")
+    p.add_argument("--seed", type=_int_at_least(0), help="Monte Carlo seed")
     _add_format(p)
 
 
 def _weingarten_arguments(p):
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--cap-k", type=int, default=PARTITION_CAP)
     _add_format(p)
 
 
@@ -307,7 +308,6 @@ def _immanant_arguments(p):
     p.add_argument("--shape", required=True, help="partition, e.g. 2,1")
     p.add_argument("matrix", help="path to a row-major matrix JSON document")
     p.add_argument("--method", choices=("direct", "multilinear"), default="direct")
-    p.add_argument("--cap-n", type=int, default=IMMANANT_CAP)
     _add_format(p)
 
 
@@ -315,7 +315,6 @@ def _character_arguments(p):
     p.add_argument("--k", type=_int_at_least(1), help="dump the full table for S_k")
     p.add_argument("--shape", help="partition, e.g. 2,1")
     p.add_argument("--cycle-type", help="partition, e.g. 1,1,1")
-    p.add_argument("--cap-k", type=int, default=PARTITION_CAP)
     _add_format(p)
 
 
@@ -323,13 +322,12 @@ def _kostka_arguments(p):
     p.add_argument("--shape", required=True)
     p.add_argument("--weight", required=True)
     p.add_argument("--inverse", action="store_true")
-    p.add_argument("--cap-k", type=int, default=PARTITION_CAP)
     _add_format(p)
 
 
 def _verify_arguments(p):
     p.add_argument("suite", choices=sorted(VERIFY_GROUPS))
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_int_at_least(0))
     p.add_argument(
         "--mc", type=_int_at_least(2), help="Monte Carlo sample count override"
     )

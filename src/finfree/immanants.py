@@ -34,7 +34,12 @@ _CACHED_MATRICES = 32
 
 
 def as_matrix(rows) -> tuple:
-    """Validate a square matrix of exact rationals, as a tuple of row tuples."""
+    """Validate a square matrix of exact rationals, as a tuple of row tuples.
+
+    A matrix past the immanant cap is refused before any entry is converted.
+    """
+    rows = tuple(rows)
+    check_cap(len(rows), IMMANANT_CAP, "immanant size")
     mat = tuple(tuple(to_fraction(v) for v in row) for row in rows)
     n = len(mat)
     if n == 0 or any(len(row) != n for row in mat):
@@ -57,14 +62,13 @@ def delta_minus(x) -> tuple:
     return tuple(tuple(xi - xj for xj in x) for xi in x)
 
 
-def _checked(lam, y, cap: int, what: str) -> tuple:
-    """(lam, Y', L) after the shape, size and cap checks of both routes."""
+def _checked(lam, y) -> tuple:
+    """(lam, Y', L) after the size and shape checks of both routes."""
     mat, scale = _cleared(y)
     n = len(mat)
     lam = Partition(lam)
     if lam.size != n:
         raise ValueError(f"shape size {lam.size} != matrix size {n}")
-    check_cap(n, cap, what)
     return lam, mat, scale
 
 
@@ -84,15 +88,11 @@ def _class_sums(mat: tuple) -> tuple:
     return tuple(sums.items())
 
 
-def immanant_direct(lam, y, cap: int = IMMANANT_CAP) -> Fraction:
+def immanant_direct(lam, y) -> Fraction:
     """Immanant as sum_rho chi^lam(rho) T(rho) over the class sums of S_n."""
-    lam, mat, scale = _checked(lam, y, cap, "immanant size")
-    n = len(mat)
-    total = sum(
-        character(lam, rho, cap=n) * t
-        for rho, t in _class_sums(mat)
-    )
-    return Fraction(total, scale**n)
+    lam, mat, scale = _checked(lam, y)
+    total = sum(character(lam, rho) * t for rho, t in _class_sums(mat))
+    return Fraction(total, scale ** len(mat))
 
 
 def imm_delta_minus(lam, x) -> Fraction:
@@ -166,12 +166,12 @@ def schur_from_elementary(lam, e) -> int:
     )
 
 
-def immanant_gj(lam, y, cap: int = IMMANANT_CAP) -> Fraction:
+def immanant_gj(lam, y) -> Fraction:
     """Immanant as the multilinear part of a Schur function of diag(z) . y.
 
     Sums (-1)^(n-|S|) s_lam(Y'_S) over the 2^n supports S of z in {0,1}^n.
     """
-    lam, mat, scale = _checked(lam, y, cap, "multilinear extraction size")
+    lam, mat, scale = _checked(lam, y)
     n = len(mat)
     total = sum(
         (-1) ** (n - size) * schur_from_elementary(lam, e)

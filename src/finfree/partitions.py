@@ -54,11 +54,11 @@ class Partition(tuple):
         return tuple(self) + (0,) * (length - len(self))
 
 
-def partitions_of(k: int, cap: int = PARTITION_CAP) -> list[Partition]:
+def partitions_of(k: int) -> list[Partition]:
     """All partitions of k, in decreasing lexicographic order."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    check_cap(k, cap, "partition size")
+    check_cap(k, PARTITION_CAP, "partition size")
     out: list[Partition] = []
 
     def descend(remaining, largest, prefix):
@@ -228,21 +228,20 @@ def kostka_rows(k: int) -> dict:
     """{lam: {mu: K_lam,mu}} over the partitions of k, in partitions_of order.
 
     Row lam holds the mu that lam dominates; every other Kostka number is 0.
-    The caller checks k against its own cap.
     """
-    parts = partitions_of(k, cap=k)
+    parts = partitions_of(k)
     return {
         lam: {mu: _kostka_cached(lam, mu) for mu in parts if dominance_leq(mu, lam)}
         for lam in parts
     }
 
 
-def kostka(lam, mu, cap: int = PARTITION_CAP) -> int:
+def kostka(lam, mu) -> int:
     """Number of SSYT of shape lam and weight mu."""
     lam, mu = Partition(lam), Partition(mu)
     if lam.size != mu.size:
         raise ValueError(f"sizes differ: |{lam}| != |{mu}|")
-    check_cap(lam.size, cap, "tableau size")
+    check_cap(lam.size, PARTITION_CAP, "tableau size")
     return _kostka_cached(tuple(lam), tuple(mu))
 
 

@@ -46,10 +46,14 @@ class MonicPoly:
     nums: tuple
 
     def __init__(self, a):
-        """The polynomial with unsigned coefficients a: rationals, a_0 = 1."""
-        a = tuple(to_fraction(v) for v in a)
+        """The polynomial with unsigned coefficients a: rationals, a_0 = 1.
+
+        The degree is checked before any coefficient is converted.
+        """
+        a = tuple(a)
         d = len(a) - 1
         _check_degree(d)
+        a = tuple(to_fraction(v) for v in a)
         if a[0] != 1:
             raise ValueError(f"leading coefficient must be 1, got {a[0]}")
         fact = factorials(d)

@@ -102,12 +102,12 @@ def _character_rec(lam: tuple, rho: tuple) -> int:
     return total
 
 
-def character(lam, rho, cap: int = PARTITION_CAP) -> int:
+def character(lam, rho) -> int:
     """Irreducible character of the symmetric group at a cycle type."""
     lam, rho = Partition(lam), Partition(rho)
     if lam.size != rho.size:
         raise ValueError(f"sizes differ: |{lam}| != |{rho}|")
-    check_cap(lam.size, cap, "character degree")
+    check_cap(lam.size, PARTITION_CAP, "character degree")
     return _character_rec(tuple(lam), tuple(rho))
 
 
@@ -118,15 +118,15 @@ def dim_irrep(lam) -> int:
     return factorial(lam.size) // prod(hooks)
 
 
-def character_table(k: int, cap: int = PARTITION_CAP) -> dict:
+def character_table(k: int) -> dict:
     """{(lam, rho): chi^lam(rho)} over all partitions of k."""
-    parts = partitions_of(k, cap)
-    return {(lam, rho): character(lam, rho, cap) for lam in parts for rho in parts}
+    parts = partitions_of(k)
+    return {(lam, rho): character(lam, rho) for lam in parts for rho in parts}
 
 
-def character_table_json(k: int, cap: int = PARTITION_CAP) -> dict:
+def character_table_json(k: int) -> dict:
     """Character table keyed by 'lam|rho' comma strings, for serialization."""
-    table = character_table(k, cap)
+    table = character_table(k)
     return {
         ",".join(map(str, lam)) + "|" + ",".join(map(str, rho)): value
         for (lam, rho), value in table.items()
@@ -150,12 +150,12 @@ def _inverse_kostka_matrix(k: int) -> dict:
     return {(parts[i], parts[j]): X[i][j] for i in range(n) for j in range(n)}
 
 
-def inverse_kostka(lam, mu, cap: int = PARTITION_CAP) -> int:
+def inverse_kostka(lam, mu) -> int:
     """Entry of the inverse of the Kostka matrix."""
     lam, mu = Partition(lam), Partition(mu)
     if lam.size != mu.size:
         raise ValueError(f"sizes differ: |{lam}| != |{mu}|")
-    check_cap(lam.size, cap, "inverse Kostka size")
+    check_cap(lam.size, PARTITION_CAP, "inverse Kostka size")
     return _inverse_kostka_matrix(lam.size)[(lam, mu)]
 
 

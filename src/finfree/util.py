@@ -7,10 +7,8 @@ from math import lcm
 
 # Limits of the size guards. Partition and tableau searches grow
 # super-polynomially and set partitions grow like Bell numbers; the exact
-# commutator costs about ten times more per doubling of the degree. A guard
-# whose function takes a `cap` argument (one the CLI's --cap-k or --cap-n
-# reaches) defaults to PARTITION_CAP or IMMANANT_CAP; every other guard is
-# fixed.
+# commutator costs about ten times more per doubling of the degree. Every
+# guard checks one of these fixed limits, and no caller can raise it.
 PARTITION_CAP = 10
 SET_PARTITION_CAP = 8
 MOMENT_CAP = 6
@@ -30,7 +28,7 @@ MC_CHUNK_ENTRIES_CAP = 2**22
 
 
 class CapExceededError(ValueError):
-    """Raised when an enumeration would exceed its configured cap."""
+    """Raised when a size is past the fixed limit of its guard."""
 
 
 def check_cap(value, cap, what):

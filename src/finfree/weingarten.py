@@ -28,7 +28,7 @@ class ClassFunction:
             if rho.size != self.k:
                 raise ValueError(f"cycle type {rho} has size != {self.k}")
             clean[rho] = to_fraction(val)
-        if set(clean) != set(partitions_of(self.k, cap=self.k)):
+        if set(clean) != set(partitions_of(self.k)):
             raise ValueError("values must cover every cycle type exactly once")
         object.__setattr__(self, "values", clean)
 
@@ -46,7 +46,7 @@ class ClassFunction:
 
 
 @lru_cache(maxsize=None)
-def weingarten(k: int, d: int, cap: int = PARTITION_CAP) -> ClassFunction:
+def weingarten(k: int, d: int) -> ClassFunction:
     """Weingarten function of S_k for d x d unitaries.
 
     Character expansion restricted to shapes with at most d rows; for
@@ -54,17 +54,15 @@ def weingarten(k: int, d: int, cap: int = PARTITION_CAP) -> ClassFunction:
     """
     if k < 1 or d < 1:
         raise ValueError("need k >= 1 and d >= 1")
-    check_cap(k, cap, "Weingarten order")
+    check_cap(k, PARTITION_CAP, "Weingarten order")
     shapes = [
         (lam, Fraction(dim_irrep(lam) ** 2) / schur_principal(lam, d))
-        for lam in partitions_of(k, cap)
+        for lam in partitions_of(k)
         if lam.length <= d
     ]
     values = {}
-    for rho in partitions_of(k, cap):
-        total = sum(
-            (w * character(lam, rho, cap) for lam, w in shapes), Fraction(0)
-        )
+    for rho in partitions_of(k):
+        total = sum((w * character(lam, rho) for lam, w in shapes), Fraction(0))
         values[rho] = total / factorial(k) ** 2
     return ClassFunction(k, values)
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import finfree
-from finfree import cli, partitions, symgroup
+from finfree import cli
 from finfree.cli import COMMANDS, main
 from finfree.partitions import Partition
 from finfree.polynomials import MonicPoly, boxtimes
@@ -210,10 +210,10 @@ PARSER_PROBES = {
     "commutator": (["{f}", "{f}"], ["{f}"], ["{f}", "{f}", "--mc", "1"]),
     "weingarten": (["--k", "2", "--d", "2"], ["--k", "2"], ["--k", "x", "--d", "2"]),
     "immanant": (["--shape", "2", "{f}"], ["--shape", "2"],
-                 ["--shape", "2", "{f}", "--cap-n", "x"]),
+                 ["--shape", "2", "{f}", "--method", "x"]),
     "character": (["--k", "2"], ["--shape"], ["--k", "0"]),
     "kostka": (["--shape", "1", "--weight", "1"], ["--shape", "1"],
-               ["--shape", "1", "--weight", "1", "--cap-k", "x"]),
+               ["--shape", "1", "--weight", "1", "--format", "xml"]),
     "verify": (["oddk"], ["--seed", "1"], ["oddk", "--seed", "x"]),
 }
 
@@ -341,6 +341,24 @@ def test_commutator_bad_mc_arguments(capsys, spectra_files, extra):
     assert len([line for line in err.splitlines() if "error:" in line]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["commutator", "{f}", "{f}", "--mc", "100", "--seed", "-1"],
+        ["verify", "immanant", "--seed", "-1"],
+        ["verify", "all", "--seed", "-1"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_negative_seed_is_a_usage_error(capsys, spectra_files, argv):
+    f, _ = spectra_files
+    assert main([f if arg == "{f}" else arg for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert "argument --seed: must be at least 0, got -1" in captured.err
+
+
 def _assert_mc_refused_but_exact_ok(capsys, spectrum, d):
     assert main(["commutator", spectrum, spectrum, "--mc", "4", "--seed", "1"]) == 2
     captured = capsys.readouterr()
@@ -409,14 +427,14 @@ def test_immanant_bracketed_shape(capsys, tmp_path):
 
 
 def test_immanant_multilinear_default_cap(capsys, tmp_path):
-    # both methods default to the one immanant cap, n = 9
-    eye = [[int(i == j) for j in range(10)] for i in range(10)]
-    mat = write_json(tmp_path, "eye10.json", eye)
-    assert main(["immanant", "--shape", "10", mat, "--method", "multilinear"]) == 2
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert len([line for line in err.splitlines() if "error:" in line]) == 1
-    mat = write_json(tmp_path, "eye9.json", [row[:9] for row in eye[:9]])
+    # both methods refuse past the one immanant cap, n = 9, with one message,
+    # before the shape or any entry is read
+    mat = write_json(tmp_path, "big.json", [["1/2"] * 10] * 10)
+    for method in ("direct", "multilinear"):
+        assert main(["immanant", "--shape", "5,4", mat, "--method", method]) == 2
+        assert _assert_one_error_line(capsys) == "error: immanant size 10 exceeds cap 9"
+    eye = [[int(i == j) for j in range(9)] for i in range(9)]
+    mat = write_json(tmp_path, "eye9.json", eye)
     code, out = run_cli(capsys, "immanant", "--shape", "9", mat, "--method", "multilinear")
     assert code == 0
     assert json.loads(out)["value"] == "1"
@@ -486,28 +504,6 @@ def test_kostka_cli(capsys):
 
 def test_kostka_size_mismatch(capsys):
     assert main(["kostka", "--shape", "2,1", "--weight", "1,1"]) == 2
-
-
-@pytest.fixture
-def identity_kostka_counts(monkeypatch):
-    # the real k = 11 tableau counts take seconds; a unit diagonal stands in
-    # for them, and the cached tables built from it are dropped afterwards
-    caches = (partitions.kostka_rows, symgroup._inverse_kostka_matrix)
-    for cache in caches:
-        cache.cache_clear()
-    monkeypatch.setattr(partitions, "_kostka_cached", lambda lam, mu: int(lam == mu))
-    yield
-    for cache in caches:
-        cache.cache_clear()
-
-
-def test_kostka_inverse_under_raised_cap(capsys, identity_kostka_counts):
-    argv = ("kostka", "--shape", "11", "--weight", "11", "--inverse")
-    assert main(list(argv)) == 2
-    assert "exceeds cap 10" in capsys.readouterr().err
-    code, out = run_cli(capsys, *argv, "--cap-k", "11")
-    assert code == 0
-    assert json.loads(out)["value"] == 1
 
 
 # ------------------------------------------------------------------- verify
@@ -597,8 +593,6 @@ _PARTITION_TEXT = st.one_of(
     st.lists(st.integers(-1, 2), max_size=3).map(lambda parts: ",".join(map(str, parts))),
     st.sampled_from(["[2,1]", "x", "", _HUGE]),
 )
-# k and the partitions stay small unless huge, so a generous cap stays fast
-_CAP_TEXT = st.sampled_from(["-1", "0", "6", "12"])
 _FUZZ_OPTIONS = {
     "conv": {"--format": st.sampled_from(["json", "pretty", "xml"])},
     "commutator": {"--format": st.sampled_from(["json", "pretty"])},
@@ -607,15 +601,13 @@ _FUZZ_OPTIONS = {
         "--format": st.sampled_from(["json", "pretty"]),
     },
     "weingarten": {
-        "--k": _K_TEXT, "--d": st.one_of(_DEGREE_TEXT, st.just(_HUGE)), "--cap-k": _CAP_TEXT,
+        "--k": _K_TEXT, "--d": st.one_of(_DEGREE_TEXT, st.just(_HUGE)),
     },
     "character": {
         "--k": _K_TEXT, "--shape": _PARTITION_TEXT, "--cycle-type": _PARTITION_TEXT,
-        "--cap-k": _CAP_TEXT,
     },
     "kostka": {
-        "--shape": _PARTITION_TEXT, "--weight": _PARTITION_TEXT, "--cap-k": _CAP_TEXT,
-        "--inverse": st.none(),
+        "--shape": _PARTITION_TEXT, "--weight": _PARTITION_TEXT, "--inverse": st.none(),
     },
 }
 

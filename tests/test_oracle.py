@@ -21,7 +21,6 @@ from finfree.polynomials import MonicPoly, commutator_coefficient, commutator_po
 from finfree.symfunc import elementary_symmetric
 from finfree.symgroup import compose, cycle_type, perm_sign
 from finfree.weingarten import integrate_moment
-from finfree.util import CapExceededError
 
 rational_st = st.fractions(min_value=-3, max_value=3, max_denominator=2)
 
@@ -106,8 +105,6 @@ def test_brute_force_validation():
         brute_force_expected_ek((1, 2), (1, 2, 3), 1)
     with pytest.raises(ValueError):
         brute_force_expected_ek((1, 2), (1, 2), 3)
-    with pytest.raises(CapExceededError):
-        brute_force_expected_ek((1,) * 8, (1,) * 8, 2)
 
 
 @pytest.mark.parametrize("k", range(1, 6))

@@ -94,13 +94,8 @@ def _orphan_methods(sources: dict) -> set:
 
 # (module, function, parameter) kept with no call in the package that passes
 # it by name, and why
-FUNC_VARIABLE = "cli passes --cap-n or --cap-k through its `func` variable"
 ALLOWED_PARAMETERS = {
     ("cli", "main", "argv"): "the tests and perfbench call main(argv) in-process",
-    ("immanants", "immanant_direct", "cap"): FUNC_VARIABLE,
-    ("immanants", "immanant_gj", "cap"): FUNC_VARIABLE,
-    ("partitions", "kostka", "cap"): FUNC_VARIABLE,
-    ("symgroup", "inverse_kostka", "cap"): FUNC_VARIABLE,
     ("partitions", "semistandard_tableaux", "max_entry"):
         "the tests count tableaux with it to check schur_principal",
     ("montecarlo", "mc_charpoly", "mode"):

@@ -23,7 +23,6 @@ from finfree.partitions import (
     two_column,
     two_row,
 )
-from finfree.util import CapExceededError
 
 
 @st.composite
@@ -80,12 +79,6 @@ def test_partitions_of_order():
         (1, 1, 1, 1),
     ]
     assert partitions_of(0) == [()]
-
-
-def test_partitions_of_cap():
-    with pytest.raises(CapExceededError):
-        partitions_of(11)
-    partitions_of(11, cap=11)
 
 
 def test_two_column_two_row():

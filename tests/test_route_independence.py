@@ -1,0 +1,236 @@
+"""The routes to the commutator polynomial share no package function but the
+primitives allowed below.
+
+Four routes compute the expected characteristic polynomial of A UBU* - UBU* A:
+the closed form, the convolution, the brute-force oracle and Haar Monte
+Carlo. Their agreement is evidence only while none of them reuses another's
+result, so the scan walks the package's ast from each route's entry point.
+
+A function reaches what its body and its default values name; annotations
+are not uses. A bare name is resolved through its module: its own top-level
+definitions and its relative imports, followed through re-exports, so two
+modules that define the same name stay apart. `C.m` for a package class C
+reaches the method C.m alone, and `mod.f` for an imported package module
+reaches mod.f. Naming a package class reaches its special methods, and any
+other `obj.m` reaches the methods named m of every package class the route
+names: an instance of a class the route never names cannot be on it, since
+the route's inputs are spectra and polynomials.
+"""
+
+import ast
+from itertools import combinations
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "finfree"
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+ROUTES = {
+    "closed": ("polynomials", "commutator_coefficient"),
+    "convolution": ("polynomials", "commutator_poly"),
+    "oracle": ("oracle", "brute_force_expected_ek"),
+    "monte carlo": ("montecarlo", "mc_charpoly"),
+}
+
+# (module, function) that two routes may share, and why it is a primitive
+PRIMITIVES = {
+    ("util", "to_fraction"): "coerces one input value to an exact rational",
+    ("symfunc", "as_spectrum"): "validates and coerces an input spectrum",
+    ("util", "clear_denominators"): "puts values on one denominator",
+    ("util", "factorials"): "the table 0!, 1!, ..., n!",
+    ("util", "slot_bytes"): "sizes a big-int slot",
+    ("util", "signed_slots"): "reads signed ints back from big-int slots",
+    ("util", "check_cap"): "refuses a size past its fixed limit",
+}
+
+
+def _annotations(tree) -> set:
+    """ids of every node inside an annotation of the tree."""
+    roots = []
+    for node in ast.walk(tree):
+        if isinstance(node, FUNCTIONS):
+            args = node.args
+            every = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+            roots += [arg.annotation for arg in every if arg is not None]
+            roots.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            roots.append(node.annotation)
+    return {id(sub) for root in roots if root is not None for sub in ast.walk(root)}
+
+
+def _graph(sources: dict) -> tuple:
+    """(graph, classes). graph maps each top-level function and method (a
+    method is named Class.method) to (functions, classes, attributes): the
+    functions it names, the package classes it names, and the attribute
+    names it reads off any other object. classes maps each package class to
+    its methods."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    defs, classes = {}, {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, FUNCTIONS):
+                defs[module, node.name] = node
+            elif isinstance(node, ast.ClassDef):
+                classes[module, node.name] = {}
+                for item in node.body:
+                    if isinstance(item, FUNCTIONS):
+                        key = (module, f"{node.name}.{item.name}")
+                        defs[key] = item
+                        classes[module, node.name][item.name] = key
+
+    # local name -> (module, name), or (module, None) for a package module
+    bindings = {}
+    for module, tree in trees.items():
+        names = {node.name: (module, node.name) for node in tree.body
+                 if isinstance(node, (*FUNCTIONS, ast.ClassDef))}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    target = (alias.name, None) if node.module is None else (node.module, alias.name)
+                    names[alias.asname or alias.name] = target
+        bindings[module] = names
+
+    def resolve(module, name):
+        """The definition that name denotes in module, through re-exports."""
+        target = bindings[module].get(name)
+        while target and target[1] is not None and target not in defs and target not in classes:
+            target = bindings.get(target[0], {}).get(target[1])
+        return target
+
+    skip = {id_ for tree in trees.values() for id_ in _annotations(tree)}
+    graph = {}
+    for (module, name), node in defs.items():
+        roots = [*node.body, *node.args.defaults, *(v for v in node.args.kw_defaults if v)]
+        functions, named, attributes = set(), set(), set()
+        for sub in (n for root in roots for n in ast.walk(root) if id(n) not in skip):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                target = resolve(module, sub.id)
+                if target in defs:
+                    functions.add(target)
+                elif target in classes:
+                    named.add(target)
+            elif isinstance(sub, ast.Attribute):
+                owner = (
+                    resolve(module, sub.value.id) if isinstance(sub.value, ast.Name) else None
+                )
+                if owner in classes:
+                    if sub.attr in classes[owner]:
+                        functions.add(classes[owner][sub.attr])
+                elif owner and owner[1] is None:  # a package module
+                    target = resolve(owner[0], sub.attr)
+                    if target in defs:
+                        functions.add(target)
+                else:
+                    attributes.add(sub.attr)
+        graph[module, name] = (functions, named, attributes)
+    return graph, classes
+
+
+def _reach(graph, classes, entry) -> set:
+    """The functions and methods a route reaches from its entry point. A
+    class it names brings its special methods, and an attribute read off an
+    unknown object the methods of that name of every class the route names:
+    an instance exists on a route only if the route names its class."""
+    reached, named, attributes = {entry}, set(), set()
+    todo = [entry]
+    while todo:
+        functions, new_classes, new_attributes = graph[todo.pop()]
+        found = set(functions)
+        for cls in new_classes - named:
+            named.add(cls)
+            found.update(key for attr, key in classes[cls].items()
+                         if attr.startswith("__") or attr in attributes)
+        attributes |= new_attributes
+        found.update(classes[cls][attr] for cls in named
+                     for attr in new_attributes if attr in classes[cls])
+        for key in found - reached:
+            reached.add(key)
+            todo.append(key)
+    return reached
+
+
+def _shared(sources: dict) -> dict:
+    """{(module, name): routes} for each function two or more routes reach."""
+    graph, classes = _graph(sources)
+    reach = {route: _reach(graph, classes, entry) for route, entry in ROUTES.items()}
+    shared = {}
+    for first, second in combinations(ROUTES, 2):
+        for key in reach[first] & reach[second]:
+            shared.setdefault(key, set()).update((first, second))
+    return shared
+
+
+def _package_sources() -> dict:
+    return {
+        path.stem: path.read_text()
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+
+
+def test_routes_share_only_primitives():
+    shared = _shared(_package_sources())
+    found = {key: sorted(routes) for key, routes in shared.items() if key not in PRIMITIVES}
+    assert not found, f"functions reached by more than one route: {found}"
+
+
+def test_every_primitive_is_shared():
+    shared = _shared(_package_sources())
+    assert set(PRIMITIVES) <= set(shared), set(PRIMITIVES) - set(shared)
+
+
+# A stand-in package: the convolution squares through boxminus, and so
+# does a closed form that has lost its independence.
+_ROUTE_STUBS = {
+    "util": "def to_fraction(v):\n    return v\n",
+    "oracle": "def brute_force_expected_ek(a, b, k):\n    return 0\n",
+    "montecarlo": "def mc_charpoly(a, b, n, seed):\n    return 0\n",
+}
+
+
+def test_scan_flags_a_closed_route_that_convolves():
+    sources = {
+        **_ROUTE_STUBS,
+        "polynomials": "from .util import to_fraction\n\n"
+                       "def boxminus(p, q):\n    return to_fraction(p)\n\n"
+                       "def commutator_poly(p, q):\n    return boxminus(p, q)\n\n"
+                       "def commutator_coefficient(k, a, b):\n    return boxminus(a, b)\n",
+    }
+    assert _shared(sources) == {
+        ("polynomials", "boxminus"): {"closed", "convolution"},
+        ("util", "to_fraction"): {"closed", "convolution"},
+    }
+
+
+def test_scan_keeps_same_named_private_functions_apart():
+    sources = {
+        **_ROUTE_STUBS,
+        "immanants": "def _cleared(y):\n    return as_matrix(y)\n\n"
+                     "def as_matrix(y):\n    return y\n",
+        "polynomials": "def _cleared(p):\n    return p\n\n"
+                       "def commutator_poly(p, q):\n    return _cleared(p)\n\n"
+                       "def commutator_coefficient(k, a, b):\n    return 0\n",
+        "oracle": "from .immanants import _cleared\n\n"
+                  "def brute_force_expected_ek(a, b, k):\n    return _cleared(a)\n",
+    }
+    assert _reach(*_graph(sources), ROUTES["convolution"]) == {
+        ("polynomials", "commutator_poly"), ("polynomials", "_cleared"),
+    }
+    assert _shared(sources) == {}
+
+
+def test_scan_reads_methods_only_off_classes_the_route_names():
+    sources = {
+        **_ROUTE_STUBS,
+        "partitions": "class Partition(tuple):\n"
+                      "    @property\n    def size(self):\n        return sum(self)\n",
+        "polynomials": "def commutator_poly(p, q):\n    return 0\n\n"
+                       "def commutator_coefficient(k, a, b):\n    return 0\n",
+        "oracle": "from .partitions import Partition\n\n"
+                  "def brute_force_expected_ek(a, b, k):\n    return Partition(a).size\n",
+        # a.size is numpy's here; the route names no package class
+        "montecarlo": "def mc_charpoly(a, b, n, seed):\n    return a.size\n",
+    }
+    graph, classes = _graph(sources)
+    assert ("partitions", "Partition.size") in _reach(graph, classes, ROUTES["oracle"])
+    assert _reach(graph, classes, ROUTES["monte carlo"]) == {ROUTES["monte carlo"]}
+    assert _shared(sources) == {}

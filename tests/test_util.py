@@ -1,11 +1,16 @@
+import ast
 import importlib
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from finfree import util
 from finfree.util import (
     DEGREE_CAP,
+    DIMENSION_CAP,
     GRAM_ORDER_CAP,
+    IMMANANT_CAP,
     MC_WORK_CAP,
     MOMENT_CAP,
     PARTITION_CAP,
@@ -15,6 +20,9 @@ from finfree.util import (
     factorials,
     to_fraction,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "finfree"
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def test_to_fraction():
@@ -59,9 +67,30 @@ class _Forbidden:
         raise AssertionError(f"{self.name}.{attr} reached before the cap check")
 
 
-# Every guard that takes no cap argument, called one past its limit:
-# (module, call, limit, names of the module the call must not reach).
+_EYE10 = tuple(tuple(int(i == j) for j in range(10)) for i in range(10))
+
+# Every guard, called one past its fixed limit: (module, call, limit, names
+# of the module the call must not reach). A guard that takes a list of
+# entries refuses it before it converts one.
 FIXED_CAPS = {
+    "partitions_of": ("partitions", lambda m: m.partitions_of(11), PARTITION_CAP, ()),
+    "kostka": ("partitions", lambda m: m.kostka((11,), (11,)),
+               PARTITION_CAP, ("_kostka_cached",)),
+    "character": ("symgroup", lambda m: m.character((11,), (11,)),
+                  PARTITION_CAP, ("_character_rec",)),
+    "inverse_kostka": ("symgroup", lambda m: m.inverse_kostka((11,), (11,)),
+                       PARTITION_CAP, ("_inverse_kostka_matrix",)),
+    "weingarten": ("weingarten", lambda m: m.weingarten(11, 11),
+                   PARTITION_CAP, ("character",)),
+    "as_matrix": ("immanants", lambda m: m.as_matrix([["1/2"] * 10] * 10),
+                  IMMANANT_CAP, ("to_fraction",)),
+    "immanant_direct": ("immanants", lambda m: m.immanant_direct((10,), _EYE10),
+                        IMMANANT_CAP, ("_class_sums",)),
+    "immanant_gj": ("immanants", lambda m: m.immanant_gj((10,), _EYE10),
+                    IMMANANT_CAP, ("_principal_elementaries",)),
+    "brute_force_expected_ek": (
+        "oracle", lambda m: m.brute_force_expected_ek((1,) * 8, (1,) * 8, 2),
+        DIMENSION_CAP, ("_derangement_classes",)),
     "integrate_moment": (
         "weingarten",
         lambda m: m.integrate_moment((1,) * 7, (1,) * 7, (1,) * 7, (1,) * 7, 7),
@@ -85,7 +114,7 @@ FIXED_CAPS = {
     "z_poly": ("polynomials", lambda m: m.z_poly(DEGREE_CAP + 1),
                DEGREE_CAP, ("factorials",)),
     "MonicPoly": ("polynomials", lambda m: m.MonicPoly((1,) + (0,) * (DEGREE_CAP + 1)),
-                  DEGREE_CAP, ("factorials", "clear_denominators")),
+                  DEGREE_CAP, ("to_fraction", "factorials", "clear_denominators")),
     "from_spectrum": (
         "polynomials", lambda m: m.MonicPoly.from_spectrum((1,) * (DEGREE_CAP + 1)),
         DEGREE_CAP, ("scaled_elementary", "factorials")),
@@ -104,3 +133,65 @@ def test_fixed_cap_refuses_one_past_its_limit(monkeypatch, name):
         monkeypatch.setattr(module, attr, _Forbidden(attr))
     with pytest.raises(CapExceededError, match=f" {limit + 1} exceeds cap {limit}$"):
         call(module)
+
+
+# Private helpers that call check_cap, and the row whose call reaches them.
+HELPER_ROWS = {"_check_degree": "MonicPoly", "_sample": "mc_entry_moments"}
+
+
+def _guards(sources: dict) -> dict:
+    """{function: source of each limit it passes check_cap}, over the
+    top-level functions and methods (as Class.method) of the sources."""
+    found = {}
+    for text in sources.values():
+        tree = ast.parse(text)
+        defs = [(node.name, node) for node in tree.body if isinstance(node, FUNCTIONS)]
+        defs += [
+            (f"{cls.name}.{node.name}", node)
+            for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for node in cls.body if isinstance(node, FUNCTIONS)
+        ]
+        for name, node in defs:
+            for call in ast.walk(node):
+                if (
+                    isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Name)
+                    and call.func.id == "check_cap"
+                ):
+                    found.setdefault(name, set()).add(ast.unparse(call.args[1]))
+    return found
+
+
+def _package_guards() -> dict:
+    return _guards({path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))})
+
+
+def test_every_guard_checks_a_fixed_limit_and_has_a_row():
+    guards = _package_guards()
+    constants = {name for name in vars(util) if name.endswith("_CAP")}
+    unfixed = {(name, limit) for name, limits in guards.items() for limit in limits
+               if limit not in constants}
+    assert not unfixed, f"guards whose limit is not a util constant: {sorted(unfixed)}"
+    missing = sorted(name for name in guards if HELPER_ROWS.get(name, name) not in FIXED_CAPS)
+    assert not missing, f"guards with no FIXED_CAPS row: {missing}"
+    for name, limits in guards.items():
+        limit = FIXED_CAPS[HELPER_ROWS.get(name, name)][2]
+        assert limit in {getattr(util, constant) for constant in limits}, name
+
+
+def test_helper_rows_name_private_guards():
+    guards = _package_guards()
+    for helper, row in HELPER_ROWS.items():
+        assert helper.startswith("_") and helper in guards and row in FIXED_CAPS, helper
+
+
+def test_guard_scan_finds_every_check():
+    source = (
+        "from .util import X_CAP, check_cap\n\n"
+        "def fixed(k):\n    check_cap(k, X_CAP, 'k')\n\n"
+        "def raised(k, cap=3):\n"
+        "    def inner():\n        check_cap(k, cap, 'k')\n    return inner()\n\n"
+        "def unguarded(k):\n    return k\n\n"
+        "class C:\n    def m(self, n):\n        check_cap(n * n, X_CAP, 'n')\n"
+    )
+    assert _guards({"a": source}) == {"fixed": {"X_CAP"}, "raised": {"cap"}, "C.m": {"X_CAP"}}

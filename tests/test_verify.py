@@ -101,7 +101,7 @@ def test_run_suites_order():
     assert "odd" in names[-1] or any("odd" in n for n in names)
 
 
-def _corrupted(k, d, cap=10):
+def _corrupted(k, d):
     wg = weingarten(k, d)
     values = dict(wg.values)
     low = min(values)

@@ -5,7 +5,6 @@ import pytest
 from finfree.cli import _corrupted_weingarten
 from finfree.oracle import gram_identity_residual, weingarten_gram_inverse
 from finfree.partitions import Partition
-from finfree.util import CapExceededError
 from finfree.weingarten import ClassFunction, integrate_moment, weingarten
 
 
@@ -37,8 +36,6 @@ def test_wg_rejects_bad_arguments():
         weingarten(0, 3)
     with pytest.raises(ValueError):
         weingarten(2, 0)
-    with pytest.raises(CapExceededError):
-        weingarten(11, 11)
 
 
 # ------------------------------------------------------------- Gram oracle
