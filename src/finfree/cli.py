@@ -12,7 +12,7 @@ from .immanants import as_matrix, immanant_direct, immanant_gj
 from .partitions import Partition, kostka
 from .polynomials import MonicPoly, boxminus, boxplus, boxtimes, commutator_poly, z_poly
 from .symgroup import character, character_table_json, inverse_kostka
-from .util import CapExceededError, to_fraction
+from .util import DEGREE_CAP, CapExceededError, check_cap, to_fraction
 from .verify import VERIFY_GROUPS, run_suites
 from .weingarten import ClassFunction, weingarten
 
@@ -45,6 +45,7 @@ def _load_spectrum(path) -> tuple:
     payload = _load_json(path)
     if not isinstance(payload, list) or not payload:
         raise InputError(f"{path} must hold a nonempty JSON array of rationals")
+    check_cap(len(payload), DEGREE_CAP, "polynomial degree")  # before any entry is converted
     try:
         return tuple(to_fraction(v) for v in payload)
     except (TypeError, ValueError) as exc:

@@ -29,9 +29,12 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 
 # Largest d at which _gram_schmidt beats per-matrix LAPACK QR by a clear
 # margin on a 4096-sample chunk (2-vCPU x86 host, OpenBLAS, one thread; the
-# timing table is in CHANGES.md). Above it the sweep's d^3 elementwise work
-# through numpy temporaries costs more than LAPACK's per-matrix dispatch.
-GRAM_SCHMIDT_MAX_D = 9
+# timing table is in CHANGES.md). Over several interleaved runs the sweep
+# took 0.60-0.76 of LAPACK's time at d = 10 and 0.74-0.92 at d = 11, but
+# 0.78-0.98 at d = 12, 0.80-1.17 at d = 13, 0.91-1.22 at d = 14 and
+# 1.36-1.37 at d = 16. Above it the sweep's d^3 elementwise work costs more
+# than LAPACK's per-matrix dispatch.
+GRAM_SCHMIDT_MAX_D = 11
 
 
 def haar_batch(d: int, m: int, rng: np.random.Generator) -> tuple:
@@ -40,47 +43,72 @@ def haar_batch(d: int, m: int, rng: np.random.Generator) -> tuple:
 
     The Q of complex Ginibre matrices Z = QR whose R has a positive real
     diagonal. That Q is exactly Haar (Mezzadri 2007); both orthonormalizers
-    below return it, up to rounding, from the same draws. For the sweep the
-    draws are stored sample-last, z[j, i, s] = Z_s[i, j], the layout it reads.
+    below return it, up to rounding, from the same draws.
     """
-    sweep = d <= GRAM_SCHMIDT_MAX_D
-    z = np.empty((d, d, m) if sweep else (m, d, d), dtype=complex)
+    z = np.empty((m, d, d), dtype=complex)
     # complex division by sqrt(2) multiplies each part by 1/sqrt(2), so
     # this writes the bytes of (x + iy) / sqrt(2) with no complex temporary
     scale = 1 / np.sqrt(2.0)
     for part in (z.real, z.imag):
-        draw = rng.standard_normal((m, d, d))
-        np.multiply(draw.T if sweep else draw, scale, out=part)
-    del draw  # not held through the orthonormalization
-    return _gram_schmidt(z) if sweep else _householder(z)
+        np.multiply(rng.standard_normal((m, d, d)), scale, out=part)
+    return _gram_schmidt(z) if d <= GRAM_SCHMIDT_MAX_D else _householder(z)
 
 
-def _gram_schmidt(columns: np.ndarray) -> tuple:
+# Samples per block of the sweep: the chunk is cut into the fewest equal
+# blocks whose (d, block) column slices hold at most this many entries
+# (64 KiB of complex128), so that a column, its temporaries and the columns
+# it is projected against stay in cache. In 16 000-sample d = 8 mc_charpoly
+# runs, budgets of 2048, 4096, 8192, 16384 and 32768 entries took 283, 252,
+# 246, 250 and 268 ms of CPU time (medians of 10); at d = 5 the budgets
+# from 4096 to 16384 tied within 5%.
+_SWEEP_BLOCK_ENTRIES = 4096
+
+
+def _sweep_block(d: int, m: int) -> int:
+    """Samples per block when _gram_schmidt sweeps m samples of size d."""
+    blocks = -(-m * d // _SWEEP_BLOCK_ENTRIES)
+    return -(-m // blocks)
+
+
+def _gram_schmidt(z: np.ndarray) -> tuple:
     """Classical Gram-Schmidt applied twice, vectorized over the samples.
 
-    columns[j, :, s] is column j of sample s, so each projection is a few
-    numpy ops over the whole chunk; the input is only read. Two passes keep
-    Q orthonormal to working precision for any numerically nonsingular Z
-    (Giraud, Langou & Rozloznik 2005). Each column is divided by its
-    positive norm, which is R's diagonal. Once column j is final, column j
-    of Q^H Q is formed, so the residual needs no second product.
+    z is only read. The samples are swept in blocks: each block is copied
+    sample-last, so that column j of every sample in it is one contiguous
+    (d, block) slice, and each projection is a few numpy ops over such
+    slices, one earlier column at a time. Two passes keep Q orthonormal to
+    working precision for any numerically nonsingular Z (Giraud, Langou &
+    Rozloznik 2005). Each column is divided by its positive norm, which is
+    R's diagonal. Once column j is final, column j of Q^H Q is formed, so
+    the residual needs no second product. Each block of Q is written into
+    the (m, d, d) result as soon as it is final.
     """
-    d = columns.shape[0]
-    q = np.empty_like(columns)
-    q_conj = np.empty_like(q)
+    m, d, _ = z.shape
+    size = _sweep_block(d, m)
+    # the block buffers are allocated before the result: the other way round,
+    # a 200 000-sample d = 2 mc_charpoly run took 10 711 page faults instead
+    # of 328 (glibc malloc, x86-64 Linux)
+    block = np.empty((3, d, d, size), dtype=complex)
+    u = np.empty_like(z)
     column_residuals = []
-    for j in range(d):
-        v = columns[j]
-        for _ in range(2):
-            coef = (q_conj[:j] * v).sum(axis=1)
-            v = v - (q[:j] * coef[:, None, :]).sum(axis=0)
-        v /= np.sqrt((v.real**2 + v.imag**2).sum(axis=0))
-        q[j] = v
-        q_conj[j] = v.conj()
-        gram = np.einsum("kim,im->km", q_conj[:j + 1], v)  # no (j+1, d, m) temporary
-        gram[j] -= 1
-        column_residuals.append(np.abs(gram).max())
-    return np.ascontiguousarray(q.transpose(2, 1, 0)), nan_max(column_residuals)
+    for start in range(0, m, size):
+        stop = min(start + size, m)
+        columns, qb, qb_conj = block[:, :, :, :stop - start]
+        np.copyto(columns, z[start:stop].T)
+        for j in range(d):
+            v = columns[j]
+            for _ in range(2 if j else 0):  # column 0 has nothing to project out
+                proj = qb[0] * (qb_conj[0] * v).sum(axis=0)
+                for k in range(1, j):
+                    proj += qb[k] * (qb_conj[k] * v).sum(axis=0)
+                v = v - proj
+            np.divide(v, np.sqrt((v.real**2 + v.imag**2).sum(axis=0)), out=qb[j])
+            np.conjugate(qb[j], out=qb_conj[j])
+            gram = np.stack([(qb_conj[k] * qb[j]).sum(axis=0) for k in range(j + 1)])
+            gram[j] -= 1
+            column_residuals.append(np.abs(gram).max())
+        u[start:stop] = qb.T
+    return u, nan_max(column_residuals)
 
 
 def _householder(z: np.ndarray) -> tuple:

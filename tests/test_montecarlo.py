@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,8 @@ from finfree.montecarlo import (
     _elementary_from_traces,
     _gram_schmidt,
     _householder,
+    _sample,
+    _sweep_block,
     haar_batch,
     mc_charpoly,
     mc_conjugation_mean,
@@ -36,9 +39,17 @@ def _ginibre(d, m, seed):
     return z / np.sqrt(2.0)
 
 
-def _sweep(z):
-    # _gram_schmidt reads the samples last: columns[j, :, s] = z[s, :, j]
-    return _gram_schmidt(np.ascontiguousarray(z.T))
+# m = 1; m = 3001, which from d = 2 on spans two or more sweep blocks and
+# ends in a shorter one; and m = 3712, the last chunk of a d = 8 run at
+# n = 16000
+RAGGED = 3001
+SWEEP_SIZES = (1, RAGGED, 3712)
+
+
+def test_ragged_size_crosses_block_edges():
+    for d in range(2, GRAM_SCHMIDT_MAX_D + 1):
+        size = _sweep_block(d, RAGGED)
+        assert size < RAGGED and RAGGED % size, d
 
 
 def _unitarity_residual(u):
@@ -46,7 +57,7 @@ def _unitarity_residual(u):
     return np.abs(u @ u.conj().transpose(0, 2, 1) - np.eye(d)).max()
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 5, 9, 10, 16])
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 9, 10, 11, 12, 16])
 def test_haar_batch_unitarity(d):
     u, residual = haar_batch(d, 64, _chunk_rng(SEED, 0))
     assert u.shape == (64, d, d)
@@ -65,12 +76,12 @@ def test_haar_batch_deterministic(d):
     assert not np.array_equal(a[0], c[0])
 
 
-@pytest.mark.parametrize("d", [2, 9, 10])
+@pytest.mark.parametrize("d", [2, 9, 10, 11, 12])
 def test_haar_batch_matches_the_two_temporaries_draw(d):
     # the draws written straight into z.real and z.imag give the same bytes
     # as (x + 1j*y) / sqrt(2), on both sides of GRAM_SCHMIDT_MAX_D
     z = _ginibre(d, 256, SEED)
-    want = _sweep(z)[0] if d <= GRAM_SCHMIDT_MAX_D else _householder(z)[0]
+    want = _gram_schmidt(z)[0] if d <= GRAM_SCHMIDT_MAX_D else _householder(z)[0]
     got = haar_batch(d, 256, _chunk_rng(SEED, 0))[0]
     assert got.tobytes() == want.tobytes()
 
@@ -78,25 +89,28 @@ def test_haar_batch_matches_the_two_temporaries_draw(d):
 @pytest.mark.parametrize("d", range(1, 13))
 def test_gram_schmidt_matches_householder(d):
     # both return the Q whose R has a positive real diagonal
-    z = _ginibre(d, 256, SEED + d)
-    assert np.abs(_sweep(z)[0] - _householder(z)[0]).max() < 1e-12
+    for m in SWEEP_SIZES:
+        z = _ginibre(d, m, SEED + d)
+        assert np.abs(_gram_schmidt(z)[0] - _householder(z)[0]).max() < 1e-12, m
 
 
 def test_gram_schmidt_only_reads_its_input():
-    columns = np.ascontiguousarray(_ginibre(5, 64, SEED).T)
-    before = columns.copy()
-    _gram_schmidt(columns)
-    assert columns.tobytes() == before.tobytes()
+    z = _ginibre(5, RAGGED, SEED)
+    before = z.copy()
+    _gram_schmidt(z)
+    assert z.tobytes() == before.tobytes()
 
 
-@pytest.mark.parametrize("d", [2, 5, 9])
+@pytest.mark.parametrize("d", [2, 5, 9, 11])
 def test_gram_schmidt_ill_conditioned(d):
-    # the last column is the first one plus a 1e-8 perturbation, so each
-    # matrix has condition number near 1e8
-    z = _ginibre(d, 64, SEED)
-    z[:, :, -1] = z[:, :, 0] + 1e-8 * _ginibre(d, 64, SEED + 1)[:, :, 0]
-    assert np.median(np.linalg.cond(z)) > 1e7
-    u, residual = _sweep(z)
+    # in the last 64 samples, all in the shorter last block of the sweep,
+    # the last column is the first one plus a 1e-8 perturbation, so each of
+    # these matrices has condition number near 1e8
+    assert RAGGED % _sweep_block(d, RAGGED) >= 64
+    z = _ginibre(d, RAGGED, SEED)
+    z[-64:, :, -1] = z[-64:, :, 0] + 1e-8 * _ginibre(d, 64, SEED + 1)[:, :, 0]
+    assert np.median(np.linalg.cond(z[-64:])) > 1e7
+    u, residual = _gram_schmidt(z)
     assert _unitarity_residual(u) < 1e-12 and residual < 1e-12
     r = u.conj().transpose(0, 2, 1) @ z
     assert np.abs(np.tril(r, -1)).max() < 1e-12
@@ -110,23 +124,49 @@ def _gram_residual(u):
 
 
 def _gram_residual_by_columns(u):
-    # column j of Q^H Q contracted over rows as the sweep does it
-    q, eye = u.T, np.eye(u.shape[-1])
+    # column j of Q^H Q, each entry summed over rows as the sweep sums it
+    q, eye = np.ascontiguousarray(u.T), np.eye(u.shape[-1])
     return max(
-        np.abs(np.einsum("kim,im->km", q[:j + 1].conj(), q[j]) - eye[:j + 1, j, None]).max()
+        np.abs(np.stack([(q[k].conj() * q[j]).sum(axis=0) for k in range(j + 1)])
+               - eye[:j + 1, j, None]).max()
         for j in range(u.shape[-1])
     )
 
 
-@pytest.mark.parametrize("d", [1, 5, 9, 10, 16])
+@pytest.mark.parametrize("d", [1, 5, 9, 10, 11, 12, 16])
 def test_residual_is_that_of_the_returned_unitaries(d):
-    u, residual = haar_batch(d, 128, _chunk_rng(SEED, 0))
+    u, residual = haar_batch(d, RAGGED, _chunk_rng(SEED, 0))
     assert residual > 0 or d == 1
     if d > GRAM_SCHMIDT_MAX_D:
         assert residual == _gram_residual(u)
     else:
         assert residual == _gram_residual_by_columns(u)
         assert abs(residual - _gram_residual(u)) <= 4 * d * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("d", [2, GRAM_SCHMIDT_MAX_D, GRAM_SCHMIDT_MAX_D + 1])
+def test_trace_moments_hit_exact_values(d):
+    # E|tr U|^2 = 1 and E|tr U^2|^2 = 2 for Haar U at d >= 2 (Diaconis &
+    # Shahshahani 1994; Rains 1997). A Q whose R phases are left unfixed
+    # keeps every |u_ij|, so the entry-moment and conjugation rows cannot
+    # see it; these moments can.
+    def traces(u):
+        powers = (np.einsum("mii->m", u), np.einsum("mij,mji->m", u, u))
+        return np.stack([np.abs(t) ** 2 for t in powers], axis=1).astype(complex)
+
+    rep = _sample(d, 20000, SEED, "trace_moments", ["tr_u", "tr_u2"], traces)
+    assert rep.band_misses({"tr_u": 1, "tr_u2": 2}) == []
+
+
+@pytest.mark.parametrize("d", [8, 9])
+def test_sweep_peak_memory_within_3_5_results(d):
+    tracemalloc.start()
+    try:
+        u = haar_batch(d, MC_CHUNK_SIZE, _chunk_rng(SEED, 0))[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * u.nbytes, peak / u.nbytes
 
 
 def test_haar_phase_correction_removes_qr_bias():
@@ -368,12 +408,12 @@ def _zero_a_column(monkeypatch, on_calls):
     # so its normalization divides 0 by 0; returns the list of call numbers
     sweep, calls = montecarlo._gram_schmidt, []
 
-    def sweep_with_zero_column(columns):
+    def sweep_with_zero_column(z):
         calls.append(len(calls) + 1)
         if calls[-1] in on_calls:
-            columns = columns.copy()
-            columns[1, :, 0] = 0
-        return sweep(columns)
+            z = z.copy()
+            z[0, :, 1] = 0
+        return sweep(z)
 
     monkeypatch.setattr(montecarlo, "_gram_schmidt", sweep_with_zero_column)
     return calls

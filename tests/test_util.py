@@ -1,5 +1,6 @@
 import ast
 import importlib
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -69,6 +70,14 @@ class _Forbidden:
 
 _EYE10 = tuple(tuple(int(i == j) for j in range(10)) for i in range(10))
 
+
+def _json_file(name, payload):
+    # written to the working directory, which the test sets to its tmp_path
+    with open(name, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+    return name
+
+
 # Every guard, called one past its fixed limit: (module, call, limit, names
 # of the module the call must not reach). A guard that takes a list of
 # entries refuses it before it converts one.
@@ -118,6 +127,9 @@ FIXED_CAPS = {
     "from_spectrum": (
         "polynomials", lambda m: m.MonicPoly.from_spectrum((1,) * (DEGREE_CAP + 1)),
         DEGREE_CAP, ("scaled_elementary", "factorials")),
+    "spectrum_file": (
+        "cli", lambda m: m._load_spectrum(_json_file("s.json", ["1/2"] * (DEGREE_CAP + 1))),
+        DEGREE_CAP, ("to_fraction",)),
     "split_chains": ("partitions", lambda m: m.split_chains(3, 1, 11),
                      PARTITION_CAP, ("itertools",)),
     "split_chain_type_count": ("partitions", lambda m: m.split_chain_type_count(11, 5, 2),
@@ -126,7 +138,8 @@ FIXED_CAPS = {
 
 
 @pytest.mark.parametrize("name", sorted(FIXED_CAPS))
-def test_fixed_cap_refuses_one_past_its_limit(monkeypatch, name):
+def test_fixed_cap_refuses_one_past_its_limit(monkeypatch, tmp_path, name):
+    monkeypatch.chdir(tmp_path)
     module_name, call, limit, forbidden = FIXED_CAPS[name]
     module = importlib.import_module(f"finfree.{module_name}")
     for attr in forbidden:
@@ -136,7 +149,11 @@ def test_fixed_cap_refuses_one_past_its_limit(monkeypatch, name):
 
 
 # Private helpers that call check_cap, and the row whose call reaches them.
-HELPER_ROWS = {"_check_degree": "MonicPoly", "_sample": "mc_entry_moments"}
+HELPER_ROWS = {
+    "_check_degree": "MonicPoly",
+    "_sample": "mc_entry_moments",
+    "_load_spectrum": "spectrum_file",
+}
 
 
 def _guards(sources: dict) -> dict:
