@@ -27,13 +27,15 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-# Largest d at which _gram_schmidt beats per-matrix LAPACK QR by a clear
-# margin on a 4096-sample chunk (2-vCPU x86 host, OpenBLAS, one thread; the
-# timing table is in CHANGES.md). Over several interleaved runs the sweep
-# took 0.60-0.76 of LAPACK's time at d = 10 and 0.74-0.92 at d = 11, but
-# 0.78-0.98 at d = 12, 0.80-1.17 at d = 13, 0.91-1.22 at d = 14 and
-# 1.36-1.37 at d = 16. Above it the sweep's d^3 elementwise work costs more
-# than LAPACK's per-matrix dispatch.
+# Largest d at which _gram_schmidt beats the blocked LAPACK QR of
+# _householder by a clear margin on a 4096-sample chunk (2-vCPU x86 host,
+# OpenBLAS, one thread, 21 interleaved runs; median ratio of the sweep's time
+# to LAPACK's, with its quartiles): 0.68 (0.67-0.68) at d = 9, 0.73
+# (0.71-0.75) at d = 10, 0.82 (0.80-0.83) at d = 11, 0.97 (0.94-1.10) at
+# d = 12, 1.02 (1.00-1.19) at d = 13 and 1.31 (1.29-1.32) at d = 14. Above
+# it the sweep's d^3 elementwise work costs more than LAPACK's per-matrix
+# dispatch. Moving the cut would change the bytes of the reports at the d
+# it moves.
 GRAM_SCHMIDT_MAX_D = 11
 
 
@@ -54,19 +56,41 @@ def haar_batch(d: int, m: int, rng: np.random.Generator) -> tuple:
     return _gram_schmidt(z) if d <= GRAM_SCHMIDT_MAX_D else _householder(z)
 
 
-# Samples per block of the sweep: the chunk is cut into the fewest equal
-# blocks whose (d, block) column slices hold at most this many entries
-# (64 KiB of complex128), so that a column, its temporaries and the columns
-# it is projected against stay in cache. In 16 000-sample d = 8 mc_charpoly
-# runs, budgets of 2048, 4096, 8192, 16384 and 32768 entries took 283, 252,
-# 246, 250 and 268 ms of CPU time (medians of 10); at d = 5 the budgets
-# from 4096 to 16384 tied within 5%.
+# Each blocked loop below cuts m samples into ceil(m * entries per sample /
+# budget) blocks of equal size (the last one may be shorter), so that its
+# temporaries stay block-sized however large the chunk is.
+#
+# The sweep counts the entries of a (d, block) column slice: at 4096 (64 KiB
+# of complex128) a column, its temporaries and the columns it is projected
+# against stay in cache. In 16 000-sample d = 8 mc_charpoly runs, budgets of
+# 2048, 4096, 8192, 16384 and 32768 entries took 283, 252, 246, 250 and 268
+# ms of CPU time (medians of 10); at d = 5 the budgets from 4096 to 16384
+# tied within 5%.
+#
+# The QR and the statistic count the d^2 entries of each sample. Medians of
+# 21 interleaved runs on one 4096-sample chunk, one CPU of a 2-vCPU x86 host,
+# OpenBLAS on one thread, for budgets of 2^13, 2^14, 2^15, 2^16, 2^17 entries:
+#   _householder, ms    d = 12: 59.1, 56.2, 56.4, 60.8, 68.8
+#                       d = 16: 85.9, 85.2, 78.8, 80.0, 82.5
+#                       d = 32: 327.9, 315.0, 310.6, 320.2, 331.0
+# and for budgets of 2^15, 2^16, 2^17, 2^18 entries:
+#   mc_charpoly, ms     d = 8: 26.3, 25.9, 26.9, 32.3
+#   (statistic and      d = 16: 125.6, 122.6, 119.0, 115.9
+#   fold only)          d = 32: 1050, 977, 897, 838
+# QR blocks of 2^15 entries (512 KiB) are at or near the fastest at every d;
+# at 2^16, haar_batch(12, 4096) peaks at 2.66 times its result instead of
+# 2.37. Statistic blocks of 2^16 entries (1 MiB) tie with the fastest at
+# d <= 16, where the benchmark samples; at 2^17, a full d = 12
+# mc_conjugation_mean chunk peaks at 2.68 times its unitaries instead of 2.42.
 _SWEEP_BLOCK_ENTRIES = 4096
+_QR_BLOCK_ENTRIES = 2**15
+_STATISTIC_BLOCK_ENTRIES = 2**16
 
 
-def _sweep_block(d: int, m: int) -> int:
-    """Samples per block when _gram_schmidt sweeps m samples of size d."""
-    blocks = -(-m * d // _SWEEP_BLOCK_ENTRIES)
+def _block_size(m: int, sample_entries: int, budget: int) -> int:
+    """Samples per block when m samples of sample_entries entries each are
+    cut into blocks of about budget entries, and of at least one sample."""
+    blocks = -(-m * sample_entries // budget)
     return -(-m // blocks)
 
 
@@ -84,10 +108,10 @@ def _gram_schmidt(z: np.ndarray) -> tuple:
     the (m, d, d) result as soon as it is final.
     """
     m, d, _ = z.shape
-    size = _sweep_block(d, m)
+    size = _block_size(m, d, _SWEEP_BLOCK_ENTRIES)
     # the block buffers are allocated before the result: the other way round,
-    # a 200 000-sample d = 2 mc_charpoly run took 10 711 page faults instead
-    # of 328 (glibc malloc, x86-64 Linux)
+    # a 200 000-sample d = 2 mc_charpoly run in a fresh interpreter took
+    # 9 940 page faults instead of 1 197 (glibc malloc, x86-64 Linux)
     block = np.empty((3, d, d, size), dtype=complex)
     u = np.empty_like(z)
     column_residuals = []
@@ -112,17 +136,30 @@ def _gram_schmidt(z: np.ndarray) -> tuple:
 
 
 def _householder(z: np.ndarray) -> tuple:
-    """LAPACK QR per matrix, with R's diagonal phases pushed into Q."""
-    q, r = np.linalg.qr(z)
-    diag = np.einsum("mii->mi", r)
-    mod = np.abs(diag)
-    phases = np.where(mod == 0, 1.0 + 0j, diag / np.where(mod == 0, 1.0, mod))
-    del r, diag  # so that R is not held through the product below
-    q *= phases[:, None, :]
-    gram = q.conj().transpose(0, 2, 1) @ q
-    i = np.arange(q.shape[-1])
-    gram[:, i, i] -= 1
-    return q, float(np.abs(gram).max())
+    """LAPACK QR per matrix, with R's diagonal phases pushed into Q.
+
+    z is only read. The samples are factored in blocks, and each block of Q
+    is written into the (m, d, d) result as soon as its phases are fixed, so
+    R, the temporary Q^H and the Gram product are block-sized. The residual
+    is the largest over the blocks' Gram products.
+    """
+    m, d, _ = z.shape
+    size = _block_size(m, d * d, _QR_BLOCK_ENTRIES)
+    u = np.empty_like(z)
+    i = np.arange(d)
+    block_residuals = []
+    for start in range(0, m, size):
+        q, r = np.linalg.qr(z[start:start + size])
+        diag = np.einsum("mii->mi", r)
+        mod = np.abs(diag)
+        phases = np.where(mod == 0, 1.0 + 0j, diag / np.where(mod == 0, 1.0, mod))
+        del r, diag  # so that R is not held through the product below
+        q *= phases[:, None, :]
+        gram = q.conj().transpose(0, 2, 1) @ q
+        gram[:, i, i] -= 1
+        block_residuals.append(np.abs(gram).max())
+        u[start:start + size] = q
+    return u, nan_max(block_residuals)
 
 
 def _elementary_from_traces(traces: np.ndarray) -> np.ndarray:
@@ -210,12 +247,15 @@ class _Accumulator:
         self.m2_im = np.zeros(width)
 
     def add(self, samples: np.ndarray):
+        """Fold one chunk of samples (m, width) in. samples is overwritten
+        with its squared deviations from the chunk mean, part by part, so
+        no array of its size is made."""
         take = samples.shape[0]
         chunk_sum = samples.sum(axis=0)
         chunk_mean = chunk_sum / take
-        dev = samples - chunk_mean
-        m2_re = (dev.real**2).sum(axis=0)
-        m2_im = (dev.imag**2).sum(axis=0)
+        dev = np.subtract(samples, chunk_mean, out=samples)
+        m2_re = np.square(dev.real, out=dev.real).sum(axis=0)
+        m2_im = np.square(dev.imag, out=dev.imag).sum(axis=0)
         if self.count:
             delta = chunk_mean - self.sum / self.count
             weight = self.count * take / (self.count + take)
@@ -239,7 +279,9 @@ def _sample(d: int, n: int, seed: int, mode: str, labels: list,
     """Means and standard errors of statistic(U) over n Haar samples.
 
     statistic maps a batch of unitaries (m, d, d) to per-sample values
-    (m, len(labels)); batches are drawn and folded in chunk order.
+    (m, len(labels)); chunks are drawn and folded in order. statistic is
+    called on blocks of a chunk's samples, so its temporaries are
+    block-sized, and the chunk's values are folded together.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -250,11 +292,21 @@ def _sample(d: int, n: int, seed: int, mode: str, labels: list,
     acc = _Accumulator(len(labels))
     residuals = []
     for index, done in enumerate(range(0, n, MC_CHUNK_SIZE)):
-        u, chunk_residual = haar_batch(
-            d, min(MC_CHUNK_SIZE, n - done), _chunk_rng(seed, index)
-        )
+        m = min(MC_CHUNK_SIZE, n - done)
+        u, chunk_residual = haar_batch(d, m, _chunk_rng(seed, index))
         residuals.append(chunk_residual)
-        acc.add(statistic(u))
+        values = np.empty((m, len(labels)), dtype=complex)
+        size = _block_size(m, d * d, _STATISTIC_BLOCK_ENTRIES)
+        for start in range(0, m, size):
+            values[start:start + size] = statistic(u[start:start + size])
+        acc.add(values)
+        # values (d^2 per sample in mc_conjugation_mean) is freed before the
+        # next draw, but u is not: with no array of the chunk left, glibc
+        # malloc gave the heap top back to the system after every chunk and
+        # faulted it back in on the next: a fresh `finfree verify all` took
+        # 127 600 minor page faults instead of 14 900, and the perfbench
+        # verify_all workload ran 12% fewer ops per second
+        del values
     mean, se_re, se_im = acc.finalize()
     return McReport(
         d=d,

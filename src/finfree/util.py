@@ -18,11 +18,11 @@ GRAM_ORDER_CAP = 8  # the Gram oracle walks all k! permutations: 0.3 s at k = 7,
 DEGREE_CAP = 1000  # polynomial degree and spectrum length
 
 MC_CHUNK_SIZE = 4096  # Haar samples per Monte Carlo chunk
-# A Monte Carlo run costs 1.5-2e-8 s of one core per unit of n*d^3 at
-# d >= 16, more per unit at small d, and a chunk peaks at about 64 bytes per
-# entry of min(n, MC_CHUNK_SIZE)*d^2 (measurements in CHANGES.md). So an
-# accepted run takes at most about 30 s at any d, and a full chunk
-# (d <= 32) about 300 MB.
+# A Monte Carlo run costs about 1.4e-8 s of one core per unit of n*d^3 at
+# d >= 16, more per unit at small d, and a chunk's arrays peak at about 33
+# bytes per entry of min(n, MC_CHUNK_SIZE)*d^2 (measurements in CHANGES.md).
+# So an accepted run takes at most about 35 s at any d, and a full chunk
+# (d <= 32) about 130 MiB.
 MC_WORK_CAP = 2**28
 MC_CHUNK_ENTRIES_CAP = 2**22
 

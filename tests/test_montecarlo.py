@@ -8,14 +8,17 @@ import pytest
 from finfree import montecarlo, verify
 from finfree.montecarlo import (
     GRAM_SCHMIDT_MAX_D,
+    _QR_BLOCK_ENTRIES,
+    _STATISTIC_BLOCK_ENTRIES,
+    _SWEEP_BLOCK_ENTRIES,
     McReport,
     _Accumulator,
+    _block_size,
     _chunk_rng,
     _elementary_from_traces,
     _gram_schmidt,
     _householder,
     _sample,
-    _sweep_block,
     haar_batch,
     mc_charpoly,
     mc_conjugation_mean,
@@ -40,16 +43,27 @@ def _ginibre(d, m, seed):
 
 
 # m = 1; m = 3001, which from d = 2 on spans two or more sweep blocks and
-# ends in a shorter one; and m = 3712, the last chunk of a d = 8 run at
-# n = 16000
+# ends in a shorter one (as it does for the QR blocks at d = 12 and 16); and
+# m = 3712, the last chunk of a d = 8 run at n = 16000
 RAGGED = 3001
 SWEEP_SIZES = (1, RAGGED, 3712)
 
 
 def test_ragged_size_crosses_block_edges():
-    for d in range(2, GRAM_SCHMIDT_MAX_D + 1):
-        size = _sweep_block(d, RAGGED)
+    sizes = {d: _block_size(RAGGED, d, _SWEEP_BLOCK_ENTRIES)
+             for d in range(2, GRAM_SCHMIDT_MAX_D + 1)}
+    sizes.update({d: _block_size(RAGGED, d * d, _QR_BLOCK_ENTRIES) for d in (12, 16)})
+    for d, size in sizes.items():
         assert size < RAGGED and RAGGED % size, d
+
+
+def test_block_size_rule():
+    # ceil(m * entries / budget) blocks of equal size up to a ragged last
+    # one, and one sample per block when one sample is over the budget
+    assert _block_size(4096, 256, 2**15) == 128
+    assert _block_size(4097, 256, 2**15) == 125  # 33 blocks, the last of 97
+    assert _block_size(1, 144, 2**15) == 1
+    assert _block_size(3, 2**20, 2**17) == 1
 
 
 def _unitarity_residual(u):
@@ -106,7 +120,7 @@ def test_gram_schmidt_ill_conditioned(d):
     # in the last 64 samples, all in the shorter last block of the sweep,
     # the last column is the first one plus a 1e-8 perturbation, so each of
     # these matrices has condition number near 1e8
-    assert RAGGED % _sweep_block(d, RAGGED) >= 64
+    assert RAGGED % _block_size(RAGGED, d, _SWEEP_BLOCK_ENTRIES) >= 64
     z = _ginibre(d, RAGGED, SEED)
     z[-64:, :, -1] = z[-64:, :, 0] + 1e-8 * _ginibre(d, 64, SEED + 1)[:, :, 0]
     assert np.median(np.linalg.cond(z[-64:])) > 1e7
@@ -158,15 +172,87 @@ def test_trace_moments_hit_exact_values(d):
     assert rep.band_misses({"tr_u": 1, "tr_u2": 2}) == []
 
 
-@pytest.mark.parametrize("d", [8, 9])
-def test_sweep_peak_memory_within_3_5_results(d):
+def _traced_peak(call):
     tracemalloc.start()
     try:
-        u = haar_batch(d, MC_CHUNK_SIZE, _chunk_rng(SEED, 0))[0]
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * u.nbytes, peak / u.nbytes
+
+
+def _chunk_bytes(d):
+    # the unitaries of one full chunk, (MC_CHUNK_SIZE, d, d) complex128
+    return MC_CHUNK_SIZE * d * d * 16
+
+
+@pytest.mark.parametrize("d", [8, 9])
+def test_sweep_peak_memory_within_3_5_results(d):
+    peak = _traced_peak(lambda: haar_batch(d, MC_CHUNK_SIZE, _chunk_rng(SEED, 0)))
+    assert peak <= 3.5 * _chunk_bytes(d), peak / _chunk_bytes(d)
+
+
+@pytest.mark.parametrize("d", [12, 16])
+def test_householder_peak_memory_within_2_5_results(d):
+    # the draws and the result, plus block-sized QR temporaries
+    peak = _traced_peak(lambda: haar_batch(d, MC_CHUNK_SIZE, _chunk_rng(SEED, 0)))
+    assert peak <= 2.5 * _chunk_bytes(d), peak / _chunk_bytes(d)
+
+
+@pytest.mark.parametrize("run, d", [("charpoly", 16), ("conjugation", 12)])
+def test_chunk_peak_memory_within_2_5_results(run, d):
+    # the statistic runs on blocks of the chunk, and its values, d^2 per
+    # sample for the conjugation, are folded in place
+    spec = range(d)
+    peak = _traced_peak(lambda: mc_conjugation_mean(spec, MC_CHUNK_SIZE, SEED)
+                        if run == "conjugation"
+                        else mc_charpoly(spec, spec[::-1], MC_CHUNK_SIZE, SEED))
+    assert peak <= 2.5 * _chunk_bytes(d), peak / _chunk_bytes(d)
+
+
+@pytest.mark.parametrize("d", [12, 16])
+def test_householder_blocks_match_one_factorization(monkeypatch, d):
+    z = _ginibre(d, RAGGED, SEED)
+    before = z.copy()
+    u, residual = _householder(z)
+    assert z.tobytes() == before.tobytes()
+    monkeypatch.setattr(montecarlo, "_QR_BLOCK_ENTRIES", RAGGED * d * d)
+    whole = _householder(z)
+    assert u.tobytes() == whole[0].tobytes() and residual == whole[1]
+
+
+def _whole_chunk_fold(d, n, seed, mode, labels, statistic):
+    # reference for _sample: the statistic of each whole chunk, folded
+    acc, residuals = _Accumulator(len(labels)), []
+    for index, done in enumerate(range(0, n, MC_CHUNK_SIZE)):
+        u, residual = haar_batch(d, min(MC_CHUNK_SIZE, n - done), _chunk_rng(seed, index))
+        residuals.append(residual)
+        acc.add(statistic(u))
+    mean, se_re, se_im = acc.finalize()
+    return McReport(
+        d=d, n=n, seed=seed, mode=mode, labels=labels,
+        means=[complex(v) for v in mean],
+        se_re=[float(v) for v in se_re],
+        se_im=[float(v) for v in se_im],
+        unitarity_residual_max=nan_max(residuals),
+    )
+
+
+@pytest.mark.parametrize("d", [12, 16])
+@pytest.mark.parametrize("run", ["commutator", "sum", "product", "conjugation"])
+def test_statistic_blocks_change_no_report_byte(monkeypatch, d, run):
+    # a full chunk of several statistic blocks and a chunk of 37 samples
+    assert _block_size(MC_CHUNK_SIZE, d * d, _STATISTIC_BLOCK_ENTRIES) < MC_CHUNK_SIZE
+    n, a, b = MC_CHUNK_SIZE + 37, range(d), [(-1) ** i * i / 3 for i in range(d)]
+
+    def report():
+        rep = (mc_conjugation_mean(a, n, SEED) if run == "conjugation"
+               else mc_charpoly(a, b, n, SEED, mode=run))
+        return json.dumps(rep.to_json_dict())
+
+    got = report()
+    monkeypatch.setattr(montecarlo, "_sample", _whole_chunk_fold)
+    assert got == report()
 
 
 def test_haar_phase_correction_removes_qr_bias():
@@ -193,6 +279,19 @@ def test_accumulator_se_survives_a_large_mean():
     for part, se in ((re, se_re[0]), (im, se_im[0])):
         want = np.std(part, ddof=1) / np.sqrt(part.size)
         assert abs(se - want) <= 1e-6 * want
+
+
+@pytest.mark.parametrize("width", [1, 2, 16, 256])
+def test_accumulator_folds_in_place_to_the_same_bytes(width):
+    # add squares the deviations inside its input; the sums are those of
+    # the squares of a fresh deviation array
+    rng = np.random.default_rng(width)
+    x = 3 + rng.standard_normal((4133, width)) + 1j * rng.standard_normal((4133, width))
+    acc = _Accumulator(width)
+    acc.add(x.copy())
+    dev = x - x.sum(axis=0) / len(x)
+    assert acc.m2_re.tobytes() == (dev.real**2).sum(axis=0).tobytes()
+    assert acc.m2_im.tobytes() == (dev.imag**2).sum(axis=0).tobytes()
 
 
 def test_accumulator_single_sample_has_zero_se():
