@@ -12,7 +12,7 @@ from .immanants import as_matrix, immanant_direct, immanant_gj
 from .partitions import Partition, kostka
 from .polynomials import MonicPoly, boxminus, boxplus, boxtimes, commutator_poly, z_poly
 from .symgroup import character, character_table_json, inverse_kostka
-from .util import DEGREE_CAP, CapExceededError, check_cap, to_fraction
+from .util import DEGREE_CAP, CapExceededError, check_cap, check_mc_caps, to_fraction
 from .verify import VERIFY_GROUPS, run_suites
 from .weingarten import ClassFunction, weingarten
 
@@ -128,14 +128,16 @@ def cmd_commutator(args) -> int:
         raise InputError(
             f"spectrum lengths differ: {len(spec_a)} != {len(spec_b)}"
         )
+    if args.mc is not None:  # refused before the exact work, which may take seconds
+        if args.seed is None:
+            raise InputError("--mc requires --seed")
+        check_mc_caps(len(spec_a), args.mc)
     exact = commutator_poly(
         MonicPoly.from_spectrum(spec_a), MonicPoly.from_spectrum(spec_b)
     )
     payload, lines = _rendered(exact, d=exact.degree)
     code = 0
     if args.mc is not None:
-        if args.seed is None:
-            raise InputError("--mc requires --seed")
         from .montecarlo import mc_charpoly  # loads numpy
 
         exact_f = _floats(exact.a, "an exact coefficient")

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .util import MC_CHUNK_ENTRIES_CAP, MC_CHUNK_SIZE, MC_WORK_CAP, check_cap
+from .util import MC_CHUNK_SIZE, check_mc_caps
 
 
 def nan_max(values) -> float:
@@ -27,139 +27,110 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-# Largest d at which _gram_schmidt beats the blocked LAPACK QR of
-# _householder by a clear margin on a 4096-sample chunk (2-vCPU x86 host,
+# Largest d at which _gram_schmidt beats the LAPACK QR of _householder by a
+# clear margin over the blocks of a 4096-sample chunk (2-vCPU x86 host,
 # OpenBLAS, one thread, 21 interleaved runs; median ratio of the sweep's time
-# to LAPACK's, with its quartiles): 0.68 (0.67-0.68) at d = 9, 0.73
-# (0.71-0.75) at d = 10, 0.82 (0.80-0.83) at d = 11, 0.97 (0.94-1.10) at
-# d = 12, 1.02 (1.00-1.19) at d = 13 and 1.31 (1.29-1.32) at d = 14. Above
+# to LAPACK's, with its quartiles): 0.79 (0.64-0.82) at d = 9, 0.75
+# (0.71-0.82) at d = 10, 0.86 (0.83-0.88) at d = 11, 1.02 (0.99-1.06) at
+# d = 12, 1.09 (1.06-1.19) at d = 13 and 1.34 (1.19-1.42) at d = 14. Above
 # it the sweep's d^3 elementwise work costs more than LAPACK's per-matrix
 # dispatch. Moving the cut would change the bytes of the reports at the d
 # it moves.
 GRAM_SCHMIDT_MAX_D = 11
 
 
-def haar_batch(d: int, m: int, rng: np.random.Generator) -> tuple:
-    """m Haar-distributed d x d unitaries, stacked along axis 0, and their
-    unitarity residual max|Q^H Q - I| over the batch.
-
-    The Q of complex Ginibre matrices Z = QR whose R has a positive real
-    diagonal. That Q is exactly Haar (Mezzadri 2007); both orthonormalizers
-    below return it, up to rounding, from the same draws.
-    """
-    z = np.empty((m, d, d), dtype=complex)
+def _draw(z: np.ndarray, rng: np.random.Generator):
+    """Fill z (m, d, d) with complex Ginibre matrices: the real parts of all m
+    samples, then the imaginary parts, each from one standard normal draw."""
     # complex division by sqrt(2) multiplies each part by 1/sqrt(2), so
     # this writes the bytes of (x + iy) / sqrt(2) with no complex temporary
     scale = 1 / np.sqrt(2.0)
     for part in (z.real, z.imag):
-        np.multiply(rng.standard_normal((m, d, d)), scale, out=part)
-    return _gram_schmidt(z) if d <= GRAM_SCHMIDT_MAX_D else _householder(z)
+        np.multiply(rng.standard_normal(z.shape), scale, out=part)
 
 
-# Each blocked loop below cuts m samples into ceil(m * entries per sample /
-# budget) blocks of equal size (the last one may be shorter), so that its
-# temporaries stay block-sized however large the chunk is.
-#
-# The sweep counts the entries of a (d, block) column slice: at 4096 (64 KiB
-# of complex128) a column, its temporaries and the columns it is projected
-# against stay in cache. In 16 000-sample d = 8 mc_charpoly runs, budgets of
-# 2048, 4096, 8192, 16384 and 32768 entries took 283, 252, 246, 250 and 268
-# ms of CPU time (medians of 10); at d = 5 the budgets from 4096 to 16384
-# tied within 5%.
-#
-# The QR and the statistic count the d^2 entries of each sample. Medians of
-# 21 interleaved runs on one 4096-sample chunk, one CPU of a 2-vCPU x86 host,
-# OpenBLAS on one thread, for budgets of 2^13, 2^14, 2^15, 2^16, 2^17 entries:
-#   _householder, ms    d = 12: 59.1, 56.2, 56.4, 60.8, 68.8
-#                       d = 16: 85.9, 85.2, 78.8, 80.0, 82.5
-#                       d = 32: 327.9, 315.0, 310.6, 320.2, 331.0
-# and for budgets of 2^15, 2^16, 2^17, 2^18 entries:
-#   mc_charpoly, ms     d = 8: 26.3, 25.9, 26.9, 32.3
-#   (statistic and      d = 16: 125.6, 122.6, 119.0, 115.9
-#   fold only)          d = 32: 1050, 977, 897, 838
-# QR blocks of 2^15 entries (512 KiB) are at or near the fastest at every d;
-# at 2^16, haar_batch(12, 4096) peaks at 2.66 times its result instead of
-# 2.37. Statistic blocks of 2^16 entries (1 MiB) tie with the fastest at
-# d <= 16, where the benchmark samples; at 2^17, a full d = 12
-# mc_conjugation_mean chunk peaks at 2.68 times its unitaries instead of 2.42.
-_SWEEP_BLOCK_ENTRIES = 4096
-_QR_BLOCK_ENTRIES = 2**15
-_STATISTIC_BLOCK_ENTRIES = 2**16
+def haar_batch(z: np.ndarray) -> tuple:
+    """The Haar-distributed unitaries of a block of Ginibre draws z (m, d, d),
+    stacked along axis 0, and their unitarity residual max|Q^H Q - I|.
+
+    The Q of Z = QR whose R has a positive real diagonal. That Q is exactly
+    Haar (Mezzadri 2007); both orthonormalizers below return it, up to
+    rounding, from the same draws. z is only read, and each sample's Q
+    depends on that sample's draws alone.
+    """
+    return _gram_schmidt(z) if z.shape[-1] <= GRAM_SCHMIDT_MAX_D else _householder(z)
 
 
-def _block_size(m: int, sample_entries: int, budget: int) -> int:
-    """Samples per block when m samples of sample_entries entries each are
-    cut into blocks of about budget entries, and of at least one sample."""
-    blocks = -(-m * sample_entries // budget)
+# _sample cuts each chunk into ceil(m * d / _BLOCK_ENTRIES) blocks of equal
+# size (the last one may be shorter), so that a block's (d, block) column
+# slice holds at most 4096 complex entries (64 KiB) and stays in cache with
+# the columns the sweep projects it against, and every temporary of the
+# orthonormalizer and the statistic is block-sized. CPU time of one
+# mc_charpoly run, medians of 11 interleaved runs on one CPU of a 2-vCPU x86
+# host, OpenBLAS on one thread, for budgets of 1024 to 16384 entries:
+#   d = 2, n = 20 000:   21.4, 19.3, 18.0, 17.7, 14.8 ms
+#   d = 5, n = 8192:     62.2, 51.5, 44.5, 44.0, 44.2 ms
+#   d = 8, n = 8192:     131.6, 86.4, 78.6, 87.7, 98.0 ms
+#   d = 12, n = 4096:    122.4, 127.1, 108.0, 127.8, 140.7 ms
+#   d = 16, n = 4096:    245.8, 216.5, 211.1, 210.7, 231.7 ms
+# 4096 is at or near the fastest from d = 5 up; at d = 2, where each call's
+# fixed cost dominates, fewer and larger blocks are faster. The minor page
+# faults of a fresh `finfree verify all` hang on glibc malloc's thresholds
+# more than on the budget: 3 646, 9 425, 6 327 and 10 625 for 2048 to 16384.
+_BLOCK_ENTRIES = 4096
+
+
+def _block_size(m: int, d: int) -> int:
+    """Samples per block when m samples are cut into blocks of about
+    _BLOCK_ENTRIES entries per column slice, and of at least one sample."""
+    blocks = -(-m * d // _BLOCK_ENTRIES)
     return -(-m // blocks)
 
 
 def _gram_schmidt(z: np.ndarray) -> tuple:
     """Classical Gram-Schmidt applied twice, vectorized over the samples.
 
-    z is only read. The samples are swept in blocks: each block is copied
-    sample-last, so that column j of every sample in it is one contiguous
-    (d, block) slice, and each projection is a few numpy ops over such
-    slices, one earlier column at a time. Two passes keep Q orthonormal to
-    working precision for any numerically nonsingular Z (Giraud, Langou &
-    Rozloznik 2005). Each column is divided by its positive norm, which is
-    R's diagonal. Once column j is final, column j of Q^H Q is formed, so
-    the residual needs no second product. Each block of Q is written into
-    the (m, d, d) result as soon as it is final.
+    z is copied sample-last, so that column j of every sample is one
+    contiguous (d, m) slice, and each projection is a few numpy ops over
+    such slices, one earlier column at a time. Two passes keep Q
+    orthonormal to working precision for any numerically nonsingular Z
+    (Giraud, Langou & Rozloznik 2005). Each column is divided by its
+    positive norm, which is R's diagonal. Once column j is final, column j
+    of Q^H Q is formed, so the residual needs no second product.
     """
-    m, d, _ = z.shape
-    size = _block_size(m, d, _SWEEP_BLOCK_ENTRIES)
-    # the block buffers are allocated before the result: the other way round,
-    # a 200 000-sample d = 2 mc_charpoly run in a fresh interpreter took
-    # 9 940 page faults instead of 1 197 (glibc malloc, x86-64 Linux)
-    block = np.empty((3, d, d, size), dtype=complex)
-    u = np.empty_like(z)
+    d = z.shape[-1]
+    columns = z.T.copy()
+    q = np.empty_like(columns)
+    q_conj = np.empty_like(columns)
     column_residuals = []
-    for start in range(0, m, size):
-        stop = min(start + size, m)
-        columns, qb, qb_conj = block[:, :, :, :stop - start]
-        np.copyto(columns, z[start:stop].T)
-        for j in range(d):
-            v = columns[j]
-            for _ in range(2 if j else 0):  # column 0 has nothing to project out
-                proj = qb[0] * (qb_conj[0] * v).sum(axis=0)
-                for k in range(1, j):
-                    proj += qb[k] * (qb_conj[k] * v).sum(axis=0)
-                v = v - proj
-            np.divide(v, np.sqrt((v.real**2 + v.imag**2).sum(axis=0)), out=qb[j])
-            np.conjugate(qb[j], out=qb_conj[j])
-            gram = np.stack([(qb_conj[k] * qb[j]).sum(axis=0) for k in range(j + 1)])
-            gram[j] -= 1
-            column_residuals.append(np.abs(gram).max())
-        u[start:stop] = qb.T
-    return u, nan_max(column_residuals)
+    for j in range(d):
+        v = columns[j]
+        for _ in range(2 if j else 0):  # column 0 has nothing to project out
+            proj = q[0] * (q_conj[0] * v).sum(axis=0)
+            for k in range(1, j):
+                proj += q[k] * (q_conj[k] * v).sum(axis=0)
+            v = v - proj
+        np.divide(v, np.sqrt((v.real**2 + v.imag**2).sum(axis=0)), out=q[j])
+        np.conjugate(q[j], out=q_conj[j])
+        gram = np.stack([(q_conj[k] * q[j]).sum(axis=0) for k in range(j + 1)])
+        gram[j] -= 1
+        column_residuals.append(np.abs(gram).max())
+    # sample-first and contiguous, as the statistics' matrix products expect
+    return np.ascontiguousarray(q.T), nan_max(column_residuals)
 
 
 def _householder(z: np.ndarray) -> tuple:
-    """LAPACK QR per matrix, with R's diagonal phases pushed into Q.
-
-    z is only read. The samples are factored in blocks, and each block of Q
-    is written into the (m, d, d) result as soon as its phases are fixed, so
-    R, the temporary Q^H and the Gram product are block-sized. The residual
-    is the largest over the blocks' Gram products.
-    """
-    m, d, _ = z.shape
-    size = _block_size(m, d * d, _QR_BLOCK_ENTRIES)
-    u = np.empty_like(z)
-    i = np.arange(d)
-    block_residuals = []
-    for start in range(0, m, size):
-        q, r = np.linalg.qr(z[start:start + size])
-        diag = np.einsum("mii->mi", r)
-        mod = np.abs(diag)
-        phases = np.where(mod == 0, 1.0 + 0j, diag / np.where(mod == 0, 1.0, mod))
-        del r, diag  # so that R is not held through the product below
-        q *= phases[:, None, :]
-        gram = q.conj().transpose(0, 2, 1) @ q
-        gram[:, i, i] -= 1
-        block_residuals.append(np.abs(gram).max())
-        u[start:start + size] = q
-    return u, nan_max(block_residuals)
+    """LAPACK QR per matrix, with R's diagonal phases pushed into Q."""
+    d = z.shape[-1]
+    q, r = np.linalg.qr(z)
+    diag = np.einsum("mii->mi", r)
+    mod = np.abs(diag)
+    phases = np.where(mod == 0, 1.0 + 0j, diag / np.where(mod == 0, 1.0, mod))
+    del r, diag  # so that R is not held through the product below
+    q *= phases[:, None, :]
+    gram = q.conj().transpose(0, 2, 1) @ q
+    gram[:, np.arange(d), np.arange(d)] -= 1
+    return q, np.abs(gram).max()
 
 
 def _elementary_from_traces(traces: np.ndarray) -> np.ndarray:
@@ -279,33 +250,34 @@ def _sample(d: int, n: int, seed: int, mode: str, labels: list,
     """Means and standard errors of statistic(U) over n Haar samples.
 
     statistic maps a batch of unitaries (m, d, d) to per-sample values
-    (m, len(labels)); chunks are drawn and folded in order. statistic is
-    called on blocks of a chunk's samples, so its temporaries are
-    block-sized, and the chunk's values are folded together.
+    (m, len(labels)). Each chunk is drawn whole, then orthonormalized and
+    measured block by block into the chunk's values, which are folded
+    together; chunks are folded in order.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    # refused before a chunk is allocated: memory first, then time
-    check_cap(min(n, MC_CHUNK_SIZE) * d * d, MC_CHUNK_ENTRIES_CAP,
-              f"Monte Carlo chunk at n={n}, d={d}: min(n, {MC_CHUNK_SIZE})*d^2")
-    check_cap(n * d**3, MC_WORK_CAP, f"Monte Carlo work at n={n}, d={d}: n*d^3")
+    check_mc_caps(d, n)  # before anything is allocated
     acc = _Accumulator(len(labels))
+    # one buffer of draws for the whole run, so that no chunk's draws
+    # outlive the next chunk's and the allocator is not asked for them again
+    draws = np.empty((min(n, MC_CHUNK_SIZE), d, d), dtype=complex)
     residuals = []
     for index, done in enumerate(range(0, n, MC_CHUNK_SIZE)):
         m = min(MC_CHUNK_SIZE, n - done)
-        u, chunk_residual = haar_batch(d, m, _chunk_rng(seed, index))
-        residuals.append(chunk_residual)
+        z = draws[:m]
+        _draw(z, _chunk_rng(seed, index))
         values = np.empty((m, len(labels)), dtype=complex)
-        size = _block_size(m, d * d, _STATISTIC_BLOCK_ENTRIES)
+        size = _block_size(m, d)
         for start in range(0, m, size):
-            values[start:start + size] = statistic(u[start:start + size])
+            u, residual = haar_batch(z[start:start + size])
+            residuals.append(residual)
+            values[start:start + size] = statistic(u)
         acc.add(values)
         # values (d^2 per sample in mc_conjugation_mean) is freed before the
-        # next draw, but u is not: with no array of the chunk left, glibc
-        # malloc gave the heap top back to the system after every chunk and
-        # faulted it back in on the next: a fresh `finfree verify all` took
-        # 127 600 minor page faults instead of 14 900, and the perfbench
-        # verify_all workload ran 12% fewer ops per second
+        # next draw, but the last block's u is not: freeing it too let glibc
+        # malloc give the heap top back to the system after every chunk, and
+        # a 70 000-sample d = 2 mc_charpoly op took 3 131 minor page faults
+        # instead of 290
         del values
     mean, se_re, se_im = acc.finalize()
     return McReport(

@@ -19,10 +19,11 @@ DEGREE_CAP = 1000  # polynomial degree and spectrum length
 
 MC_CHUNK_SIZE = 4096  # Haar samples per Monte Carlo chunk
 # A Monte Carlo run costs about 1.4e-8 s of one core per unit of n*d^3 at
-# d >= 16, more per unit at small d, and a chunk's arrays peak at about 33
-# bytes per entry of min(n, MC_CHUNK_SIZE)*d^2 (measurements in CHANGES.md).
-# So an accepted run takes at most about 35 s at any d, and a full chunk
-# (d <= 32) about 130 MiB.
+# d >= 16, more per unit at small d, and its arrays peak at about 24 bytes
+# per entry of min(n, MC_CHUNK_SIZE)*d^2 however many chunks it draws (34
+# for mc_conjugation_mean, whose values are d^2 per sample; measurements in
+# CHANGES.md). So an accepted run takes at most about 35 s at any d, and
+# at most about 140 MiB of arrays (d <= 32).
 MC_WORK_CAP = 2**28
 MC_CHUNK_ENTRIES_CAP = 2**22
 
@@ -34,6 +35,14 @@ class CapExceededError(ValueError):
 def check_cap(value, cap, what):
     if value > cap:
         raise CapExceededError(f"{what} {value} exceeds cap {cap}")
+
+
+def check_mc_caps(d: int, n: int):
+    """Refuse a Monte Carlo run of n samples at dimension d past either of its
+    limits: memory first (one chunk's entries), then time (n*d^3)."""
+    check_cap(min(n, MC_CHUNK_SIZE) * d * d, MC_CHUNK_ENTRIES_CAP,
+              f"Monte Carlo chunk at n={n}, d={d}: min(n, {MC_CHUNK_SIZE})*d^2")
+    check_cap(n * d**3, MC_WORK_CAP, f"Monte Carlo work at n={n}, d={d}: n*d^3")
 
 
 def to_fraction(value):

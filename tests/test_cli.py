@@ -298,6 +298,26 @@ def test_commutator_mc_without_seed(capsys, spectra_files):
     assert main(["commutator", a, b, "--mc", "100"]) == 2
 
 
+@pytest.mark.parametrize(
+    "spectrum, extra",
+    [
+        ([1, -1], ("--mc", "100")),  # no seed
+        ([1] * 100 + [-1] * 100, ("--mc", "4096", "--seed", "1")),  # chunk cap
+        ([1, -1], ("--mc", str(2**25 + 1), "--seed", "1")),  # work cap, n*d^3
+    ],
+    ids=["seed", "chunk", "work"],
+)
+def test_commutator_refuses_bad_mc_before_the_exact_work(
+        monkeypatch, capsys, tmp_path, spectrum, extra):
+    def exact_work(*args):
+        raise AssertionError("commutator_poly reached")
+
+    monkeypatch.setattr(cli, "commutator_poly", exact_work)
+    path = write_json(tmp_path, "s.json", spectrum)
+    assert main(["commutator", path, path, *extra]) == 2
+    _assert_one_error_line(capsys)
+
+
 def test_commutator_length_mismatch(capsys, tmp_path, spectra_files):
     a, _ = spectra_files
     b3 = write_json(tmp_path, "b3.json", [1, 2, 3])

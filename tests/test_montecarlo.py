@@ -8,13 +8,11 @@ import pytest
 from finfree import montecarlo, verify
 from finfree.montecarlo import (
     GRAM_SCHMIDT_MAX_D,
-    _QR_BLOCK_ENTRIES,
-    _STATISTIC_BLOCK_ENTRIES,
-    _SWEEP_BLOCK_ENTRIES,
     McReport,
     _Accumulator,
     _block_size,
     _chunk_rng,
+    _draw,
     _elementary_from_traces,
     _gram_schmidt,
     _householder,
@@ -42,28 +40,34 @@ def _ginibre(d, m, seed):
     return z / np.sqrt(2.0)
 
 
-# m = 1; m = 3001, which from d = 2 on spans two or more sweep blocks and
-# ends in a shorter one (as it does for the QR blocks at d = 12 and 16); and
-# m = 3712, the last chunk of a d = 8 run at n = 16000
+def _haar(d, m, rng):
+    # m unitaries from one block of draws, as _sample makes them
+    z = np.empty((m, d, d), dtype=complex)
+    _draw(z, rng)
+    return haar_batch(z)
+
+
+# m = 1; m = 3001, which from d = 2 on spans two or more blocks and ends in
+# a shorter one; and m = 3712, the last chunk of a d = 8 run at n = 16000
 RAGGED = 3001
 SWEEP_SIZES = (1, RAGGED, 3712)
 
 
 def test_ragged_size_crosses_block_edges():
-    sizes = {d: _block_size(RAGGED, d, _SWEEP_BLOCK_ENTRIES)
-             for d in range(2, GRAM_SCHMIDT_MAX_D + 1)}
-    sizes.update({d: _block_size(RAGGED, d * d, _QR_BLOCK_ENTRIES) for d in (12, 16)})
-    for d, size in sizes.items():
+    # on both orthonormalizers' sides of GRAM_SCHMIDT_MAX_D
+    for d in [*range(2, GRAM_SCHMIDT_MAX_D + 1), 12, 16]:
+        size = _block_size(RAGGED, d)
         assert size < RAGGED and RAGGED % size, d
 
 
 def test_block_size_rule():
-    # ceil(m * entries / budget) blocks of equal size up to a ragged last
-    # one, and one sample per block when one sample is over the budget
-    assert _block_size(4096, 256, 2**15) == 128
-    assert _block_size(4097, 256, 2**15) == 125  # 33 blocks, the last of 97
-    assert _block_size(1, 144, 2**15) == 1
-    assert _block_size(3, 2**20, 2**17) == 1
+    # ceil(m * d / 4096) blocks of equal size up to a ragged last one, and
+    # one sample per block when one sample's column slice is over 4096
+    assert _block_size(4096, 16) == 256
+    assert _block_size(4097, 16) == 241  # 17 blocks of 241
+    assert _block_size(4100, 12) == 316  # 13 blocks, the last of 308
+    assert _block_size(1, 12) == 1
+    assert _block_size(3, 5000) == 1
 
 
 def _unitarity_residual(u):
@@ -73,8 +77,8 @@ def _unitarity_residual(u):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 9, 10, 11, 12, 16])
 def test_haar_batch_unitarity(d):
-    u, residual = haar_batch(d, 64, _chunk_rng(SEED, 0))
-    assert u.shape == (64, d, d)
+    u, residual = _haar(d, 64, _chunk_rng(SEED, 0))
+    assert u.shape == (64, d, d) and u.flags.c_contiguous
     assert _unitarity_residual(u) < 1e-12
     assert 0 <= residual < 1e-12
 
@@ -83,21 +87,24 @@ def test_haar_batch_unitarity(d):
 def test_haar_batch_deterministic(d):
     # d = 4 takes the Gram-Schmidt path, d = 12 the LAPACK one
     assert (d <= GRAM_SCHMIDT_MAX_D) == (d == 4)
-    a = haar_batch(d, 8, _chunk_rng(SEED, 0))
-    b = haar_batch(d, 8, _chunk_rng(SEED, 0))
+    a = _haar(d, 8, _chunk_rng(SEED, 0))
+    b = _haar(d, 8, _chunk_rng(SEED, 0))
     assert np.array_equal(a[0], b[0]) and a[1] == b[1]
-    c = haar_batch(d, 8, _chunk_rng(SEED + 1, 0))
+    c = _haar(d, 8, _chunk_rng(SEED + 1, 0))
     assert not np.array_equal(a[0], c[0])
 
 
 @pytest.mark.parametrize("d", [2, 9, 10, 11, 12])
 def test_haar_batch_matches_the_two_temporaries_draw(d):
     # the draws written straight into z.real and z.imag give the same bytes
-    # as (x + 1j*y) / sqrt(2), on both sides of GRAM_SCHMIDT_MAX_D
-    z = _ginibre(d, 256, SEED)
-    want = _gram_schmidt(z)[0] if d <= GRAM_SCHMIDT_MAX_D else _householder(z)[0]
-    got = haar_batch(d, 256, _chunk_rng(SEED, 0))[0]
-    assert got.tobytes() == want.tobytes()
+    # as (x + 1j*y) / sqrt(2), and so the same unitaries, on both sides of
+    # GRAM_SCHMIDT_MAX_D
+    z = np.empty((256, d, d), dtype=complex)
+    _draw(z, _chunk_rng(SEED, 0))
+    want = _ginibre(d, 256, SEED)
+    assert z.tobytes() == want.tobytes()
+    got = _gram_schmidt(want)[0] if d <= GRAM_SCHMIDT_MAX_D else _householder(want)[0]
+    assert haar_batch(z)[0].tobytes() == got.tobytes()
 
 
 @pytest.mark.parametrize("d", range(1, 13))
@@ -117,10 +124,8 @@ def test_gram_schmidt_only_reads_its_input():
 
 @pytest.mark.parametrize("d", [2, 5, 9, 11])
 def test_gram_schmidt_ill_conditioned(d):
-    # in the last 64 samples, all in the shorter last block of the sweep,
-    # the last column is the first one plus a 1e-8 perturbation, so each of
-    # these matrices has condition number near 1e8
-    assert RAGGED % _block_size(RAGGED, d, _SWEEP_BLOCK_ENTRIES) >= 64
+    # in the last 64 samples the last column is the first one plus a 1e-8
+    # perturbation, so each of these matrices has condition number near 1e8
     z = _ginibre(d, RAGGED, SEED)
     z[-64:, :, -1] = z[-64:, :, 0] + 1e-8 * _ginibre(d, 64, SEED + 1)[:, :, 0]
     assert np.median(np.linalg.cond(z[-64:])) > 1e7
@@ -149,7 +154,7 @@ def _gram_residual_by_columns(u):
 
 @pytest.mark.parametrize("d", [1, 5, 9, 10, 11, 12, 16])
 def test_residual_is_that_of_the_returned_unitaries(d):
-    u, residual = haar_batch(d, RAGGED, _chunk_rng(SEED, 0))
+    u, residual = _haar(d, RAGGED, _chunk_rng(SEED, 0))
     assert residual > 0 or d == 1
     if d > GRAM_SCHMIDT_MAX_D:
         assert residual == _gram_residual(u)
@@ -186,46 +191,73 @@ def _chunk_bytes(d):
     return MC_CHUNK_SIZE * d * d * 16
 
 
+def _sampling_peak(d, chunks):
+    # full chunks drawn, orthonormalized block by block and measured by a
+    # statistic of two values per sample
+    return _traced_peak(lambda: mc_entry_moments(d, chunks * MC_CHUNK_SIZE, SEED))
+
+
 @pytest.mark.parametrize("d", [8, 9])
 def test_sweep_peak_memory_within_3_5_results(d):
-    peak = _traced_peak(lambda: haar_batch(d, MC_CHUNK_SIZE, _chunk_rng(SEED, 0)))
+    peak = _sampling_peak(d, 1)
     assert peak <= 3.5 * _chunk_bytes(d), peak / _chunk_bytes(d)
 
 
 @pytest.mark.parametrize("d", [12, 16])
 def test_householder_peak_memory_within_2_5_results(d):
-    # the draws and the result, plus block-sized QR temporaries
-    peak = _traced_peak(lambda: haar_batch(d, MC_CHUNK_SIZE, _chunk_rng(SEED, 0)))
+    peak = _sampling_peak(d, 1)
     assert peak <= 2.5 * _chunk_bytes(d), peak / _chunk_bytes(d)
+
+
+@pytest.mark.parametrize("d", [8, 9, 12, 16])
+def test_sampling_holds_no_chunk_of_unitaries(d):
+    # a chunk's draws, the normal array each part is drawn into (half their
+    # size) and block-sized arrays; only the last block of a chunk outlives
+    # the next chunk's draw
+    one = _sampling_peak(d, 1)
+    assert one <= 1.75 * _chunk_bytes(d), one / _chunk_bytes(d)
+    three = _sampling_peak(d, 3)
+    assert three <= 1.1 * one, three / one
 
 
 @pytest.mark.parametrize("run, d", [("charpoly", 16), ("conjugation", 12)])
 def test_chunk_peak_memory_within_2_5_results(run, d):
     # the statistic runs on blocks of the chunk, and its values, d^2 per
-    # sample for the conjugation, are folded in place
+    # sample for the conjugation, are folded in place and freed before the
+    # next chunk is drawn, so three chunks peak at most a block above one
     spec = range(d)
-    peak = _traced_peak(lambda: mc_conjugation_mean(spec, MC_CHUNK_SIZE, SEED)
-                        if run == "conjugation"
-                        else mc_charpoly(spec, spec[::-1], MC_CHUNK_SIZE, SEED))
-    assert peak <= 2.5 * _chunk_bytes(d), peak / _chunk_bytes(d)
+
+    def peak(chunks):
+        n = chunks * MC_CHUNK_SIZE
+        return _traced_peak(lambda: mc_conjugation_mean(spec, n, SEED)
+                            if run == "conjugation"
+                            else mc_charpoly(spec, spec[::-1], n, SEED))
+
+    one, three = peak(1), peak(3)
+    assert one <= 2.5 * _chunk_bytes(d), one / _chunk_bytes(d)
+    assert three <= 1.1 * one, three / one
 
 
 @pytest.mark.parametrize("d", [12, 16])
-def test_householder_blocks_match_one_factorization(monkeypatch, d):
+def test_householder_blocks_match_one_factorization(d):
+    # haar_batch over the blocks _sample cuts a ragged chunk into gives the
+    # bytes of one call on the whole chunk, and its residual is their largest
     z = _ginibre(d, RAGGED, SEED)
     before = z.copy()
-    u, residual = _householder(z)
-    assert z.tobytes() == before.tobytes()
-    monkeypatch.setattr(montecarlo, "_QR_BLOCK_ENTRIES", RAGGED * d * d)
-    whole = _householder(z)
-    assert u.tobytes() == whole[0].tobytes() and residual == whole[1]
+    size = _block_size(RAGGED, d)
+    blocks = [haar_batch(z[start:start + size]) for start in range(0, RAGGED, size)]
+    assert len(blocks) > 1 and z.tobytes() == before.tobytes()
+    u, residual = haar_batch(z)
+    assert np.concatenate([q for q, _ in blocks]).tobytes() == u.tobytes()
+    assert nan_max(r for _, r in blocks) == residual
 
 
 def _whole_chunk_fold(d, n, seed, mode, labels, statistic):
-    # reference for _sample: the statistic of each whole chunk, folded
+    # reference for _sample: the statistic of each whole chunk's unitaries,
+    # from one haar_batch call per chunk, folded
     acc, residuals = _Accumulator(len(labels)), []
     for index, done in enumerate(range(0, n, MC_CHUNK_SIZE)):
-        u, residual = haar_batch(d, min(MC_CHUNK_SIZE, n - done), _chunk_rng(seed, index))
+        u, residual = _haar(d, min(MC_CHUNK_SIZE, n - done), _chunk_rng(seed, index))
         residuals.append(residual)
         acc.add(statistic(u))
     mean, se_re, se_im = acc.finalize()
@@ -238,11 +270,12 @@ def _whole_chunk_fold(d, n, seed, mode, labels, statistic):
     )
 
 
-@pytest.mark.parametrize("d", [12, 16])
+@pytest.mark.parametrize("d", [2, 5, 12, 16])
 @pytest.mark.parametrize("run", ["commutator", "sum", "product", "conjugation"])
 def test_statistic_blocks_change_no_report_byte(monkeypatch, d, run):
-    # a full chunk of several statistic blocks and a chunk of 37 samples
-    assert _block_size(MC_CHUNK_SIZE, d * d, _STATISTIC_BLOCK_ENTRIES) < MC_CHUNK_SIZE
+    # a full chunk of several blocks and a chunk of 37 samples, on both
+    # sides of GRAM_SCHMIDT_MAX_D
+    assert _block_size(MC_CHUNK_SIZE, d) < MC_CHUNK_SIZE
     n, a, b = MC_CHUNK_SIZE + 37, range(d), [(-1) ** i * i / 3 for i in range(d)]
 
     def report():
@@ -259,7 +292,7 @@ def test_haar_phase_correction_removes_qr_bias():
     # with the phase fix, the diagonal of R is positive real; the first
     # column of U must have uniformly distributed phases, so its mean
     # should be near zero rather than biased along the positive axis
-    u = haar_batch(2, 4000, _chunk_rng(SEED, 0))[0]
+    u = _haar(2, 4000, _chunk_rng(SEED, 0))[0]
     mean_entry = u[:, 0, 0].mean()
     assert abs(mean_entry) < 0.05
 
@@ -346,7 +379,7 @@ def test_paired_traces_match_eigenvalues(monkeypatch, d, mode):
     # e_1 = tr W of the commutator
     a = np.arange(1, d + 1) / 2
     b = np.array([(d - i) * (-1) ** i / 3 for i in range(d)])
-    u = haar_batch(d, 64, _chunk_rng(SEED, d))[0]
+    u = _haar(d, 64, _chunk_rng(SEED, d))[0]
     got = _statistic(monkeypatch, a, b, mode)(u)
     roots = np.linalg.eigvals(_word(u, a, b, mode))
     want = np.array([np.poly(r) for r in roots])[:, 1:] * (-1.0) ** np.arange(1, d + 1)
@@ -369,15 +402,22 @@ def test_report_deterministic_across_reruns():
 
 
 def test_report_counts_ragged_final_chunk(monkeypatch):
-    takes, draw = [], montecarlo.haar_batch
+    draws, blocks = [], []
+    draw, orthonormalize = montecarlo._draw, montecarlo.haar_batch
 
-    def recorded(d, m, rng):
-        takes.append(m)
-        return draw(d, m, rng)
+    def recorded_draw(z, rng):
+        draws.append(len(z))
+        draw(z, rng)
 
-    monkeypatch.setattr(montecarlo, "haar_batch", recorded)
+    def recorded_block(z):
+        blocks.append(len(z))
+        return orthonormalize(z)
+
+    monkeypatch.setattr(montecarlo, "_draw", recorded_draw)
+    monkeypatch.setattr(montecarlo, "haar_batch", recorded_block)
     rep = mc_charpoly((1, -1), (1, -1), n=MC_CHUNK_SIZE + 3, seed=SEED)
-    assert takes == [MC_CHUNK_SIZE, 3]
+    assert draws == [MC_CHUNK_SIZE, 3]
+    assert blocks == [MC_CHUNK_SIZE // 2, MC_CHUNK_SIZE // 2, 3]
     assert rep.n == MC_CHUNK_SIZE + 3
     assert rep.chunk_size == MC_CHUNK_SIZE
 
@@ -466,13 +506,13 @@ def test_mode_validation():
 
 
 def test_chunk_cap_refuses_before_sampling(monkeypatch):
-    def forbidden(d, m, rng):
-        raise AssertionError("haar_batch reached")
+    def forbidden(z, rng):
+        raise AssertionError("draw reached")
 
-    monkeypatch.setattr(montecarlo, "haar_batch", forbidden)
+    monkeypatch.setattr(montecarlo, "_draw", forbidden)
     # one full chunk at d = 32 holds exactly the cap; at d = 33 it is refused
     assert MC_CHUNK_SIZE * 32**2 == MC_CHUNK_ENTRIES_CAP
-    with pytest.raises(AssertionError, match="haar_batch reached"):
+    with pytest.raises(AssertionError, match="draw reached"):
         mc_charpoly([1.0] * 32, [1.0] * 32, n=MC_CHUNK_SIZE, seed=1)
     refused = f"n=4096, d=33: .* exceeds cap {MC_CHUNK_ENTRIES_CAP}$"
     with pytest.raises(CapExceededError, match=refused):
@@ -503,7 +543,7 @@ def test_unitarity_residual_tracked():
 
 
 def _zero_a_column(monkeypatch, on_calls):
-    # column 1 of the first sample of a chunk becomes zero before the sweep,
+    # column 1 of the first sample of a block becomes zero before the sweep,
     # so its normalization divides 0 by 0; returns the list of call numbers
     sweep, calls = montecarlo._gram_schmidt, []
 
@@ -521,10 +561,11 @@ def _zero_a_column(monkeypatch, on_calls):
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_zero_ginibre_column_gives_a_nan_residual_that_fails(monkeypatch):
     # the NaN sits in the middle column of the sweep and in the second chunk,
-    # where a fold with the builtin max would keep the finite value before it
-    calls = _zero_a_column(monkeypatch, on_calls={2})
+    # after the three blocks of the first, where a fold with the builtin max
+    # would keep the finite value before it
+    calls = _zero_a_column(monkeypatch, on_calls={4})
     report = mc_conjugation_mean((1, 2, 3), n=MC_CHUNK_SIZE + 8, seed=SEED)
-    assert calls == [1, 2]
+    assert calls == [1, 2, 3, 4]
     assert np.isnan(report.unitarity_residual_max)
     assert report.to_json_dict()["unitarity_residual_max"] == "nan"
     assert verify._conjugation_failure(report, (1, 2, 3)) == "d=3: unitarity residual nan"

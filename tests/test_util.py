@@ -111,8 +111,9 @@ FIXED_CAPS = {
     "weingarten_gram_inverse": (
         "oracle", lambda m: m.weingarten_gram_inverse(GRAM_ORDER_CAP + 1, GRAM_ORDER_CAP + 1),
         GRAM_ORDER_CAP, ("partitions_of", "itertools")),
+    "check_mc_caps": ("util", lambda m: m.check_mc_caps(1, MC_WORK_CAP + 1), MC_WORK_CAP, ()),
     "mc_entry_moments": ("montecarlo", lambda m: m.mc_entry_moments(1, MC_WORK_CAP + 1, 1),
-                         MC_WORK_CAP, ("haar_batch",)),
+                         MC_WORK_CAP, ("_draw", "haar_batch")),
     "set_partitions": ("partitions", lambda m: m.set_partitions(9),
                        SET_PARTITION_CAP, ()),
     "set_partitions_of_type": ("partitions", lambda m: m.set_partitions_of_type((5, 4)),
@@ -151,7 +152,6 @@ def test_fixed_cap_refuses_one_past_its_limit(monkeypatch, tmp_path, name):
 # Private helpers that call check_cap, and the row whose call reaches them.
 HELPER_ROWS = {
     "_check_degree": "MonicPoly",
-    "_sample": "mc_entry_moments",
     "_load_spectrum": "spectrum_file",
 }
 
