@@ -339,8 +339,8 @@ def _verify_arguments(p):
         action="store_true",
         help="negative control: add 1/1000 to the largest class of every "
         "Weingarten table. The four triple-route rows of 'commutator' and "
-        "the closed Wg_{2,d} and Gram-system rows of 'weingarten' fail under "
-        "it; the flagship and odd-k rows read the table but still pass",
+        "the closed Wg_{2,d} and orthogonality rows of 'weingarten' fail "
+        "under it; the flagship and odd-k rows read the table but still pass",
     )
 
 

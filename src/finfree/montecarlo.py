@@ -256,6 +256,8 @@ def _sample(d: int, n: int, seed: int, mode: str, labels: list,
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    if d < 1:
+        raise ValueError("need d >= 1")
     check_mc_caps(d, n)  # before anything is allocated
     acc = _Accumulator(len(labels))
     # one buffer of draws for the whole run, so that no chunk's draws

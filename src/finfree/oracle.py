@@ -3,8 +3,8 @@
 Nothing here reuses the closed-form commutator coefficients: the expected
 characteristic polynomial is recomputed from first principles (minor
 expansion plus entrywise Haar moments), and the Weingarten function is
-re-derived by inverting its defining Gram system, so agreement with the
-fast layer is meaningful evidence.
+re-derived from the orthogonality relations of the unitary group, with no
+character, so agreement with the fast layer is meaningful evidence.
 """
 
 from __future__ import annotations
@@ -28,14 +28,13 @@ from .symgroup import (
     compose,
     cycle_type,
     dim_irrep,
-    identity_perm,
     inverse_perm,
     perm_sign,
 )
 from .weingarten import ClassFunction, weingarten
 from .util import (
     DIMENSION_CAP,
-    GRAM_ORDER_CAP,
+    PARTITION_CAP,
     bareiss_det,
     check_cap,
     clear_denominators,
@@ -123,41 +122,41 @@ def brute_force_expected_ek(spec_a, spec_b, k: int, wg_fn=weingarten) -> Fractio
 
 
 def weingarten_gram_inverse(k: int, d: int) -> ClassFunction:
-    """Weingarten function recovered from its defining Gram system.
+    """Weingarten function from the orthogonality relations of U U* = I.
 
-    Solves sum_sigma Wg(sigma) d^{cycles(sigma^-1 tau)} = [tau == id] for
-    the class function Wg: the class-summed system has integer entries, and
-    Cramer's rule solves it by fraction-free determinants. Requires d >= k
-    so the Gram matrix is invertible.
+    Collins and Matsumoto (ALEA 14, 2017): with n in a cycle of length r of
+    sigma in S_n, d Wg(sigma) + sum_{i<n} Wg((i n) sigma) is Wg_{n-1}(sigma
+    without n) if r = 1, else 0. On cycle types, (i n) splits that cycle into
+    (j, r-j), or merges it with another cycle of length s, in s ways. Taking
+    r the last part of each cycle type gives one integer system per order
+    n = 1..k, solved by Cramer's rule; it reads no character and is
+    invertible for d >= k.
     """
     if d < k:
         raise ValueError(f"need d >= k for an invertible system, got d={d} < k={k}")
-    check_cap(k, GRAM_ORDER_CAP, "Gram system order")
-    classes = partitions_of(k)
-    perms = list(itertools.permutations(range(k)))
-    by_class = {rho: [] for rho in classes}
-    for p in perms:
-        by_class[cycle_type(p)].append(p)
-    # Row tau-class, column sigma-class; entry sums d^cycles over the
-    # sigma class at one representative tau.
-    reps = [by_class[rho][0] for rho in classes]
-    mat = [
-        [
-            sum(d ** len(cycle_type(compose(inverse_perm(sigma), tau)))
-                for sigma in by_class[sigma_class])
-            for sigma_class in classes
-        ]
-        for tau in reps
-    ]
-    rhs = [int(tau == identity_perm(k)) for tau in reps]
-    det = bareiss_det(mat)
-    if not det:
-        raise ValueError("singular system")
-    solution = [
-        Fraction(bareiss_det([row[:j] + [b] + row[j + 1:] for row, b in zip(mat, rhs)]), det)
-        for j in range(len(classes))
-    ]
-    return ClassFunction(k, dict(zip(classes, solution)))
+    check_cap(k, PARTITION_CAP, "Weingarten oracle order")
+    wg = {(): Fraction(1)}
+    for n in range(1, k + 1):
+        classes = partitions_of(n)
+        mat = []
+        for i, (*rest, r) in enumerate(classes):
+            moves = [(rest + [j, r - j], 1) for j in range(1, r)]
+            moves += [(rest[:t] + rest[t + 1:] + [r + s], s) for t, s in enumerate(rest)]
+            row = [0] * len(classes)
+            row[i] = d
+            for parts, weight in moves:
+                row[classes.index(tuple(sorted(parts, reverse=True)))] += weight
+            mat.append(row)
+        scale, rhs = clear_denominators([wg[mu[:-1]] if mu[-1] == 1 else 0 for mu in classes])
+        det = bareiss_det(mat)
+        if not det:
+            raise ValueError("singular system")
+        wg = {
+            mu: Fraction(bareiss_det([row[:j] + [b] + row[j + 1:] for row, b in zip(mat, rhs)]),
+                         det * scale)
+            for j, mu in enumerate(classes)
+        }
+    return ClassFunction(k, wg)
 
 
 def gram_identity_residual(k: int, d: int, wg_fn=weingarten) -> Fraction:

@@ -22,10 +22,6 @@ from .util import PARTITION_CAP, SET_PARTITION_CAP, check_cap
 # Permutations are 0-indexed image tuples: p[i] is where i goes.
 
 
-def identity_perm(k: int) -> tuple:
-    return tuple(range(k))
-
-
 def compose(p, q) -> tuple:
     """p after q: (p . q)(i) = p(q(i))."""
     return tuple(map(p.__getitem__, q))

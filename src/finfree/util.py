@@ -14,7 +14,6 @@ SET_PARTITION_CAP = 8
 MOMENT_CAP = 6
 DIMENSION_CAP = 7
 IMMANANT_CAP = 9
-GRAM_ORDER_CAP = 8  # the Gram oracle walks all k! permutations: 0.3 s at k = 7, 4-5 s at 8
 DEGREE_CAP = 1000  # polynomial degree and spectrum length
 
 MC_CHUNK_SIZE = 4096  # Haar samples per Monte Carlo chunk

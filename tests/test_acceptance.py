@@ -44,7 +44,8 @@ def test_criterion_3_odd_coefficients_vanish():
 
 def test_criterion_4_weingarten_layer():
     # closed Wg order-2 values for d=2..6, exact entry moments, 100k-sample
-    # Monte Carlo bands, and the Gram-system re-derivation for k<=4
+    # Monte Carlo bands, the orthogonality-relation oracle for every
+    # k<=d<=8, and the Gram identity residual for k<=4
     _report(verify_weingarten())
 
 

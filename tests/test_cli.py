@@ -463,7 +463,7 @@ def test_immanant_multilinear_default_cap(capsys, tmp_path):
 def test_verify_help_names_the_negative_control_rows(capsys):
     assert main(["verify", "-h"]) == 0
     text = " ".join(capsys.readouterr().out.split())
-    assert "triple-route" in text and "Gram-system" in text
+    assert "triple-route" in text and "orthogonality rows" in text
     assert "flagship and odd-k rows read the table but still pass" in text
 
 

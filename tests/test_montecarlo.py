@@ -519,6 +519,21 @@ def test_chunk_cap_refuses_before_sampling(monkeypatch):
         mc_charpoly([1.0] * 33, [1.0] * 33, n=MC_CHUNK_SIZE, seed=1)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: mc_charpoly([], [], 10, 1),
+    lambda: mc_conjugation_mean([], 10, 1),
+    lambda: mc_entry_moments(0, 10, 1),
+    lambda: mc_entry_moments(-1, 10, 1),
+], ids=["charpoly", "conjugation", "moments-0", "moments-negative"])
+def test_dimension_below_one_refused_before_sampling(monkeypatch, call):
+    def forbidden(z, rng):
+        raise AssertionError("draw reached")
+
+    monkeypatch.setattr(montecarlo, "_draw", forbidden)
+    with pytest.raises(ValueError, match="^need d >= 1$"):
+        call()
+
+
 # ---------------------------------------------------------- other observables
 
 def test_entry_moment_bands():

@@ -1,10 +1,13 @@
-"""The routes to the commutator polynomial share no package function but the
-primitives allowed below.
+"""The routes to the commutator polynomial, and the two routes to the
+Weingarten function, share no package function but the primitives allowed
+below.
 
 Four routes compute the expected characteristic polynomial of A UBU* - UBU* A:
 the closed form, the convolution, the brute-force oracle and Haar Monte
-Carlo. Their agreement is evidence only while none of them reuses another's
-result, so the scan walks the package's ast from each route's entry point.
+Carlo. Two compute Wg: the character expansion and the orthogonality
+relations. Their agreement is evidence only while none of them reuses
+another's result, so the scan walks the package's ast from each route's
+entry point.
 
 A function reaches what its body and its default values name; annotations
 are not uses. A bare name is resolved through its module: its own top-level
@@ -40,6 +43,21 @@ PRIMITIVES = {
     ("util", "slot_bytes"): "sizes a big-int slot",
     ("util", "signed_slots"): "reads signed ints back from big-int slots",
     ("util", "check_cap"): "refuses a size past its fixed limit",
+}
+
+WG_ROUTES = {
+    "character expansion": ("weingarten", "weingarten"),
+    "orthogonality": ("oracle", "weingarten_gram_inverse"),
+}
+
+WG_PRIMITIVES = {
+    ("partitions", "partitions_of"): "lists the cycle types of S_k",
+    ("partitions", "Partition.__new__"): "validates a partition",
+    ("partitions", "Partition.size"): "the sum of the parts",
+    ("util", "check_cap"): "refuses a size past its fixed limit",
+    ("util", "to_fraction"): "coerces one value to an exact rational",
+    ("weingarten", "ClassFunction.__post_init__"): "validates a class function",
+    ("weingarten", "ClassFunction.__call__"): "reads a class function",
 }
 
 
@@ -148,12 +166,12 @@ def _reach(graph, classes, entry) -> set:
     return reached
 
 
-def _shared(sources: dict) -> dict:
+def _shared(sources: dict, routes=ROUTES) -> dict:
     """{(module, name): routes} for each function two or more routes reach."""
     graph, classes = _graph(sources)
-    reach = {route: _reach(graph, classes, entry) for route, entry in ROUTES.items()}
+    reach = {route: _reach(graph, classes, entry) for route, entry in routes.items()}
     shared = {}
-    for first, second in combinations(ROUTES, 2):
+    for first, second in combinations(routes, 2):
         for key in reach[first] & reach[second]:
             shared.setdefault(key, set()).update((first, second))
     return shared
@@ -176,6 +194,10 @@ def test_routes_share_only_primitives():
 def test_every_primitive_is_shared():
     shared = _shared(_package_sources())
     assert set(PRIMITIVES) <= set(shared), set(PRIMITIVES) - set(shared)
+
+
+def test_weingarten_routes_share_only_primitives():
+    assert set(_shared(_package_sources(), WG_ROUTES)) == set(WG_PRIMITIVES)
 
 
 # A stand-in package: the convolution squares through boxminus, and so
@@ -234,3 +256,16 @@ def test_scan_reads_methods_only_off_classes_the_route_names():
     assert ("partitions", "Partition.size") in _reach(graph, classes, ROUTES["oracle"])
     assert _reach(graph, classes, ROUTES["monte carlo"]) == {ROUTES["monte carlo"]}
     assert _shared(sources) == {}
+
+
+def test_scan_flags_an_oracle_that_reads_characters():
+    sources = {
+        "symgroup": "def character(lam, rho):\n    return 0\n",
+        "weingarten": "from .symgroup import character\n\n"
+                      "def weingarten(k, d):\n    return character(k, d)\n",
+        "oracle": "from .symgroup import character\n\n"
+                  "def weingarten_gram_inverse(k, d):\n    return character(k, d)\n",
+    }
+    assert _shared(sources, WG_ROUTES) == {
+        ("symgroup", "character"): {"character expansion", "orthogonality"},
+    }

@@ -16,7 +16,6 @@ from finfree.symgroup import (
     compose,
     cycle_type,
     dim_irrep,
-    identity_perm,
     inverse_kostka,
     inverse_perm,
     perm_of_cycle_type,
@@ -32,18 +31,17 @@ def perm_st(k):
 # ------------------------------------------------------------- permutations
 
 def test_perm_helpers():
-    assert identity_perm(3) == (0, 1, 2)
     p = (1, 2, 0)  # the 3-cycle 1 -> 2 -> 3 -> 1 on 0-based points
     q = (1, 0, 2)
     assert compose(p, q) == (2, 1, 0)
     assert compose(q, p) == (0, 2, 1)
     assert inverse_perm(p) == (2, 0, 1)
-    assert compose(p, inverse_perm(p)) == identity_perm(3)
+    assert compose(p, inverse_perm(p)) == tuple(range(3))
 
 
 def test_cycle_type_and_representative():
     assert cycle_type((1, 0, 2, 3)) == (2, 1, 1)
-    assert cycle_type(identity_perm(4)) == (1, 1, 1, 1)
+    assert cycle_type(tuple(range(4))) == (1, 1, 1, 1)
     for k in range(7):
         for rho in partitions_of(k):
             assert cycle_type(perm_of_cycle_type(rho)) == rho

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,7 +11,6 @@ from finfree import util
 from finfree.util import (
     DEGREE_CAP,
     DIMENSION_CAP,
-    GRAM_ORDER_CAP,
     IMMANANT_CAP,
     MC_WORK_CAP,
     MOMENT_CAP,
@@ -22,7 +22,8 @@ from finfree.util import (
     to_fraction,
 )
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "finfree"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "finfree"
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
@@ -108,9 +109,8 @@ FIXED_CAPS = {
                PARTITION_CAP, ("kostka_rows",)),
     "m_to_e": ("symfunc", lambda m: m.m_to_e((11,)),
                PARTITION_CAP, ("partitions_of", "inverse_kostka")),
-    "weingarten_gram_inverse": (
-        "oracle", lambda m: m.weingarten_gram_inverse(GRAM_ORDER_CAP + 1, GRAM_ORDER_CAP + 1),
-        GRAM_ORDER_CAP, ("partitions_of", "itertools")),
+    "weingarten_gram_inverse": ("oracle", lambda m: m.weingarten_gram_inverse(11, 11),
+                                PARTITION_CAP, ("partitions_of", "bareiss_det")),
     "check_mc_caps": ("util", lambda m: m.check_mc_caps(1, MC_WORK_CAP + 1), MC_WORK_CAP, ()),
     "mc_entry_moments": ("montecarlo", lambda m: m.mc_entry_moments(1, MC_WORK_CAP + 1, 1),
                          MC_WORK_CAP, ("_draw", "haar_batch")),
@@ -200,6 +200,24 @@ def test_helper_rows_name_private_guards():
     guards = _package_guards()
     for helper, row in HELPER_ROWS.items():
         assert helper.startswith("_") and helper in guards and row in FIXED_CAPS, helper
+
+
+def _caps_table_names(readme: str) -> set:
+    """The `*_CAP` names in the table rows of the README's Caps section."""
+    section = readme.split("\n## Caps\n", 1)[1].split("\n## ", 1)[0]
+    rows = (line for line in section.splitlines() if line.startswith("|"))
+    return {name for row in rows for name in re.findall(r"`([A-Z_]+_CAP)`", row)}
+
+
+def test_readme_caps_table_names_every_cap():
+    constants = {name for name in vars(util) if name.endswith("_CAP")}
+    assert _caps_table_names((ROOT / "README.md").read_text()) == constants
+
+
+def test_caps_table_scan_reads_only_table_rows():
+    readme = ("# finfree\n\n## Caps\n\nText naming `A_CAP`.\n\n| op | limit |\n| --- | --- |\n"
+              "| `f` | 3 (`B_CAP`), 4 (`C_CAP`) |\n\n## Next\n\n| `g` | `D_CAP` |\n")
+    assert _caps_table_names(readme) == {"B_CAP", "C_CAP"}
 
 
 def test_guard_scan_finds_every_check():

@@ -70,8 +70,9 @@ def test_injected_wg_error_details():
         "triple route d=5..7 sampled (one pair each)":
             "A=(-2, -1, -1, 1, 1) B=(-1, -1, 1, 1, 2) k=2: brute=1368/125 closed=54/5 conv=54/5",
         "Wg_{2,d} closed values for d=2..6": "d=2: got (1/3, -497/3000)",
-        "Gram-system oracle matches character expansion (k<=4, k<=d<=6)":
-            "k=1 d=1: Gram solve disagrees",
+        "orthogonality oracle matches character expansion (k<=d<=8); "
+        "Gram residual zero (k<=4, k<=d<=6)":
+            "k=1 d=1: orthogonality solve disagrees",
     }
 
 

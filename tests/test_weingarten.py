@@ -38,12 +38,13 @@ def test_wg_rejects_bad_arguments():
         weingarten(2, 0)
 
 
-# ------------------------------------------------------------- Gram oracle
+# ------------------------------------------------------------- Wg oracles
 
-@pytest.mark.parametrize("k", range(1, 5))
+@pytest.mark.parametrize("k", range(1, 11))
 def test_gram_inverse_matches_character_expansion(k):
-    for d in range(k, 7):
-        assert weingarten_gram_inverse(k, d) == weingarten(k, d)
+    # every k <= d <= 8, and every k <= 10 at d = 10 and 12
+    for d in [*range(k, 9), 10, 12]:
+        assert weingarten_gram_inverse(k, d) == weingarten(k, d), d
 
 
 @pytest.mark.parametrize("k,d", [(2, 1), (3, 2), (4, 3)])
