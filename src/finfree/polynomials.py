@@ -162,16 +162,14 @@ def _pack(coeffs, nbytes: int) -> int:
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
-def low_product(f, g, n: int) -> list:
-    """The first n coefficients of the product of two integer polynomials.
+def _kronecker_product(f, g, n: int) -> list:
+    """The first n coefficients of f g by one big-int product.
 
     Kronecker substitution: both coefficient lists are packed into one big
-    int each, in slots wide enough for any product coefficient, so a single
-    big-int product does the whole convolution, and util.signed_slots reads
-    the coefficients back. Passing the same list as f and g squares it.
+    int each, in slots wide enough for any product coefficient, and
+    util.signed_slots reads the coefficients back. Passing the same list as
+    f and g squares it.
     """
-    if n < 1:
-        return []
     bound = min(n, len(f), len(g)) * max(1, *map(abs, f)) * max(1, *map(abs, g))
     nbytes = slot_bytes(bound)
     if g is f:
@@ -181,6 +179,55 @@ def low_product(f, g, n: int) -> list:
     else:
         packed = _pack(f, nbytes) * _pack(g, nbytes)
     return signed_slots(packed, nbytes, n)
+
+
+# Products of fewer than this many coefficients are taken whole. Measured
+# on a 2-vCPU x86 host, CPython 3.11: commutator_poly on seeded spectra like
+# exact_conv's, each op timed against the whole-product low_product in random
+# order; median time ratio over 300 ops (20 at d = 400). Past the cutoff a
+# d = 60 square (31 coefficients) splits once at 24, a d = 150 one (76) twice.
+#
+#   cutoff   d = 20   d = 60   d = 150   d = 400
+#      8      1.46     1.14     0.81      0.70
+#     12      1.01     1.14     0.79      0.69
+#     16      1.01     1.00     0.79      0.69
+#     24      1.01     1.00     0.77      0.68
+#     32      0.99     1.00     0.77      0.68
+#     40      1.01     1.00     0.78      0.70
+_SHORT_PRODUCT_MIN = 24
+
+
+def low_product(f, g, n: int) -> list:
+    """The first n coefficients of the product of two integer polynomials.
+
+    A short product (Mulders 2000) computes only those n. With m = ceil(n/2)
+    and f = f_lo + x^m f_hi, likewise g,
+
+        f g mod x^n = f_lo g_lo + x^m (f_lo g_hi + f_hi g_lo mod x^(n-m)),
+
+    since 2m >= n drops f_hi g_hi. f_lo g_lo is one Kronecker product of
+    m-coefficient operands, and the cross terms recurse; for a square
+    (the same list as f and g) they are one term, doubled. Each product
+    sizes its own slots, so small high-order coefficients pack narrow.
+    Below _SHORT_PRODUCT_MIN coefficients the product is taken whole.
+    """
+    if n < 1 or not (f and g):
+        return [0] * n
+    if n < _SHORT_PRODUCT_MIN:
+        return _kronecker_product(f, g, n)
+    m = (n + 1) // 2
+    k = n - m
+    f_lo = f[:m]
+    if g is f:
+        out = _kronecker_product(f_lo, f_lo, n)
+        cross = low_product(f_lo[:k], f[m:n], k)
+        out[m:] = [u + 2 * v for u, v in zip(out[m:], cross)]
+    else:
+        g_lo = g[:m]
+        out = _kronecker_product(f_lo, g_lo, n)
+        cross = zip(low_product(f_lo[:k], g[m:n], k), low_product(f[m:n], g_lo[:k], k))
+        out[m:] = [u + v + w for u, (v, w) in zip(out[m:], cross)]
+    return out
 
 
 def boxplus(p: MonicPoly, q: MonicPoly) -> MonicPoly:

@@ -1,10 +1,12 @@
 import itertools
+import random
 from fractions import Fraction
 from math import comb, factorial, gcd, isqrt, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from finfree import polynomials
 from finfree.polynomials import (
     MonicPoly,
     boxminus,
@@ -494,6 +496,117 @@ def test_low_product_at_slot_bound():
 def test_low_product_zero_factor():
     assert low_product([0, 0], [2**90, -(2**90)], 3) == [0, 0, 0]
     assert low_product([2**90, 5], [0], 2) == [0, 0]
+
+
+# ---------------------------------------------------------- short products
+#
+# Past CUTOFF coefficients, low_product splits its operands at ceil(n/2) and
+# recurses on the cross terms; below it, one Kronecker product does it all.
+
+CUTOFF = polynomials._SHORT_PRODUCT_MIN
+
+
+@st.composite
+def deep_product_st(draw):
+    # lengths drawn apart, so one operand can end before the split point
+    operand = st.lists(st.integers(-(2**300), 2**300), min_size=1, max_size=3 * CUTOFF)
+    f, g = draw(operand), draw(operand)
+    return f, g, draw(st.integers(0, len(f) + len(g) + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(deep_product_st())
+@example(([7], [1], 3 * CUTOFF))
+@example(([1] * (CUTOFF + 1), [-1] * 3, 2 * CUTOFF))
+@example(([2**300] * (3 * CUTOFF), [-(2**300)] * (3 * CUTOFF), 6 * CUTOFF + 1))
+def test_short_product_matches_schoolbook(product):
+    f, g, n = product
+    assert low_product(f, g, n) == ref_low_product(f, g, n)
+    # a square, through the same list object and through an equal copy
+    assert low_product(f, f, n) == ref_low_product(f, f, n)
+    assert low_product(f, list(f), n) == ref_low_product(f, f, n)
+
+
+def test_short_product_at_slot_bound():
+    # the extremes of test_low_product_at_slot_bound, at lengths on both
+    # sides of the cutoff and past two levels of recursion
+    for length in (CUTOFF - 1, CUTOFF, CUTOFF + 1, 2 * CUTOFF + 1, 4 * CUTOFF):
+        n = 2 * length - 1
+        for m in range(1, 6):
+            c = 2 ** (8 * m - 1) - 1
+            for f in ([c] * length, [-c] * length, [c, -c] * length, [0] * (length - 1) + [c]):
+                f = f[:length]
+                for g in ([1], [-1], [0] * (length - 1) + [-1]):
+                    assert low_product(f, g, n) == ref_low_product(f, g, n)
+            top = isqrt((2 ** (8 * m - 1) - 1) // length)
+            for f in ([top] * length, [-top] * length, [top, -top] * length):
+                f = f[:length]
+                assert low_product(f, f, n) == ref_low_product(f, f, n)
+        for b in (1, 7, 8, 9, 63, 64, 65, 300):
+            top = 2**b - 1
+            for f, g in (
+                ([top] * length, [top] * length),
+                ([-top] * length, [top] * length),
+                ([top, -top] * length, [-top, top] * length),
+                ([-(2**b)] * length, [-(2**b)] * length),
+            ):
+                f, g = f[:length], g[:length]
+                assert low_product(f, g, n) == ref_low_product(f, g, n)
+                assert low_product(f, f, n) == ref_low_product(f, f, n)
+
+
+def _seeded_spectrum(d, seed):
+    # roots p/q with |p| <= 9 and 1 <= q <= 9
+    rng = random.Random(seed)
+    return tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(d))
+
+
+def test_self_boxminus_takes_no_full_square(monkeypatch):
+    # p ⊟ p squares the 76 even and 75 odd numerators at d = 150. A short
+    # product never hands a whole operand to one Kronecker product: past
+    # the cutoff, every operand it packs holds at most ceil(n/2) coefficients.
+    calls = []
+    whole = polynomials._kronecker_product
+
+    def recording(f, g, n):
+        calls.append((len(f), len(g), n))
+        return whole(f, g, n)
+
+    p = MonicPoly.from_spectrum(_seeded_spectrum(150, seed=3))
+    want = boxminus(p, p)
+    monkeypatch.setattr(polynomials, "_kronecker_product", recording)
+    assert boxminus(p, p) == want
+    deep = [(lf, lg, n) for lf, lg, n in calls if n >= CUTOFF]
+    assert deep, calls
+    assert all(max(lf, lg) <= (n + 1) // 2 for lf, lg, n in deep), deep
+
+
+def test_commutator_routes_agree_every_k_d150():
+    d = 150
+    spec_a, spec_b = _seeded_spectrum(d, seed=1), _seeded_spectrum(d, seed=2)
+    conv = commutator_poly(MonicPoly.from_spectrum(spec_a), MonicPoly.from_spectrum(spec_b))
+    for k in range(0, d + 1, 2):
+        assert conv.a[k] == commutator_coefficient(k, spec_a, spec_b), k
+
+
+def test_commutator_routes_agree_d400():
+    d = 400
+    spec_a, spec_b = _seeded_spectrum(d, seed=4), _seeded_spectrum(d, seed=5)
+    conv = commutator_poly(MonicPoly.from_spectrum(spec_a), MonicPoly.from_spectrum(spec_b))
+    assert all(conv.a[k] == 0 for k in range(1, d + 1, 2))
+    for k in (2, 64, 202, 400):
+        assert conv.a[k] == commutator_coefficient(k, spec_a, spec_b), k
+
+
+def test_boxplus_matches_schoolbook_d200():
+    d = 200
+    p = MonicPoly.from_spectrum(_seeded_spectrum(d, seed=6))
+    q = MonicPoly.from_spectrum(_seeded_spectrum(d, seed=7))
+    want = ref_low_product(p.nums, q.nums, d + 1)
+    got = boxplus(p, q)
+    # c_k = got.nums[k] / got.den against want[k] / (p.den q.den)
+    for k in range(d + 1):
+        assert got.nums[k] * p.den * q.den == want[k] * got.den, k
 
 
 def test_decode_edge_cases():
