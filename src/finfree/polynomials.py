@@ -29,6 +29,7 @@ from .util import (
     clear_denominators,
     factorials,
     signed_slots,
+    slot_bias,
     slot_bytes,
     to_fraction,
 )
@@ -156,44 +157,66 @@ def _common_degree(p: MonicPoly, q: MonicPoly) -> int:
 
 
 def _pack(coeffs, nbytes: int) -> int:
-    """sum_i c_i 2^(8 nbytes i) for signed ints c_i with |c_i| < 2^(8 nbytes)."""
-    pos = b"".join(max(c, 0).to_bytes(nbytes, "little") for c in coeffs)
-    neg = b"".join(max(-c, 0).to_bytes(nbytes, "little") for c in coeffs)
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+    """sum_i c_i 2^(8 nbytes i) for signed ints c_i with |c_i| < 2^(8 nbytes - 1).
+
+    Each c_i + 2^(8 nbytes - 1) fills its slot unsigned, so one pass packs
+    the biased digits and one subtraction takes the bias back out.
+    """
+    half = slot_bias(nbytes, 1)
+    raw = b"".join((c + half).to_bytes(nbytes, "little") for c in coeffs)
+    return int.from_bytes(raw, "little") - slot_bias(nbytes, len(coeffs))
 
 
 def _kronecker_product(f, g, n: int) -> list:
     """The first n coefficients of f g by one big-int product.
 
-    Kronecker substitution: both coefficient lists are packed into one big
-    int each, in slots wide enough for any product coefficient, and
-    util.signed_slots reads the coefficients back. Passing the same list as
-    f and g squares it.
+    Kronecker substitution: each operand is divided by its content (the gcd
+    of its coefficients), its primitive part is packed into one big int, in
+    slots wide enough for any coefficient of the primitive parts' product,
+    and util.signed_slots reads those coefficients back; they are multiplied
+    by the two contents. The normalized MSS numerators share large factorial
+    factors, so this keeps the slots narrow. Passing the same list as f and
+    g squares it.
     """
-    bound = min(n, len(f), len(g)) * max(1, *map(abs, f)) * max(1, *map(abs, g))
+    square = g is f
+    cf = gcd(*f)
+    cg = cf if square else gcd(*g)
+    if not (cf and cg):
+        return [0] * n
+    if cf != 1:
+        f = [v // cf for v in f]
+    if square:
+        g = f
+    elif cg != 1:
+        g = [v // cg for v in g]
+    bound = min(n, len(f), len(g)) * max(map(abs, f)) * max(map(abs, g))
     nbytes = slot_bytes(bound)
-    if g is f:
+    if square:
         # one operand, so the big-int product takes its squaring path
         packed = _pack(f, nbytes)
         packed *= packed
     else:
         packed = _pack(f, nbytes) * _pack(g, nbytes)
-    return signed_slots(packed, nbytes, n)
+    out = signed_slots(packed, nbytes, n)
+    content = cf * cg
+    return out if content == 1 else [v * content for v in out]
 
 
 # Products of fewer than this many coefficients are taken whole. Measured
 # on a 2-vCPU x86 host, CPython 3.11: commutator_poly on seeded spectra like
-# exact_conv's, each op timed against the whole-product low_product in random
-# order; median time ratio over 300 ops (20 at d = 400). Past the cutoff a
-# d = 60 square (31 coefficients) splits once at 24, a d = 150 one (76) twice.
+# exact_conv's, each op timed at every cutoff and with whole products, in
+# random order; median time ratio against whole products over 300 ops (20 at
+# d = 400), both with primitive-part Kronecker products. Past the cutoff a
+# d = 60 square (31 coefficients) splits once at 24, a d = 150 one (76)
+# twice. A second set on other spectra moved no entry by more than 0.04.
 #
 #   cutoff   d = 20   d = 60   d = 150   d = 400
-#      8      1.46     1.14     0.81      0.70
-#     12      1.01     1.14     0.79      0.69
-#     16      1.01     1.00     0.79      0.69
-#     24      1.01     1.00     0.77      0.68
-#     32      0.99     1.00     0.77      0.68
-#     40      1.01     1.00     0.78      0.70
+#      8      1.53     1.08     0.63      0.46
+#     12      1.00     1.09     0.59      0.45
+#     16      1.01     0.93     0.59      0.46
+#     24      1.00     0.93     0.57      0.45
+#     32      1.01     0.99     0.57      0.45
+#     40      1.00     0.99     0.60      0.45
 _SHORT_PRODUCT_MIN = 24
 
 

@@ -110,6 +110,16 @@ def slot_bytes(bound: int) -> int:
     return (bound.bit_length() + 1 + 7) // 8
 
 
+def slot_bias(nbytes: int, n: int) -> int:
+    """Half the range of every one of n slots of nbytes bytes:
+    sum_{i < n} 2^(8 nbytes - 1) 2^(8 nbytes i).
+
+    A signed digit c with |c| < 2^(8 nbytes - 1) plus this half is an
+    unsigned digit, so biased slots hold no borrows.
+    """
+    return int.from_bytes((bytes(nbytes - 1) + b"\x80") * n, "little")
+
+
 def signed_slots(packed: int, nbytes: int, n: int) -> list:
     """The n low digits of packed in base 2^(8 nbytes), as signed ints.
 
@@ -117,8 +127,8 @@ def signed_slots(packed: int, nbytes: int, n: int) -> list:
     for i < n (higher digits are dropped). Biasing every slot by half its
     range leaves no borrows to carry, so the digits are read in one pass.
     """
-    half = 1 << (8 * nbytes - 1)
-    bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * n, "little")
+    half = slot_bias(nbytes, 1)
+    bias = slot_bias(nbytes, n)
     width = 8 * nbytes * n
     raw = ((packed + bias) & ((1 << width) - 1)).to_bytes(nbytes * n, "little")
     return [

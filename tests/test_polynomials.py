@@ -19,6 +19,7 @@ from finfree.polynomials import (
 )
 from finfree.oracle import falling
 from finfree.symfunc import elementary_symmetric
+from finfree.util import signed_slots
 
 rational_st = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
@@ -579,6 +580,69 @@ def test_self_boxminus_takes_no_full_square(monkeypatch):
     deep = [(lf, lg, n) for lf, lg, n in calls if n >= CUTOFF]
     assert deep, calls
     assert all(max(lf, lg) <= (n + 1) // 2 for lf, lg, n in deep), deep
+
+
+# -------------------------------------------------------- primitive parts
+#
+# Each Kronecker product divides its operands by their contents, packs the
+# primitive parts and multiplies the contents back in.
+
+
+@st.composite
+def content_product_st(draw):
+    # operands c f' with a content c of up to 600 bits over small entries
+    def operand():
+        c = draw(st.integers(-(2**600), 2**600))
+        body = draw(st.lists(st.integers(-(2**40), 2**40), min_size=1, max_size=2 * CUTOFF))
+        return [c * v for v in body]
+
+    f, g = operand(), operand()
+    return f, g, draw(st.integers(0, len(f) + len(g) + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(content_product_st())
+@example(([0] * 5, [3**300, 5], 6))
+@example(([0] * (CUTOFF + 3), [2**600] * (CUTOFF + 3), 2 * CUTOFF))
+@example(([-(2**600)], [3**200], 1))
+@example(([2**600 * 3], [0, 2**599], 4))
+@example(([2**600 * v for v in range(-3, CUTOFF - 4)], [-(5**250)] * (CUTOFF - 1), 2 * CUTOFF))
+@example(([2**600 * v for v in range(CUTOFF + 1)], [7**200 * (-1) ** v for v in range(CUTOFF + 1)], 2 * CUTOFF + 1))
+def test_product_with_content_matches_schoolbook(product):
+    f, g, n = product
+    assert low_product(f, g, n) == ref_low_product(f, g, n)
+    # a square, through the same list object and through an equal copy
+    assert low_product(f, f, n) == ref_low_product(f, f, n)
+    assert low_product(f, list(f), n) == ref_low_product(f, f, n)
+
+
+def test_self_boxminus_packs_primitive_parts(monkeypatch):
+    # The d = 150 numerators carry a large common factor from the (d-k)!
+    # weights. Every list _pack receives inside p ⊟ p has had it divided out.
+    packed = []
+    pack = polynomials._pack
+
+    def recording(coeffs, nbytes):
+        packed.append(list(coeffs))
+        return pack(coeffs, nbytes)
+
+    p = MonicPoly.from_spectrum(_seeded_spectrum(150, seed=3))
+    want = boxminus(p, p)
+    monkeypatch.setattr(polynomials, "_pack", recording)
+    assert boxminus(p, p) == want
+    assert packed
+    contents = [gcd(*coeffs) for coeffs in packed]
+    assert all(c == 1 for c in contents), max(contents).bit_length()
+
+
+@pytest.mark.parametrize("nbytes", range(1, 6))
+def test_pack_round_trip_at_slot_extremes(nbytes):
+    # _pack holds any |c| < 2^(8 nbytes - 1), the range signed_slots reads
+    top = 2 ** (8 * nbytes - 1) - 1
+    for coeffs in ([top], [-top], [0], [top, -top, 0], [-top, top], [0, 0, -top], [top] * 7):
+        packed = polynomials._pack(coeffs, nbytes)
+        assert packed == sum(c << (8 * nbytes * i) for i, c in enumerate(coeffs))
+        assert signed_slots(packed, nbytes, len(coeffs)) == coeffs
 
 
 def test_commutator_routes_agree_every_k_d150():

@@ -42,6 +42,7 @@ PRIMITIVES = {
     ("util", "factorials"): "the table 0!, 1!, ..., n!",
     ("util", "slot_bytes"): "sizes a big-int slot",
     ("util", "signed_slots"): "reads signed ints back from big-int slots",
+    ("util", "slot_bias"): "the half-range offset that makes big-int slots unsigned",
     ("util", "check_cap"): "refuses a size past its fixed limit",
 }
 
