@@ -13,7 +13,7 @@ from .partitions import Partition, kostka
 from .polynomials import MonicPoly, boxminus, boxplus, boxtimes, commutator_poly, z_poly
 from .symgroup import character, character_table_json, inverse_kostka
 from .util import DEGREE_CAP, CapExceededError, check_cap, check_mc_caps, to_fraction
-from .verify import VERIFY_GROUPS, run_suites
+from .verify import DEFAULT_SEED, VERIFY_GROUPS, VerifyRun, run_suites
 from .weingarten import ClassFunction, weingarten
 
 
@@ -241,14 +241,8 @@ def _corrupted_weingarten(k: int, d: int) -> ClassFunction:
 
 
 def cmd_verify(args) -> int:
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.mc is not None:
-        overrides["mc_n"] = args.mc
-    if args.inject_wg_error:
-        overrides["wg_fn"] = _corrupted_weingarten
-    results = run_suites(VERIFY_GROUPS[args.suite], **overrides)
+    wg_fn = _corrupted_weingarten if args.inject_wg_error else None
+    results = run_suites(VERIFY_GROUPS[args.suite], VerifyRun(args.seed, args.mc, wg_fn))
     for result in results:
         print(result.line())
     failed = sum(1 for r in results if not r.passed)
@@ -330,9 +324,13 @@ def _kostka_arguments(p):
 
 def _verify_arguments(p):
     p.add_argument("suite", choices=sorted(VERIFY_GROUPS))
-    p.add_argument("--seed", type=_int_at_least(0))
+    p.add_argument("--seed", type=_int_at_least(0), default=DEFAULT_SEED,
+                   help="seed of the random cases and Monte Carlo runs (default %(default)s)")
     p.add_argument(
-        "--mc", type=_int_at_least(2), help="Monte Carlo sample count override"
+        "--mc", type=_int_at_least(2),
+        help="sample count of the flagship (default 200000), entry-moment and "
+        "Haar Monte Carlo rows (default 100000 each); refused before any suite "
+        "runs if past the Monte Carlo caps at a dimension they sample",
     )
     p.add_argument(
         "--inject-wg-error",

@@ -1,17 +1,17 @@
 """Named verification suites shared by the CLI and the acceptance tests.
 
-Each suite returns CheckResult rows; every row is an independently decided
-pass/fail with enough detail to localize a failure. Suites that consume the
-Weingarten table take it as an argument so a deliberately corrupted table
-can be shown to break them.
+Each suite takes one VerifyRun record and returns CheckResult rows; every
+row is an independently decided pass/fail with enough detail to localize a
+failure. The record carries the Weingarten table the suites consume, so a
+deliberately corrupted table can be shown to break them.
 """
 
 from __future__ import annotations
 
-import inspect
 import itertools
 import random
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -41,9 +41,33 @@ from .partitions import (
 from .polynomials import MonicPoly, commutator_coefficient, commutator_poly
 from .symfunc import as_spectrum, e_to_m, eval_monomial, eval_quasisym, m_to_e
 from .symgroup import c_constant, c_constant_bruteforce, character, perm_of_cycle_type
+from .util import check_mc_caps
 from .weingarten import integrate_moment, weingarten
 
 DEFAULT_SEED = 20260814
+FLAGSHIP_SPECTRUM = (1, -1)
+# The dimensions each Monte Carlo suite samples at: the suite reads them, and
+# run_suites checks the run's sample count at each before any suite runs.
+MC_DIMENSIONS = {"flagship": (len(FLAGSHIP_SPECTRUM),), "weingarten": (2, 3, 4, 5, 6),
+                 "haar": (2, 3, 5)}
+
+
+@dataclass(frozen=True)
+class VerifyRun:
+    """The settings of one verify run, passed to every suite."""
+
+    seed: int = DEFAULT_SEED
+    mc_n: int | None = None  # None: each Monte Carlo row's own sample count
+    wg_fn: Callable | None = None  # None: the true Weingarten table
+
+    def samples(self, default: int) -> int:
+        """The sample count of a Monte Carlo row whose own count is default."""
+        return default if self.mc_n is None else self.mc_n
+
+    def table(self) -> Callable:
+        """The run's Weingarten function. The true one is looked up here, not
+        bound at import, so a tracer's rewrite of this module's name reaches it."""
+        return self.wg_fn or weingarten
 
 
 @dataclass
@@ -77,10 +101,6 @@ def _differ(where: str, lhs, rhs):
     return f"{where}: {lhs} != {rhs}" if lhs != rhs else None
 
 
-def _spectra_grid(d: int):
-    return list(itertools.combinations_with_replacement((-2, -1, 0, 1, 2), d))
-
-
 def _triple_route_failure(spec_a, spec_b, ks, wg_fn):
     """Compare brute force, coefficient formula, and convolution at each k
     of ks; odd-k coefficients must also be 0."""
@@ -90,91 +110,70 @@ def _triple_route_failure(spec_a, spec_b, ks, wg_fn):
         brute = brute_force_expected_ek(a, b, k, wg_fn=wg_fn)
         closed = commutator_coefficient(k, a, b)
         if brute != closed or closed != conv.a[k]:
-            return (
-                f"A={spec_a} B={spec_b} k={k}: "
-                f"brute={brute} closed={closed} conv={conv.a[k]}"
-            )
+            return f"A={spec_a} B={spec_b} k={k}: brute={brute} closed={closed} conv={conv.a[k]}"
         if k % 2 and closed != 0:
             return f"A={spec_a} B={spec_b} k={k}: odd coefficient {closed} != 0"
     return None
 
 
-def verify_convolution(seed: int = DEFAULT_SEED, wg_fn=weingarten) -> list:
+def verify_convolution(run: VerifyRun) -> list:
     """Triple-route equality (and odd-k vanishing) over the spectra grids."""
-    results = []
-    start = time.monotonic()
-    for d in (2, 3):
-        grid = _spectra_grid(d)
-        results.append(first_failure(
-            f"triple route d={d} full grid ({len(grid) ** 2} pairs)",
-            (_triple_route_failure(a, b, range(d + 1), wg_fn) for a in grid for b in grid),
-            f"entries {{-2..2}}, all 0<=k<={d}",
-        ))
-    rng = random.Random(seed)
+    start, wg_fn, rng = time.monotonic(), run.table(), random.Random(run.seed)
+
+    def failures(pairs):
+        return (_triple_route_failure(a, b, range(len(a) + 1), wg_fn) for a, b in pairs)
 
     def draw(d):
         return tuple(sorted(rng.randint(-2, 2) for _ in range(d)))
 
+    grids = {d: list(itertools.combinations_with_replacement(range(-2, 3), d)) for d in (2, 3)}
     # Drawn up front, so the d=5..7 pairs do not depend on where the d=4
     # row stopped.
     sampled = [(draw(4), draw(4)) for _ in range(50)]
     larger = [(draw(d), draw(d)) for d in (5, 6, 7)]
-    results.append(first_failure(
-        "triple route d=4 sampled (50 pairs)",
-        (_triple_route_failure(a, b, range(len(a) + 1), wg_fn) for a, b in sampled),
-        f"seed={seed}",
-    ))
-    results.append(first_failure(
-        "triple route d=5..7 sampled (one pair each)",
-        (_triple_route_failure(a, b, range(len(a) + 1), wg_fn) for a, b in larger),
-        f"seed={seed}",
-    ))
-    results.append(_runtime("convolution suite", start, 120))
-    return results
+    return [
+        *(first_failure(f"triple route d={d} full grid ({len(g) ** 2} pairs)",
+                        failures(itertools.product(g, repeat=2)),
+                        f"entries {{-2..2}}, all 0<=k<={d}") for d, g in grids.items()),
+        first_failure("triple route d=4 sampled (50 pairs)", failures(sampled),
+                      f"seed={run.seed}"),
+        first_failure("triple route d=5..7 sampled (one pair each)", failures(larger),
+                      f"seed={run.seed}"),
+        _runtime("convolution suite", start, 120),
+    ]
 
 
-def verify_flagship(mc_n: int = 200_000, seed: int = DEFAULT_SEED,
-                    wg_fn=weingarten) -> list:
+def verify_flagship(run: VerifyRun) -> list:
     """d=2, A=B=(1,-1): x^2 + 8/3 on three exact routes, then Monte Carlo."""
     from .montecarlo import mc_charpoly  # loads numpy
 
     start = time.monotonic()
-    spec = (1, -1)
+    spec = FLAGSHIP_SPECTRUM
     target = Fraction(8, 3)
-    results = []
     closed = commutator_coefficient(2, spec, spec)
-    brute = brute_force_expected_ek(spec, spec, 2, wg_fn=wg_fn)
+    brute = brute_force_expected_ek(spec, spec, 2, wg_fn=run.table())
     p = MonicPoly.from_spectrum(spec)
     conv = commutator_poly(p, p)
-    exact_ok = (
-        closed == target
-        and brute == target
-        and conv.a == (Fraction(1), Fraction(0), target)
-        and commutator_coefficient(1, spec, spec) == 0
-    )
-    results.append(
-        CheckResult(
-            "flagship exact x^2 + 8/3 on three routes",
-            exact_ok,
-            f"closed={closed} brute={brute} conv={conv.pretty()}",
-        )
-    )
-    report = mc_charpoly(spec, spec, mc_n, seed)
+    exact_ok = (closed == brute == target and conv.a == (1, 0, target)
+                and commutator_coefficient(1, spec, spec) == 0)
+    mc_n = run.samples(200_000)
+    report = mc_charpoly(spec, spec, mc_n, run.seed)
     m2, se2 = report.mean("e_2"), report.se("e_2")
-    results.append(
+    return [
+        CheckResult("flagship exact x^2 + 8/3 on three routes", exact_ok,
+                    f"closed={closed} brute={brute} conv={conv.pretty()}"),
         CheckResult(
             f"flagship Monte Carlo n={mc_n}",
             not report.band_misses({"e_1": 0, "e_2": target}),
             f"E[e_2] = {m2.real:.5f} (target {float(target):.5f}, se {se2[0]:.2g})",
-        )
-    )
-    results.append(_runtime("flagship", start, 30))
-    return results
+        ),
+        _runtime("flagship", start, 30),
+    ]
 
 
-def verify_oddk(seed: int = DEFAULT_SEED, wg_fn=weingarten) -> list:
+def verify_oddk(run: VerifyRun) -> list:
     """Odd coefficients vanish on every exact route, on random spectra."""
-    rng = random.Random(seed)
+    rng, wg_fn = random.Random(run.seed), run.table()
 
     def trial():
         d = rng.randint(2, 4)
@@ -185,21 +184,21 @@ def verify_oddk(seed: int = DEFAULT_SEED, wg_fn=weingarten) -> list:
     return [first_failure(
         "odd-k coefficients vanish (25 random spectra)",
         (trial() for _ in range(25)),
-        f"seed={seed}",
+        f"seed={run.seed}",
     )]
 
 
-def verify_weingarten(mc_n: int = 100_000, seed: int = DEFAULT_SEED,
-                      wg_fn=weingarten) -> list:
+def verify_weingarten(run: VerifyRun) -> list:
     """Closed Wg values, exact entry moments, MC bands, and the Wg oracle."""
     from .montecarlo import mc_entry_moments  # loads numpy
 
+    wg_fn, mc_n, dims = run.table(), run.samples(100_000), MC_DIMENSIONS["weingarten"]
+
     def closed_values(d):
         wg = wg_fn(2, d)
-        expected_id = Fraction(1, d**2 - 1)
-        expected_swap = Fraction(-1, d * (d**2 - 1))
-        if wg((1, 1)) != expected_id or wg((2,)) != expected_swap:
-            return f"d={d}: got ({wg((1, 1))}, {wg((2,))})"
+        got = (wg((1, 1)), wg((2,)))
+        if got != (Fraction(1, d**2 - 1), Fraction(-1, d * (d**2 - 1))):
+            return f"d={d}: got ({got[0]}, {got[1]})"
         return None
 
     def exact_moments(d):
@@ -210,7 +209,7 @@ def verify_weingarten(mc_n: int = 100_000, seed: int = DEFAULT_SEED,
         return None
 
     def sampled_moments(d):
-        report = mc_entry_moments(d, mc_n, seed)
+        report = mc_entry_moments(d, mc_n, run.seed)
         expected = {"abs_u11_sq": Fraction(1, d), "abs_u11_4th": Fraction(2, d * (d + 1))}
         for label in report.band_misses(expected):  # the first miss
             mean, want = report.mean(label).real, float(expected[label])
@@ -234,9 +233,9 @@ def verify_weingarten(mc_n: int = 100_000, seed: int = DEFAULT_SEED,
             map(exact_moments, range(2, 7)),
         ),
         first_failure(
-            f"entry moments Monte Carlo n={mc_n} for d=2..6",
-            map(sampled_moments, range(2, 7)),
-            f"seed={seed}",
+            f"entry moments Monte Carlo n={mc_n} for d={dims[0]}..{dims[-1]}",
+            map(sampled_moments, dims),
+            f"seed={run.seed}",
         ),
         first_failure(
             "orthogonality oracle matches character expansion (k<=d<=8); "
@@ -247,10 +246,10 @@ def verify_weingarten(mc_n: int = 100_000, seed: int = DEFAULT_SEED,
     ]
 
 
-def verify_immanant(seed: int = DEFAULT_SEED) -> list:
+def verify_immanant(run: VerifyRun) -> list:
     """Two-row closed form vs direct sums; multilinear route vs direct sums."""
     start = time.monotonic()
-    rng = random.Random(seed)
+    rng = random.Random(run.seed)
 
     def closed_form(k):
         spec = tuple(rng.randint(-5, 5) for _ in range(k))
@@ -271,12 +270,12 @@ def verify_immanant(seed: int = DEFAULT_SEED) -> list:
         first_failure(
             "imm_delta_minus == immanant_direct (k<=7, 20 spectra each)",
             (closed_form(k) for k in range(1, 8) for _ in range(20)),
-            f"seed={seed}",
+            f"seed={run.seed}",
         ),
         first_failure(
             "immanant_gj == immanant_direct (n<=5, 10 matrices each)",
             (multilinear(n) for n in range(1, 6) for _ in range(10)),
-            f"seed={seed}",
+            f"seed={run.seed}",
         ),
         _runtime("immanant suite", start, 120),
     ]
@@ -296,7 +295,7 @@ def _cconst_failure(lam, mu, parts):
     return None
 
 
-def verify_cconst() -> list:
+def verify_cconst(run: VerifyRun) -> list:
     """Closed subgroup-sum constants vs character brute force, k <= 5."""
     return [
         first_failure(
@@ -352,9 +351,9 @@ def _telescoping_failure(k, p, q):
     return None
 
 
-def verify_identities(seed: int = DEFAULT_SEED) -> list:
+def verify_identities(run: VerifyRun) -> list:
     """Transition, padding, split-chain, binomial, and factor identities."""
-    rng = random.Random(seed)
+    rng = random.Random(run.seed)
 
     def padding(k, q, d):
         word = (2,) * q + (1,) * (k - 2 * q) + (0,) * q
@@ -437,19 +436,20 @@ def _conjugation_failure(report, spec_x):
     return None
 
 
-def verify_haar(mc_n: int = 100_000, seed: int = DEFAULT_SEED) -> list:
+def verify_haar(run: VerifyRun) -> list:
     """Sampler quality: unitarity residual and mean conjugation."""
     from .montecarlo import mc_conjugation_mean, nan_max  # loads numpy
 
-    # Each run is seeded on its own, so all three are sampled up front: the
-    # passing detail reports the worst residual over every d.
-    spectra = [tuple(range(1, d + 1)) for d in (2, 3, 5)]
-    reports = [mc_conjugation_mean(spec, mc_n, seed) for spec in spectra]
+    # Each run is seeded on its own, so every d is sampled up front: the
+    # passing detail reports the worst residual over all of them.
+    dims, mc_n = MC_DIMENSIONS["haar"], run.samples(100_000)
+    spectra = [tuple(range(1, d + 1)) for d in dims]
+    reports = [mc_conjugation_mean(spec, mc_n, run.seed) for spec in spectra]
     worst = nan_max(r.unitarity_residual_max for r in reports)
     return [first_failure(
         f"Haar sampler: residual < 1e-10 and E[UXU*] = (tr X/d) I (n={mc_n})",
         map(_conjugation_failure, reports, spectra),
-        f"max residual {worst:.2e}, d in {{2,3,5}}",
+        f"max residual {worst:.2e}, d in {{{','.join(map(str, dims))}}}",
     )]
 
 
@@ -477,12 +477,11 @@ VERIFY_GROUPS = {
 }
 
 
-def run_suites(names, **overrides) -> list:
-    """Run the named suites in order, passing only the kwargs each accepts."""
-    results = []
-    for name in names:
-        suite = SUITES[name]
-        accepted = inspect.signature(suite).parameters
-        kwargs = {k: v for k, v in overrides.items() if k in accepted}
-        results.extend(suite(**kwargs))
-    return results
+def run_suites(names, run: VerifyRun = VerifyRun()) -> list:
+    """Run the named suites in order on one record. A sample count past the
+    Monte Carlo caps at a dimension they sample is refused before any runs."""
+    if run.mc_n is not None:
+        for name in names:
+            for d in MC_DIMENSIONS.get(name, ()):
+                check_mc_caps(d, run.mc_n)
+    return [row for name in names for row in SUITES[name](run)]

@@ -703,6 +703,7 @@ exact = [
     ["immanant", "--shape", "2", y], ["character", "--k", "4"],
     ["kostka", "--shape", "2,1", "--weight", "1,1,1"],
     ["verify", "oddk"], ["verify", "immanant"],
+    ["verify", "oddk", "--mc", "3000000"],  # no suite samples, so no refusal
 ]
 codes = [main(argv) for argv in exact]
 exact_numpy = "numpy" in sys.modules
@@ -726,7 +727,7 @@ def test_exact_commands_do_not_load_numpy():
     codes, exact_numpy, mc_code, mc_numpy, resolved = json.loads(
         proc.stdout.splitlines()[-1]
     )
-    assert codes == [0] * 11 and not exact_numpy
+    assert codes == [0] * 12 and not exact_numpy
     assert mc_code == 0 and mc_numpy
     assert resolved == ["McReport", "finfree.montecarlo"]
 

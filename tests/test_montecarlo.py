@@ -589,7 +589,7 @@ def test_zero_ginibre_column_gives_a_nan_residual_that_fails(monkeypatch):
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_haar_suite_fails_a_nan_residual(monkeypatch):
     _zero_a_column(monkeypatch, on_calls={1, 2, 3})
-    [row] = verify.verify_haar(mc_n=8)
+    [row] = verify.verify_haar(verify.VerifyRun(mc_n=8))
     assert not row.passed and row.detail == "d=2: unitarity residual nan"
 
 

@@ -10,11 +10,13 @@ other `obj.m` counts for every class that defines m. Re-exports in
 __init__.py and calls from the tests do not count, so a name that only the
 tests reach shows up here and gets deleted or allowed below with its reason.
 
-A parameter with a default is a setting, and it counts as used when a call
-in such a module that names its function (`f(...)` or `obj.f(...)`; a class
-name for its __init__ or __new__) passes it, by keyword or by position,
-outside the function's own body. A parameter nothing passes gets deleted,
-and a guard it overrode keeps its fixed limit.
+A parameter with a default is a setting, and so is a field with a default
+of a dataclass (unless it is init=False). It counts as used when a call in
+such a module that names its function (`f(...)` or `obj.f(...)`; a class
+name for its __init__, its __new__ or its dataclass fields) passes it, by
+keyword or by position, outside the function's or class's own body. A
+parameter nothing passes gets deleted, and a guard it overrode keeps its
+fixed limit.
 """
 
 import ast
@@ -100,19 +102,6 @@ ALLOWED_PARAMETERS = {
         "the tests count tableaux with it to check schur_principal",
     ("montecarlo", "mc_charpoly", "mode"):
         "the only Monte Carlo reference of the tests for boxplus and boxtimes",
-    **{
-        ("verify", suite, parameter): "cli passes it through run_suites(**overrides)"
-        for suite, parameters in {
-            "verify_convolution": ("seed", "wg_fn"),
-            "verify_flagship": ("mc_n", "seed", "wg_fn"),
-            "verify_oddk": ("seed", "wg_fn"),
-            "verify_weingarten": ("mc_n", "seed", "wg_fn"),
-            "verify_immanant": ("seed",),
-            "verify_identities": ("seed",),
-            "verify_haar": ("mc_n", "seed"),
-        }.items()
-        for parameter in parameters
-    },
 }
 
 
@@ -129,6 +118,33 @@ def _settings(node, method: bool) -> list:
         (arg.arg, None) for arg, default in zip(args.kwonlyargs, args.kw_defaults)
         if default is not None
     ]
+
+
+def _keyword(call, name):
+    """The value a call passes by keyword `name`, or None."""
+    return next((kw.value for kw in call.keywords if kw.arg == name), None)
+
+
+def _field_settings(cls) -> list:
+    """(field, position) of each field of the dataclass `cls` that has a
+    default, for a call to the class; [] if `cls` is no dataclass."""
+    if not any(
+        getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+        for d in cls.decorator_list
+    ):
+        return []
+    fields = []  # (name, has a default) of each field __init__ takes
+    for node in cls.body:
+        if not (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)):
+            continue
+        value = node.value
+        if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+            init = _keyword(value, "init")
+            if isinstance(init, ast.Constant) and init.value is False:
+                continue
+            value = _keyword(value, "default") or _keyword(value, "default_factory")
+        fields.append((node.target.id, value is not None))
+    return [(name, i) for i, (name, default) in enumerate(fields) if default]
 
 
 def _passes(call, parameter, position) -> bool:
@@ -159,24 +175,29 @@ def _orphan_parameters(sources: dict) -> set:
             if isinstance(cls, ast.ClassDef):
                 owners.update((node, cls) for node in cls.body if isinstance(node, FUNCTIONS))
         for node in ast.walk(tree):
-            if not isinstance(node, FUNCTIONS):
+            if isinstance(node, ast.ClassDef):
+                names, qualified, settings = [node.name], node.name, _field_settings(node)
+            elif isinstance(node, FUNCTIONS):
+                cls = owners.get(node)
+                names = [node.name]
+                if cls and node.name in ("__init__", "__new__"):
+                    names.append(cls.name)
+                method = cls is not None and not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in node.decorator_list
+                )
+                qualified = f"{cls.name}.{node.name}" if cls else node.name
+                settings = _settings(node, method)
+            else:
                 continue
-            cls = owners.get(node)
-            names = [node.name]
-            if cls and node.name in ("__init__", "__new__"):
-                names.append(cls.name)
-            method = cls is not None and not any(
-                isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list
-            )
             reaching = [
                 call
                 for name in names
                 for where, call in calls.get(name, ())
                 if not (where == module and node.lineno <= call.lineno <= node.end_lineno)
             ]
-            for parameter, position in _settings(node, method):
+            for parameter, position in settings:
                 if not any(_passes(call, parameter, position) for call in reaching):
-                    qualified = f"{cls.name}.{node.name}" if cls else node.name
                     orphans.add((module, qualified, parameter))
     return orphans
 
@@ -261,3 +282,25 @@ def test_scan_finds_an_orphan_parameter():
     # *args may pass any positional parameter, and **mapping any parameter
     unpacked = calls.format("f(*obj), f(**obj), C(4), obj.m(5)")
     assert _orphan_parameters({"a": defs, "b": unpacked}) == {("a", "C.m", "spare")}
+    # a dataclass field with a default is a setting of its class
+    fields = (
+        "from dataclasses import dataclass, field\n\n"
+        "@dataclass(frozen=True)\n"
+        "class R:\n"
+        "    x: int\n"
+        "    plain: str = field(repr=False)\n"
+        "    cached: int = field(default=0, init=False)\n"
+        "    seed: int = 1\n"
+        "    size: int = field(default=2)\n"
+        "    spare: list = field(default_factory=list)\n\n"
+        "    def copy(self):\n        return R(self.x, spare=[])\n\n"
+        "@dataclass\n"
+        "class Unset:\n"
+        "    flag: bool = False\n"
+    )
+    # a call inside the class does not count; R(0, "", 5) passes seed by
+    # position, as an init=False field takes none
+    called = calls.format('R(0, "", 5, size=3), Unset()')
+    assert _orphan_parameters({"a": fields, "b": called}) == {
+        ("a", "R", "spare"), ("a", "Unset", "flag"),
+    }

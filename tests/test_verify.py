@@ -1,12 +1,16 @@
+import re
 from fractions import Fraction
 
 import pytest
 
 from finfree import cli
+from finfree.util import CapExceededError
 from finfree.verify import (
+    MC_DIMENSIONS,
     SUITES,
     VERIFY_GROUPS,
     CheckResult,
+    VerifyRun,
     _triple_route_failure,
     first_failure,
     run_suites,
@@ -57,8 +61,8 @@ def test_first_failure_reports_first_detail_and_stops_there():
 
 def test_injected_wg_error_details():
     # the rows the CLI's negative control fails, with the details they print
-    results = run_suites(["convolution", "weingarten"], seed=7, mc_n=2000,
-                         wg_fn=cli._corrupted_weingarten)
+    run = VerifyRun(seed=7, mc_n=2000, wg_fn=cli._corrupted_weingarten)
+    results = run_suites(["convolution", "weingarten"], run)
     failed = {r.name: r.detail for r in results if not r.passed}
     assert failed == {
         "triple route d=2 full grid (225 pairs)":
@@ -89,17 +93,59 @@ def test_larger_triple_route_pairs_catch_the_injected_error(spec_a, spec_b):
     assert _triple_route_failure(spec_a, spec_b, ks, cli._corrupted_weingarten)
 
 
-def test_run_suites_filters_kwargs():
-    # cconst takes no seed/mc_n; passing them anyway must not blow up
-    results = run_suites(["cconst"], seed=1, mc_n=17)
-    assert results and all(r.passed for r in results)
+def test_run_suites_refuses_an_unknown_setting():
+    # a misspelled setting is an error, not a run at the defaults
+    with pytest.raises(TypeError):
+        VerifyRun(sede=3)
+    with pytest.raises(TypeError):
+        run_suites(["haar"], mc=5)
+
+
+@pytest.mark.parametrize("name", SUITES)
+def test_the_record_reaches_every_suite(name):
+    # every suite takes the record; its sample count names each Monte Carlo
+    # row, and its seed each detail that prints one
+    rows = SUITES[name](VerifyRun(seed=7, mc_n=2000))
+    assert rows and all(r.passed for r in rows), [r.line() for r in rows]
+    sizes = [n for r in rows for n in re.findall(r"\bn=(\d+)", r.name)]
+    assert sizes == (["2000"] if name in MC_DIMENSIONS else [])
+    assert {s for r in rows for s in re.findall(r"\bseed=(\d+)", r.detail)} <= {"7"}
 
 
 def test_run_suites_order():
-    results = run_suites(["flagship", "oddk"], mc_n=2000, seed=3)
-    names = [r.name for r in results]
-    assert any("flagship" in n for n in names[:3])
-    assert "odd" in names[-1] or any("odd" in n for n in names)
+    results = run_suites(["flagship", "oddk"], VerifyRun(seed=3, mc_n=2000))
+    assert [r.name for r in results] == [
+        "flagship exact x^2 + 8/3 on three routes",
+        "flagship Monte Carlo n=2000",
+        "flagship runtime < 30 s",
+        "odd-k coefficients vanish (25 random spectra)",
+    ]
+
+
+@pytest.fixture
+def called(monkeypatch):
+    """The names of the suites run, in order; each suite is a stub."""
+    names = []
+    for name in SUITES:
+        monkeypatch.setitem(SUITES, name, lambda run, name=name: names.append(name) or [])
+    return names
+
+
+@pytest.mark.parametrize("group", ["all", "weingarten", "haar"])
+def test_mc_past_the_caps_is_refused_before_any_suite_runs(called, capsys, group):
+    # 3e6 samples pass the caps at d = 2 but not at d = 5, which the
+    # entry-moment and Haar rows sample
+    assert cli.main(["verify", group, "--mc", "3000000"]) == 2
+    assert "d=5" in capsys.readouterr().err
+    with pytest.raises(CapExceededError):
+        run_suites(VERIFY_GROUPS[group], VerifyRun(mc_n=3_000_000))
+    assert called == []
+
+
+def test_mc_is_checked_only_where_a_suite_samples(called):
+    # the exact suites sample nothing, and the flagship samples at d = 2 only
+    assert run_suites(["oddk", "immanant", "flagship"], VerifyRun(mc_n=3_000_000)) == []
+    assert called == ["oddk", "immanant", "flagship"]
 
 
 def _corrupted(k, d):
@@ -113,10 +159,10 @@ def _corrupted(k, d):
 def test_flagship_suite_detects_corrupted_weingarten():
     # corrupting the identity class changes the brute-force value for the
     # flagship pair, so the exact-route check must fail
-    results = run_suites(["flagship"], mc_n=2000, wg_fn=_corrupted)
+    results = run_suites(["flagship"], VerifyRun(mc_n=2000, wg_fn=_corrupted))
     assert any(not r.passed for r in results)
 
 
 def test_convolution_suite_detects_corrupted_weingarten():
-    results = run_suites(["convolution"], wg_fn=_corrupted)
+    results = run_suites(["convolution"], VerifyRun(wg_fn=_corrupted))
     assert any(not r.passed for r in results)
