@@ -239,9 +239,8 @@ class _Accumulator:
 
     def finalize(self):
         n = self.count
-        dof = max(n - 1, 1)  # one sample has M2 == 0 exactly
-        se_re = np.sqrt(self.m2_re / dof / n)
-        se_im = np.sqrt(self.m2_im / dof / n)
+        se_re = np.sqrt(self.m2_re / (n - 1) / n)
+        se_im = np.sqrt(self.m2_im / (n - 1) / n)
         return self.sum / n, se_re, se_im
 
 
@@ -254,10 +253,6 @@ def _sample(d: int, n: int, seed: int, mode: str, labels: list,
     measured block by block into the chunk's values, which are folded
     together; chunks are folded in order.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if d < 1:
-        raise ValueError("need d >= 1")
     check_mc_caps(d, n)  # before anything is allocated
     acc = _Accumulator(len(labels))
     # one buffer of draws for the whole run, so that no chunk's draws

@@ -1,10 +1,11 @@
 """Independent exact oracles for the convolution and Weingarten layers.
 
-Nothing here reuses the closed-form commutator coefficients: the expected
-characteristic polynomial is recomputed from first principles (minor
-expansion plus entrywise Haar moments), and the Weingarten function is
-re-derived from the orthogonality relations of the unitary group, with no
-character, so agreement with the fast layer is meaningful evidence.
+The brute force reuses nothing of the closed-form commutator coefficient:
+the expected characteristic polynomial is recomputed from first principles
+(minor expansion plus entrywise Haar moments), and the Weingarten function
+is re-derived from the orthogonality relations of the unitary group, with
+no character, so agreement with the fast layer is meaningful evidence. The
+factor identities check the closed form's own two factors.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ from math import comb, factorial, prod
 from .partitions import partitions_of, two_column
 from .symfunc import (
     as_spectrum,
-    cross_sum,
     elementary_symmetric,
     eval_monomial,
+    left_factor,
+    right_factor,
     schur_principal,
 )
 from .symgroup import (
@@ -185,8 +187,8 @@ def identity_leftdep(spec_a, k: int) -> tuple:
     """Both sides of the subset-sum identity for the A-dependent factor.
 
     Raw side: sum_l (-1)^l / binom(k,l) sum_{|S|=k} e_{k-l}(A_S) e_l(A_S).
-    Closed side: S_k(A) (k/2)! / (k! (d-k)! (d-k/2)!) for even k, zero for
-    odd k, with S_k the cross sum of symfunc.cross_sum.
+    Closed side: symfunc.left_factor, the factor the closed commutator
+    coefficient multiplies.
     """
     spec_a = as_spectrum(spec_a)
     d = len(spec_a)
@@ -201,13 +203,7 @@ def identity_leftdep(spec_a, k: int) -> tuple:
         (Fraction((-1) ** l, comb(k, l)) * acc for l, acc in enumerate(subset_acc)),
         Fraction(0),
     )
-    if k % 2:
-        return raw, Fraction(0)
-    h = k // 2
-    closed = cross_sum(spec_a, k) * Fraction(
-        factorial(h), factorial(k) * factorial(d - k) * factorial(d - h)
-    )
-    return raw, closed
+    return raw, left_factor(spec_a, k)
 
 
 def identity_rightdep(spec_b, k: int) -> tuple:
@@ -215,7 +211,8 @@ def identity_rightdep(spec_b, k: int) -> tuple:
 
     Raw side: (1/k!) sum_p (-1)^p dim(2_k^p)^2 / s_{2_k^p}(1^d)
     sum_q C(2_k^p, 2_k^q) q! (k-2q)! m_{2_k^q}(B). Closed side:
-    S_k(B) k! (d+1-k/2) / ((d+1)! d!) for even k, zero for odd k.
+    symfunc.right_factor, the factor the closed commutator coefficient
+    multiplies.
     """
     spec_b = as_spectrum(spec_b)
     d = len(spec_b)
@@ -240,13 +237,7 @@ def identity_rightdep(spec_b, k: int) -> tuple:
             * inner
         )
     raw /= factorial(k)
-    if k % 2:
-        return raw, Fraction(0)
-    h = k // 2
-    closed = cross_sum(spec_b, k) * Fraction(
-        factorial(k) * (d + 1 - h), factorial(d + 1) * factorial(d)
-    )
-    return raw, closed
+    return raw, right_factor(spec_b, k)
 
 
 def falling(n, j: int) -> Fraction:

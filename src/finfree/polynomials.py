@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
-from .symfunc import as_spectrum, cross_sum, scaled_elementary
+from .symfunc import as_spectrum, left_factor, right_factor, scaled_elementary
 from .util import (
     DEGREE_CAP,
     check_cap,
@@ -324,27 +324,11 @@ def commutator_coefficient(k: int, spec_a, spec_b) -> Fraction:
     """Coefficient-level form of the expected commutator polynomial.
 
     spec_a and spec_b are the spectra (root tuples) of the two matrices;
-    returns the unsigned coefficient E[e_k] of the commutator. For even
-    k = 2h it is S_k(a) S_k(b) h! (d+1-h) / (d!^2 (d-k)! (d-h)! (d+1)),
-    with S_k the cross sum of symfunc.cross_sum.
+    returns the unsigned coefficient E[e_k] of the commutator as the
+    product L_k(A) R_k(B) of symfunc.left_factor and symfunc.right_factor:
+    1 at k = 0 and 0 at odd k.
     """
     spec_a, spec_b = as_spectrum(spec_a), as_spectrum(spec_b)
-    d = len(spec_a)
-    if len(spec_b) != d:
-        raise ValueError(f"spectrum lengths differ: {d} != {len(spec_b)}")
-    if not 0 <= k <= d:
-        raise ValueError(f"need 0 <= k <= {d}, got k={k}")
-    if k == 0:
-        return Fraction(1)
-    if k % 2:
-        return Fraction(0)
-    h = k // 2
-    fact = factorials(d)
-    return (
-        cross_sum(spec_a, k)
-        * cross_sum(spec_b, k)
-        * Fraction(
-            fact[h] * (d + 1 - h),
-            fact[d] ** 2 * fact[d - k] * fact[d - h] * (d + 1),
-        )
-    )
+    if len(spec_b) != len(spec_a):
+        raise ValueError(f"spectrum lengths differ: {len(spec_a)} != {len(spec_b)}")
+    return left_factor(spec_a, k) * right_factor(spec_b, k)

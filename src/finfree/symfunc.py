@@ -60,19 +60,43 @@ def cross_sum(x, k: int) -> Fraction:
 
     With the normalized coefficients c_i = e_i (d-i)!/d! of Marcus,
     Spielman and Srivastava, S_k is (d!)^2 times the x^k coefficient of
-    c(x) c(-x): zero for odd k, and (d!)^2 at k = 0. The sum runs on the
-    integers E_i = L^i e_i and is divided by L^k once.
+    c(x) c(-x): zero for odd k, and (d!)^2 at k = 0, both returned before
+    any e_i is formed. Otherwise the sum runs on the integers E_i = L^i e_i
+    and is divided by L^k once.
     """
-    scale, e = scaled_elementary([to_fraction(v) for v in x])
-    d = len(e) - 1
+    x = [to_fraction(v) for v in x]
+    d = len(x)
     if not 0 <= k <= d:
         raise ValueError(f"need 0 <= k <= {d}, got k={k}")
     fact = factorials(d)
+    if k % 2:
+        return Fraction(0)
+    if k == 0:
+        return Fraction(fact[d] ** 2)
+    scale, e = scaled_elementary(x)
     total = 0
     for i in range(k + 1):
         term = fact[d - i] * fact[d - k + i] * e[i] * e[k - i]
         total += -term if i % 2 else term
     return Fraction(total, scale**k)
+
+
+def left_factor(x, k: int) -> Fraction:
+    """L_k(x) = S_k(x) h! / (k! (d-k)! (d-h)!), h = k // 2: the A factor of
+    E[e_k] = L_k(A) R_k(B), 1 at k = 0 and 0 at odd k. The subset-sum
+    identity of oracle.identity_leftdep restates it."""
+    d, h = len(x), k // 2
+    fact = factorials(d)
+    return cross_sum(x, k) * Fraction(fact[h], fact[k] * fact[d - k] * fact[d - h])
+
+
+def right_factor(x, k: int) -> Fraction:
+    """R_k(x) = S_k(x) k! (d+1-h) / ((d+1)! d!), h = k // 2: the B factor,
+    1 at k = 0 and 0 at odd k. The character expansion of
+    oracle.identity_rightdep restates it."""
+    d, h = len(x), k // 2
+    fact = factorials(d)
+    return cross_sum(x, k) * Fraction(fact[k] * (d + 1 - h), (d + 1) * fact[d] ** 2)
 
 
 def elementary_symmetric(x) -> tuple:

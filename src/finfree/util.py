@@ -37,8 +37,13 @@ def check_cap(value, cap, what):
 
 
 def check_mc_caps(d: int, n: int):
-    """Refuse a Monte Carlo run of n samples at dimension d past either of its
+    """Refuse a Monte Carlo run of n samples at dimension d below its floors
+    (n >= 2, so every band has a standard error, and d >= 1), or past its
     limits: memory first (one chunk's entries), then time (n*d^3)."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    if d < 1:
+        raise ValueError("need d >= 1")
     check_cap(min(n, MC_CHUNK_SIZE) * d * d, MC_CHUNK_ENTRIES_CAP,
               f"Monte Carlo chunk at n={n}, d={d}: min(n, {MC_CHUNK_SIZE})*d^2")
     check_cap(n * d**3, MC_WORK_CAP, f"Monte Carlo work at n={n}, d={d}: n*d^3")

@@ -327,14 +327,6 @@ def test_accumulator_folds_in_place_to_the_same_bytes(width):
     assert acc.m2_im.tobytes() == (dev.imag**2).sum(axis=0).tobytes()
 
 
-def test_accumulator_single_sample_has_zero_se():
-    acc = _Accumulator(2)
-    acc.add(np.array([[1 + 2j, 3 - 1j]]))
-    mean, se_re, se_im = acc.finalize()
-    assert list(mean) == [1 + 2j, 3 - 1j]
-    assert list(se_re) == [0.0, 0.0] and list(se_im) == [0.0, 0.0]
-
-
 # ------------------------------------------------------------------- Newton
 
 def test_elementary_from_traces_exact_match():
@@ -531,6 +523,21 @@ def test_dimension_below_one_refused_before_sampling(monkeypatch, call):
 
     monkeypatch.setattr(montecarlo, "_draw", forbidden)
     with pytest.raises(ValueError, match="^need d >= 1$"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: mc_charpoly((1, -1), (1, -1), 1, 3),
+    lambda: mc_conjugation_mean((1, 2), 1, 3),
+    lambda: mc_entry_moments(2, 1, 3),
+], ids=["charpoly", "conjugation", "moments"])
+def test_one_sample_refused_before_sampling(monkeypatch, call):
+    # one sample has no standard error, so its band would be a point
+    def forbidden(z, rng):
+        raise AssertionError("draw reached")
+
+    monkeypatch.setattr(montecarlo, "_draw", forbidden)
+    with pytest.raises(ValueError, match="^need n >= 2$"):
         call()
 
 

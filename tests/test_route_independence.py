@@ -7,7 +7,8 @@ the closed form, the convolution, the brute-force oracle and Haar Monte
 Carlo. Two compute Wg: the character expansion and the orthogonality
 relations. Their agreement is evidence only while none of them reuses
 another's result, so the scan walks the package's ast from each route's
-entry point.
+entry point. The same walk checks that the closed form and the two factor
+identities reach the one left and right factor they share.
 
 A function reaches what its body and its default values name; annotations
 are not uses. A bare name is resolved through its module: its own top-level
@@ -44,6 +45,17 @@ PRIMITIVES = {
     ("util", "signed_slots"): "reads signed ints back from big-int slots",
     ("util", "slot_bias"): "the half-range offset that makes big-int slots unsigned",
     ("util", "check_cap"): "refuses a size past its fixed limit",
+}
+
+# The two factors of the closed form, E[e_k] = L_k(A) R_k(B), and the
+# functions that must reach them, with the factors each must reach: the
+# closed form multiplies both, and each identity restates one, so the
+# identities row certifies what the closed route runs.
+FACTORS = {"left": ("symfunc", "left_factor"), "right": ("symfunc", "right_factor")}
+FACTOR_USERS = {
+    ("polynomials", "commutator_coefficient"): {"left", "right"},
+    ("oracle", "identity_leftdep"): {"left"},
+    ("oracle", "identity_rightdep"): {"right"},
 }
 
 WG_ROUTES = {
@@ -199,6 +211,36 @@ def test_every_primitive_is_shared():
 
 def test_weingarten_routes_share_only_primitives():
     assert set(_shared(_package_sources(), WG_ROUTES)) == set(WG_PRIMITIVES)
+
+
+def _factors_reached(sources: dict) -> dict:
+    """{entry: names of the FACTORS it reaches} for each entry of FACTOR_USERS.
+    No other route may reach them: test_routes_share_only_primitives."""
+    graph, classes = _graph(sources)
+    return {
+        entry: {name for name, key in FACTORS.items()
+                if key in _reach(graph, classes, entry)}
+        for entry in FACTOR_USERS
+    }
+
+
+def test_closed_form_and_factor_identities_reach_the_same_factors():
+    assert _factors_reached(_package_sources()) == FACTOR_USERS
+
+
+def test_scan_flags_a_closed_form_that_restates_a_weight():
+    sources = {
+        "symfunc": "def cross_sum(x, k):\n    return 0\n\n"
+                   "def left_factor(x, k):\n    return cross_sum(x, k) * 2\n\n"
+                   "def right_factor(x, k):\n    return cross_sum(x, k) * 3\n",
+        "polynomials": "from .symfunc import cross_sum, left_factor\n\n"
+                       "def commutator_coefficient(k, a, b):\n"
+                       "    return left_factor(a, k) * cross_sum(b, k) * 3\n",
+        "oracle": "from .symfunc import left_factor, right_factor\n\n"
+                  "def identity_leftdep(a, k):\n    return 0, left_factor(a, k)\n\n"
+                  "def identity_rightdep(b, k):\n    return 0, right_factor(b, k)\n",
+    }
+    assert _factors_reached(sources) == {**FACTOR_USERS, ROUTES["closed"]: {"left"}}
 
 
 # A stand-in package: the convolution squares through boxminus, and so

@@ -1,9 +1,10 @@
 import re
+import sys
 from fractions import Fraction
 
 import pytest
 
-from finfree import cli
+from finfree import cli, symfunc
 from finfree.util import CapExceededError
 from finfree.verify import (
     MC_DIMENSIONS,
@@ -142,6 +143,13 @@ def test_mc_past_the_caps_is_refused_before_any_suite_runs(called, capsys, group
     assert called == []
 
 
+@pytest.mark.parametrize("mc_n", [0, 1])
+def test_mc_below_two_samples_is_refused_before_any_suite_runs(called, mc_n):
+    with pytest.raises(ValueError, match="^need n >= 2$"):
+        run_suites(VERIFY_GROUPS["all"], VerifyRun(mc_n=mc_n))
+    assert called == []
+
+
 def test_mc_is_checked_only_where_a_suite_samples(called):
     # the exact suites sample nothing, and the flagship samples at d = 2 only
     assert run_suites(["oddk", "immanant", "flagship"], VerifyRun(mc_n=3_000_000)) == []
@@ -166,3 +174,26 @@ def test_flagship_suite_detects_corrupted_weingarten():
 def test_convolution_suite_detects_corrupted_weingarten():
     results = run_suites(["convolution"], VerifyRun(wg_fn=_corrupted))
     assert any(not r.passed for r in results)
+
+
+@pytest.mark.parametrize("factor", ["left_factor", "right_factor"])
+def test_a_skewed_factor_fails_its_identity_and_the_triple_route(monkeypatch, factor):
+    # every module that binds the one factor function gets the skewed copy,
+    # so the identity row and the closed route read the same fault
+    true = getattr(symfunc, factor)
+
+    def skewed(x, k):
+        value = true(x, k)
+        return value * Fraction(1001, 1000) if k >= 2 else value
+
+    bound = [m for name, m in sys.modules.items()
+             if name.startswith("finfree.") and getattr(m, factor, None) is true]
+    assert {m.__name__ for m in bound} == {"finfree.symfunc", "finfree.polynomials",
+                                           "finfree.oracle"}
+    for module in bound:
+        monkeypatch.setattr(module, factor, skewed)
+    identities = {r.name: r.passed for r in SUITES["identities"](VerifyRun())}
+    assert identities.pop("left/right factor identities (even k<=6, d<=8)") is False
+    assert all(identities.values())
+    triple = [r for r in SUITES["convolution"](VerifyRun()) if r.name.startswith("triple route")]
+    assert len(triple) == 4 and not any(r.passed for r in triple)
