@@ -191,9 +191,7 @@ def identity_leftdep(spec_a, k: int) -> tuple:
     coefficient multiplies.
     """
     spec_a = as_spectrum(spec_a)
-    d = len(spec_a)
-    if not 0 <= k <= d:
-        raise ValueError(f"need 0 <= k <= {d}, got k={k}")
+    closed = left_factor(spec_a, k)  # refuses k outside 0..d
     subset_acc = [Fraction(0)] * (k + 1)
     for subset in itertools.combinations(spec_a, k):
         e = elementary_symmetric(subset)
@@ -203,7 +201,7 @@ def identity_leftdep(spec_a, k: int) -> tuple:
         (Fraction((-1) ** l, comb(k, l)) * acc for l, acc in enumerate(subset_acc)),
         Fraction(0),
     )
-    return raw, left_factor(spec_a, k)
+    return raw, closed
 
 
 def identity_rightdep(spec_b, k: int) -> tuple:
@@ -216,8 +214,7 @@ def identity_rightdep(spec_b, k: int) -> tuple:
     """
     spec_b = as_spectrum(spec_b)
     d = len(spec_b)
-    if not 0 <= k <= d:
-        raise ValueError(f"need 0 <= k <= {d}, got k={k}")
+    closed = right_factor(spec_b, k)  # refuses k outside 0..d
     monomials = [eval_monomial(two_column(k, q), spec_b) for q in range(k // 2 + 1)]
     raw = Fraction(0)
     for p in range(k // 2 + 1):
@@ -237,7 +234,7 @@ def identity_rightdep(spec_b, k: int) -> tuple:
             * inner
         )
     raw /= factorial(k)
-    return raw, right_factor(spec_b, k)
+    return raw, closed
 
 
 def falling(n, j: int) -> Fraction:

@@ -175,29 +175,19 @@ def _kronecker_product(f, g, n: int) -> list:
     slots wide enough for any coefficient of the primitive parts' product,
     and util.signed_slots reads those coefficients back; they are multiplied
     by the two contents. The normalized MSS numerators share large factorial
-    factors, so this keeps the slots narrow. Passing the same list as f and
-    g squares it.
+    factors, so this keeps the slots narrow. When g is the same list as f,
+    its content and packed int are f's, and the product of one int with
+    itself takes the big-int squaring path.
     """
-    square = g is f
     cf = gcd(*f)
-    cg = cf if square else gcd(*g)
+    cg = cf if g is f else gcd(*g)
     if not (cf and cg):
         return [0] * n
-    if cf != 1:
-        f = [v // cf for v in f]
-    if square:
-        g = f
-    elif cg != 1:
-        g = [v // cg for v in g]
-    bound = min(n, len(f), len(g)) * max(map(abs, f)) * max(map(abs, g))
+    bound = min(n, len(f), len(g)) * max(map(abs, f)) * max(map(abs, g)) // (cf * cg)
     nbytes = slot_bytes(bound)
-    if square:
-        # one operand, so the big-int product takes its squaring path
-        packed = _pack(f, nbytes)
-        packed *= packed
-    else:
-        packed = _pack(f, nbytes) * _pack(g, nbytes)
-    out = signed_slots(packed, nbytes, n)
+    packed = _pack(f if cf == 1 else [v // cf for v in f], nbytes)
+    other = packed if g is f else _pack(g if cg == 1 else [v // cg for v in g], nbytes)
+    out = signed_slots(packed * other, nbytes, n)
     content = cf * cg
     return out if content == 1 else [v * content for v in out]
 
@@ -230,8 +220,9 @@ def low_product(f, g, n: int) -> list:
 
     since 2m >= n drops f_hi g_hi. f_lo g_lo is one Kronecker product of
     m-coefficient operands, and the cross terms recurse; for a square
-    (the same list as f and g) they are one term, doubled. Each product
-    sizes its own slots, so small high-order coefficients pack narrow.
+    (the same list as f and g) the low halves are one list and the second
+    cross term is the first. Each product sizes its own slots, so small
+    high-order coefficients pack narrow.
     Below _SHORT_PRODUCT_MIN coefficients the product is taken whole.
     """
     if n < 1 or not (f and g):
@@ -241,15 +232,11 @@ def low_product(f, g, n: int) -> list:
     m = (n + 1) // 2
     k = n - m
     f_lo = f[:m]
-    if g is f:
-        out = _kronecker_product(f_lo, f_lo, n)
-        cross = low_product(f_lo[:k], f[m:n], k)
-        out[m:] = [u + 2 * v for u, v in zip(out[m:], cross)]
-    else:
-        g_lo = g[:m]
-        out = _kronecker_product(f_lo, g_lo, n)
-        cross = zip(low_product(f_lo[:k], g[m:n], k), low_product(f[m:n], g_lo[:k], k))
-        out[m:] = [u + v + w for u, (v, w) in zip(out[m:], cross)]
+    g_lo = f_lo if g is f else g[:m]
+    out = _kronecker_product(f_lo, g_lo, n)
+    left = low_product(f_lo[:k], g[m:n], k)
+    right = left if g is f else low_product(f[m:n], g_lo[:k], k)
+    out[m:] = [u + v + w for u, v, w in zip(out[m:], left, right)]
     return out
 
 

@@ -1,6 +1,8 @@
 """Shared plumbing: size caps, exact-rational coercion, denominator
 clearing, factorials, integer determinants, signed big-int slots."""
 
+import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -25,6 +27,8 @@ MC_CHUNK_SIZE = 4096  # Haar samples per Monte Carlo chunk
 # at most about 140 MiB of arrays (d <= 32).
 MC_WORK_CAP = 2**28
 MC_CHUNK_ENTRIES_CAP = 2**22
+# A decimal string as Fraction reads it: digits, fraction part, exponent.
+_DECIMAL = re.compile(r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?(?:[eE]([-+]?\d[\d_]*))?\s*")
 
 
 class CapExceededError(ValueError):
@@ -50,9 +54,13 @@ def check_mc_caps(d: int, n: int):
 
 
 def to_fraction(value):
-    """Coerce an int, Fraction, or 'p/q' string to Fraction.
+    """Coerce an int, Fraction, or 'p/q' or decimal string (such as '2.5e-3')
+    to Fraction.
 
     Floats are refused, and so are booleans, which Python counts as ints.
+    Fraction forms 10^|e| for an exponent e without Python's int/str digit
+    limit, so a decimal string D 10^(e-s) (digits D, s of them after the
+    point) whose numerator or denominator would pass that limit is refused.
     """
     if isinstance(value, Fraction):
         return value
@@ -61,6 +69,14 @@ def to_fraction(value):
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        match, limit = _DECIMAL.fullmatch(value), sys.get_int_max_str_digits()
+        if match and limit:
+            whole, frac, exp = (part.replace("_", "") for part in match.groups(""))
+            shift = int(exp or 0) - len(frac)
+            digits = max(len(whole + frac) + max(shift, 0), 1 + max(-shift, 0))
+            if digits > limit:
+                raise ValueError(f"refusing a decimal string with {digits} digits in its "
+                                 f"numerator or denominator, past Python's {limit}-digit limit")
         try:
             return Fraction(value)
         except ZeroDivisionError as exc:

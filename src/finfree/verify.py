@@ -39,7 +39,7 @@ from .partitions import (
     two_row,
 )
 from .polynomials import MonicPoly, commutator_coefficient, commutator_poly
-from .symfunc import as_spectrum, e_to_m, eval_monomial, eval_quasisym, m_to_e
+from .symfunc import e_to_m, eval_monomial, eval_quasisym, m_to_e
 from .symgroup import c_constant, c_constant_bruteforce, character, perm_of_cycle_type
 from .util import check_mc_caps
 from .weingarten import integrate_moment, weingarten
@@ -104,11 +104,10 @@ def _differ(where: str, lhs, rhs):
 def _triple_route_failure(spec_a, spec_b, ks, wg_fn):
     """Compare brute force, coefficient formula, and convolution at each k
     of ks; odd-k coefficients must also be 0."""
-    a, b = as_spectrum(spec_a), as_spectrum(spec_b)
-    conv = commutator_poly(MonicPoly.from_spectrum(a), MonicPoly.from_spectrum(b))
+    conv = commutator_poly(MonicPoly.from_spectrum(spec_a), MonicPoly.from_spectrum(spec_b))
     for k in ks:
-        brute = brute_force_expected_ek(a, b, k, wg_fn=wg_fn)
-        closed = commutator_coefficient(k, a, b)
+        brute = brute_force_expected_ek(spec_a, spec_b, k, wg_fn=wg_fn)
+        closed = commutator_coefficient(k, spec_a, spec_b)
         if brute != closed or closed != conv.a[k]:
             return f"A={spec_a} B={spec_b} k={k}: brute={brute} closed={closed} conv={conv.a[k]}"
         if k % 2 and closed != 0:

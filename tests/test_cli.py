@@ -176,6 +176,7 @@ REFUSED_ARGUMENTS = [
     ["zpoly", "--d", "100000000"],
     ["conv", "mul", "{p1001}", "{p1001}"],
     ["commutator", "{s1001}", "{s1001}"],
+    ["commutator", "{sexp}", "{s2}"],
     ["commutator", "{s200}", "{s200}", "--mc", "4096", "--seed", "1"],
     ["weingarten", "--k", "11", "--d", "3"],
     ["immanant", "--shape", "2,2", "{m}"],
@@ -195,6 +196,8 @@ def test_library_refusals_exit_2_with_one_error_line(capsys, tmp_path, argv):
         "{p1001}": write_json(tmp_path, "p1001.json", {"d": 1001, "a": [1] + [0] * 1001}),
         "{s1001}": write_json(tmp_path, "s1001.json", [1] * 1001),
         "{s200}": write_json(tmp_path, "s200.json", [1] * 100 + [-1] * 100),
+        "{sexp}": write_json(tmp_path, "sexp.json", ["1e3000000", 1]),
+        "{s2}": write_json(tmp_path, "s2.json", [1, 2]),
     }
     assert main([files.get(arg, arg) for arg in argv]) == 2
     _assert_one_error_line(capsys)
@@ -594,6 +597,9 @@ _FUZZ_DOCUMENT = st.one_of(
         [True, False], [[1, 2], [3]], ["1/0"], [10**400, 1], [0.5, 1], [], {},
         None, "1/2", {"a": "13"}, {"d": True, "a": [1, 2]}, {"d": 2, "a": [2, 0, 1]},
         {"d": 1, "a": ["1", "1/0"]}, [1] * 1001, {"d": 1001, "a": [1] + [0] * 1001},
+        # exponent strings at and past Python's 4300-digit int/str limit
+        ["1e4299", 1], {"d": 1, "a": [1, "1e4299"]}, ["1e5000"],
+        {"d": 1, "a": [1, "1e-3000000"]},
     ]),
 )
 # bytes are a file's contents, None a path that does not exist; a JSON

@@ -224,6 +224,14 @@ def test_factor_identities_odd_k():
     assert left_raw == left_closed == 0
 
 
+@pytest.mark.parametrize("identity", [identity_leftdep, identity_rightdep])
+@pytest.mark.parametrize("k", [-1, 4])
+def test_factor_identities_refuse_k_outside_0_to_d(identity, k):
+    # the closed side's cross_sum refuses k before the raw side runs
+    with pytest.raises(ValueError, match=rf"^need 0 <= k <= 3, got k={k}$"):
+        identity((Fraction(1), Fraction(2), Fraction(5)), k)
+
+
 # -------------------------------------------------------- binomial identities
 
 def test_gen_binom():

@@ -562,24 +562,54 @@ def _seeded_spectrum(d, seed):
     return tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(d))
 
 
+def _recorded(monkeypatch, name):
+    """The argument tuples of every later call of polynomials.<name>."""
+    calls = []
+    whole = getattr(polynomials, name)
+
+    def recording(*args):
+        calls.append(args)
+        return whole(*args)
+
+    monkeypatch.setattr(polynomials, name, recording)
+    return calls
+
+
 def test_self_boxminus_takes_no_full_square(monkeypatch):
     # p ⊟ p squares the 76 even and 75 odd numerators at d = 150. A short
     # product never hands a whole operand to one Kronecker product: past
     # the cutoff, every operand it packs holds at most ceil(n/2) coefficients.
-    calls = []
-    whole = polynomials._kronecker_product
-
-    def recording(f, g, n):
-        calls.append((len(f), len(g), n))
-        return whole(f, g, n)
-
     p = MonicPoly.from_spectrum(_seeded_spectrum(150, seed=3))
     want = boxminus(p, p)
-    monkeypatch.setattr(polynomials, "_kronecker_product", recording)
+    calls = _recorded(monkeypatch, "_kronecker_product")
     assert boxminus(p, p) == want
-    deep = [(lf, lg, n) for lf, lg, n in calls if n >= CUTOFF]
+    deep = [(len(f), len(g), n) for f, g, n in calls if n >= CUTOFF]
     assert deep, calls
     assert all(max(lf, lg) <= (n + 1) // 2 for lf, lg, n in deep), deep
+
+
+# Kronecker products in low_product(f, f, n) at each n: a square reuses its
+# first cross term for the second, so at n = 251 it makes 16 products where
+# a product of two separate lists makes 31
+SQUARE_PRODUCTS = {23: 1, 24: 2, 76: 4, 251: 16}
+
+
+@pytest.mark.parametrize("n", sorted(SQUARE_PRODUCTS))
+def test_square_reuses_its_cross_term(monkeypatch, n):
+    rng = random.Random(n)
+    f = [rng.randint(-(2**90), 2**90) for _ in range(n)]
+    want = low_product(f, list(f), n)
+    calls = _recorded(monkeypatch, "_kronecker_product")
+    assert low_product(f, f, n) == want == ref_low_product(f, f, n)
+    assert len(calls) == SQUARE_PRODUCTS[n]
+
+
+def test_kronecker_square_packs_once(monkeypatch):
+    f = [3 * v for v in (5, -7, 2**80, 0, 1)]
+    want = polynomials._kronecker_product(f, list(f), 9)
+    packs = _recorded(monkeypatch, "_pack")
+    assert polynomials._kronecker_product(f, f, 9) == want == ref_low_product(f, f, 9)
+    assert len(packs) == 1
 
 
 # -------------------------------------------------------- primitive parts
@@ -619,19 +649,12 @@ def test_product_with_content_matches_schoolbook(product):
 def test_self_boxminus_packs_primitive_parts(monkeypatch):
     # The d = 150 numerators carry a large common factor from the (d-k)!
     # weights. Every list _pack receives inside p ⊟ p has had it divided out.
-    packed = []
-    pack = polynomials._pack
-
-    def recording(coeffs, nbytes):
-        packed.append(list(coeffs))
-        return pack(coeffs, nbytes)
-
     p = MonicPoly.from_spectrum(_seeded_spectrum(150, seed=3))
     want = boxminus(p, p)
-    monkeypatch.setattr(polynomials, "_pack", recording)
+    packed = _recorded(monkeypatch, "_pack")
     assert boxminus(p, p) == want
     assert packed
-    contents = [gcd(*coeffs) for coeffs in packed]
+    contents = [gcd(*coeffs) for coeffs, _ in packed]
     assert all(c == 1 for c in contents), max(contents).bit_length()
 
 

@@ -2,6 +2,7 @@ import ast
 import importlib
 import json
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -41,6 +42,21 @@ def test_to_fraction():
         to_fraction("1/0")
     with pytest.raises(ValueError):
         to_fraction("x")
+
+
+def test_to_fraction_bounds_exponent_strings():
+    # Fraction forms 10^|e| without Python's int/str digit limit, so a
+    # decimal string whose numerator or denominator would pass that limit
+    # is refused before it is converted
+    limit = sys.get_int_max_str_digits()
+    for text in ("1e5000", "1e-5000", f"1e{limit}", f"1e-{limit}", "0e10000000"):
+        with pytest.raises(ValueError, match=f"past Python's {limit}-digit limit"):
+            to_fraction(text)
+    assert to_fraction(f"1e{limit - 1}") == 10 ** (limit - 1)
+    assert to_fraction(f"1e-{limit - 1}") == Fraction(1, 10 ** (limit - 1))
+    assert to_fraction("1e3") == 1000
+    assert to_fraction("2.5e-3") == Fraction(1, 400)
+    assert to_fraction("7/3") == Fraction(7, 3)
 
 
 def test_check_cap():
