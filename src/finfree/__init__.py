@@ -20,7 +20,6 @@ from .symgroup import (
     c_constant_bruteforce,
     character,
     character_table,
-    class_size,
     cycle_type,
     dim_irrep,
     inverse_kostka,

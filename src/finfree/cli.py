@@ -37,7 +37,7 @@ def _load_poly(path) -> MonicPoly:
     payload = _load_json(path)
     try:
         return MonicPoly.from_json_dict(payload)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise InputError(f"{path} is not a polynomial document: {exc}") from exc
 
 

@@ -287,19 +287,19 @@ def rothe_hagen_pair(n: int, y) -> tuple:
     return lhs, gen_binom(y + n, n)
 
 
+def two_column_kostka(k: int, p: int, q: int) -> Fraction:
+    """K(2_k^p, 2_k^q) = (k-2q)!(k-2p+1)/((p-q)!(k-p-q+1)!), for q <= p, the
+    Kostka number of the shapes two_column(k, p) and two_column(k, q)."""
+    return Fraction(
+        factorial(k - 2 * q) * (k - 2 * p + 1),
+        factorial(p - q) * factorial(k - p - q + 1),
+    )
+
+
 def telescoping_pair(k: int, p: int, q: int) -> tuple:
-    """Both sides of sum_{q<=r<=p} (k-2q)!(k-2r+1)/((r-q)!(k-r-q+1)!) =
-    binom(k-2q, p-q), the telescoping sum of two-column Kostka numbers."""
+    """Both sides of sum_{q<=r<=p} K(2_k^r, 2_k^q) = binom(k-2q, p-q), the
+    telescoping sum of two-column Kostka numbers (two_column_kostka)."""
     if not 0 <= q <= p <= k // 2:
         raise ValueError(f"need 0 <= q <= p <= k/2, got k={k}, p={p}, q={q}")
-    lhs = sum(
-        (
-            Fraction(
-                factorial(k - 2 * q) * (k - 2 * r + 1),
-                factorial(r - q) * factorial(k - r - q + 1),
-            )
-            for r in range(q, p + 1)
-        ),
-        Fraction(0),
-    )
+    lhs = sum((two_column_kostka(k, r, q) for r in range(q, p + 1)), Fraction(0))
     return lhs, Fraction(comb(k - 2 * q, p - q))

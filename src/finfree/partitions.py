@@ -169,29 +169,22 @@ def count_set_partitions_of_type(mu) -> int:
     return n
 
 
-def semistandard_tableaux(shape, max_entry=None, weight=None):
-    """SSYT of the given shape, as tuples of row tuples.
+def semistandard_tableaux(shape, weight):
+    """SSYT of the given shape and weight, as tuples of row tuples.
 
-    Entries come from 1..max_entry; if weight is given, the number of t's
-    must equal weight[t-1] (and max_entry defaults to len(weight)). Rows
-    weakly increase, columns strictly increase.
+    The entry t appears weight[t-1] times. Rows weakly increase, columns
+    strictly increase.
     """
     shape = Partition(shape)
-    if weight is not None:
-        weight = tuple(int(w) for w in weight)
-        if any(w < 0 for w in weight):
-            raise ValueError("weight entries must be nonnegative")
-        if max_entry is None:
-            max_entry = len(weight)
-        if sum(weight) != shape.size:
-            return
-    if max_entry is None:
-        raise ValueError("need max_entry or weight")
+    remaining = [int(w) for w in weight]
+    if any(w < 0 for w in remaining):
+        raise ValueError("weight entries must be nonnegative")
+    if sum(remaining) != shape.size:
+        return
     if not shape:
         yield ()
         return
 
-    remaining = list(weight) if weight is not None else None
     rows = [[0] * r for r in shape]
     cells = [(i, j) for i, r in enumerate(shape) for j in range(r)]
 
@@ -205,15 +198,13 @@ def semistandard_tableaux(shape, max_entry=None, weight=None):
             lo = max(lo, rows[i][j - 1])
         if i > 0:
             lo = max(lo, rows[i - 1][j] + 1)
-        for v in range(lo, max_entry + 1):
-            if remaining is not None:
-                if remaining[v - 1] == 0:
-                    continue
-                remaining[v - 1] -= 1
+        for v in range(lo, len(remaining) + 1):
+            if remaining[v - 1] == 0:
+                continue
+            remaining[v - 1] -= 1
             rows[i][j] = v
             yield from fill(idx + 1)
-            if remaining is not None:
-                remaining[v - 1] += 1
+            remaining[v - 1] += 1
 
     yield from fill(0)
 

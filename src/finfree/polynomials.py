@@ -28,9 +28,7 @@ from .util import (
     check_cap,
     clear_denominators,
     factorials,
-    signed_slots,
-    slot_bias,
-    slot_bytes,
+    packed_product,
     to_fraction,
 )
 
@@ -39,6 +37,13 @@ def _check_degree(d: int):
     if d < 1:
         raise ValueError("degree must be at least 1")
     check_cap(d, DEGREE_CAP, "polynomial degree")
+
+
+def _mss_normalize(scale: int, ints) -> tuple:
+    """(den, nums) with c_k = nums[k]/den = a_k (d-k)!/d! for a_k = ints[k]/scale."""
+    d = len(ints) - 1
+    fact = factorials(d)
+    return scale * fact[d], [v * fact[d - k] for k, v in enumerate(ints)]
 
 
 @dataclass(frozen=True, init=False)
@@ -57,9 +62,7 @@ class MonicPoly:
         a = tuple(to_fraction(v) for v in a)
         if a[0] != 1:
             raise ValueError(f"leading coefficient must be 1, got {a[0]}")
-        fact = factorials(d)
-        scale, ints = clear_denominators(a)
-        self._settle(scale * fact[d], [v * fact[d - k] for k, v in enumerate(ints)])
+        self._settle(*_mss_normalize(*clear_denominators(a)))
 
     def _settle(self, den: int, nums) -> "MonicPoly":
         """Store c_k = nums[k]/den with the common content divided out."""
@@ -92,19 +95,18 @@ class MonicPoly:
     def from_spectrum(cls, values) -> "MonicPoly":
         """Monic polynomial with the given roots.
 
-        With (L, E) from scaled_elementary, E_k = L^k e_k, the normalized
-        c_k = e_k (d-k)!/d! is E_k L^(d-k) (d-k)! over L^d d!.
+        With (L, E) from scaled_elementary, E_k = L^k e_k, the coefficient
+        e_k is E_k L^(d-k) over L^d.
         """
         spec = as_spectrum(values)
         d = len(spec)
         _check_degree(d)
         scale, e = scaled_elementary(spec)
-        fact = factorials(d)
-        nums, power = [0] * (d + 1), 1
+        ints, power = [0] * (d + 1), 1
         for k in range(d, -1, -1):
-            nums[k] = e[k] * power * fact[d - k]
+            ints[k] = e[k] * power
             power *= scale
-        return cls._normalized(nums[0], nums)
+        return cls._normalized(*_mss_normalize(ints[0], ints))
 
     def negate_roots(self) -> "MonicPoly":
         return MonicPoly._normalized(
@@ -139,8 +141,8 @@ class MonicPoly:
 
     @classmethod
     def from_json_dict(cls, payload) -> "MonicPoly":
-        if not isinstance(payload["a"], list):
-            raise TypeError(f"'a' must be a list, got {payload['a']!r}")
+        if not isinstance(payload, dict) or not isinstance(payload.get("a"), list):
+            raise TypeError('need a JSON object whose "a" is a list of coefficients')
         poly = cls(payload["a"])
         degree = payload.get("d", poly.degree)
         if isinstance(degree, bool) or not isinstance(degree, int):
@@ -154,42 +156,6 @@ def _common_degree(p: MonicPoly, q: MonicPoly) -> int:
     if p.degree != q.degree:
         raise ValueError(f"degree mismatch: {p.degree} != {q.degree}")
     return p.degree
-
-
-def _pack(coeffs, nbytes: int) -> int:
-    """sum_i c_i 2^(8 nbytes i) for signed ints c_i with |c_i| < 2^(8 nbytes - 1).
-
-    Each c_i + 2^(8 nbytes - 1) fills its slot unsigned, so one pass packs
-    the biased digits and one subtraction takes the bias back out.
-    """
-    half = slot_bias(nbytes, 1)
-    raw = b"".join((c + half).to_bytes(nbytes, "little") for c in coeffs)
-    return int.from_bytes(raw, "little") - slot_bias(nbytes, len(coeffs))
-
-
-def _kronecker_product(f, g, n: int) -> list:
-    """The first n coefficients of f g by one big-int product.
-
-    Kronecker substitution: each operand is divided by its content (the gcd
-    of its coefficients), its primitive part is packed into one big int, in
-    slots wide enough for any coefficient of the primitive parts' product,
-    and util.signed_slots reads those coefficients back; they are multiplied
-    by the two contents. The normalized MSS numerators share large factorial
-    factors, so this keeps the slots narrow. When g is the same list as f,
-    its content and packed int are f's, and the product of one int with
-    itself takes the big-int squaring path.
-    """
-    cf = gcd(*f)
-    cg = cf if g is f else gcd(*g)
-    if not (cf and cg):
-        return [0] * n
-    bound = min(n, len(f), len(g)) * max(map(abs, f)) * max(map(abs, g)) // (cf * cg)
-    nbytes = slot_bytes(bound)
-    packed = _pack(f if cf == 1 else [v // cf for v in f], nbytes)
-    other = packed if g is f else _pack(g if cg == 1 else [v // cg for v in g], nbytes)
-    out = signed_slots(packed * other, nbytes, n)
-    content = cf * cg
-    return out if content == 1 else [v * content for v in out]
 
 
 # Products of fewer than this many coefficients are taken whole. Measured
@@ -218,22 +184,22 @@ def low_product(f, g, n: int) -> list:
 
         f g mod x^n = f_lo g_lo + x^m (f_lo g_hi + f_hi g_lo mod x^(n-m)),
 
-    since 2m >= n drops f_hi g_hi. f_lo g_lo is one Kronecker product of
-    m-coefficient operands, and the cross terms recurse; for a square
-    (the same list as f and g) the low halves are one list and the second
-    cross term is the first. Each product sizes its own slots, so small
-    high-order coefficients pack narrow.
+    since 2m >= n drops f_hi g_hi. f_lo g_lo is one util.packed_product of
+    m-coefficient operands, and the cross terms recurse; for a square (the
+    same list as f and g) the low halves are one list and the second cross
+    term is the first. Each packed_product is sized for its own piece, so
+    small high-order coefficients pack narrow.
     Below _SHORT_PRODUCT_MIN coefficients the product is taken whole.
     """
     if n < 1 or not (f and g):
         return [0] * n
     if n < _SHORT_PRODUCT_MIN:
-        return _kronecker_product(f, g, n)
+        return packed_product(f, g, n)
     m = (n + 1) // 2
     k = n - m
     f_lo = f[:m]
     g_lo = f_lo if g is f else g[:m]
-    out = _kronecker_product(f_lo, g_lo, n)
+    out = packed_product(f_lo, g_lo, n)
     left = low_product(f_lo[:k], g[m:n], k)
     right = left if g is f else low_product(f[m:n], g_lo[:k], k)
     out[m:] = [u + v + w for u, v, w in zip(out[m:], left, right)]

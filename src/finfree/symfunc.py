@@ -24,8 +24,7 @@ from .util import (
     check_cap,
     clear_denominators,
     factorials,
-    signed_slots,
-    slot_bytes,
+    linear_product,
     to_fraction,
 )
 
@@ -39,20 +38,10 @@ def as_spectrum(values) -> tuple:
 
 
 def scaled_elementary(x) -> tuple:
-    """(L, E) with L the lcm of the denominators and E_k = L^k e_k(x) in ints.
-
-    x holds ints or Fractions. With v_i = L x_i, prod (1 + v_i t) is
-    evaluated at t = 2^w by shift-and-add on one big int (Kronecker
-    substitution), and E is read back from its base-2^w digits. Every |E_k|
-    is at most prod (1 + |v_i|), which sizes the slots.
-    """
+    """(L, E) with L the lcm of the denominators and E_k = L^k e_k(x) in ints:
+    the coefficients of prod (1 + L x_i t), from util.linear_product."""
     scale, ints = clear_denominators(x)
-    nbytes = slot_bytes(prod(1 + abs(v) for v in ints))
-    shift = 8 * nbytes
-    packed = 1
-    for v in ints:
-        packed += (packed * v) << shift
-    return scale, signed_slots(packed, nbytes, len(ints) + 1)
+    return scale, linear_product(ints)
 
 
 def cross_sum(x, k: int) -> Fraction:

@@ -65,13 +65,6 @@ def perm_sign(p) -> int:
     return -1 if (len(p) - len(cycle_type(p))) % 2 else 1
 
 
-def class_size(rho) -> int:
-    """Number of permutations with cycle type rho: k! / z_rho."""
-    rho = Partition(rho)
-    z = prod(rho) * prod(factorial(m) for m in rho.multiplicities().values())
-    return factorial(rho.size) // z
-
-
 @lru_cache(maxsize=None)
 def _character_rec(lam: tuple, rho: tuple) -> int:
     # Border-strip recursion on the first-row strip length, done on beta

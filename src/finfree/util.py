@@ -1,11 +1,12 @@
 """Shared plumbing: size caps, exact-rational coercion, denominator
-clearing, factorials, integer determinants, signed big-int slots."""
+clearing, factorials, integer determinants, and the two big-int products
+by Kronecker substitution."""
 
 import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm, prod
 
 # Limits of the size guards. Partition and tableau searches grow
 # super-polynomially and set partitions grow like Bell numbers; the exact
@@ -126,33 +127,80 @@ def bareiss_det(rows) -> int:
     return sign * a[-1][-1] if m else 1
 
 
-def slot_bytes(bound: int) -> int:
+# Kronecker substitution. A list of signed ints c_i is one big int
+# sum_i c_i 2^(8 nbytes i), each c_i in a slot of nbytes bytes with
+# |c_i| < 2^(8 nbytes - 1). Adding half a slot's range, 2^(8 nbytes - 1),
+# to every c_i makes it an unsigned digit, so biased slots hold no borrows:
+# one to_bytes pass packs a list, one from_bytes pass reads it back, and
+# subtracting the summed half-ranges (_slot_bias) takes the bias out.
+# polynomials and symfunc pass and receive lists of ints; only this module
+# knows the slots.
+
+
+def _slot_bytes(bound: int) -> int:
     """Bytes per slot that hold any signed int of absolute value at most bound."""
     return (bound.bit_length() + 1 + 7) // 8
 
 
-def slot_bias(nbytes: int, n: int) -> int:
-    """Half the range of every one of n slots of nbytes bytes:
-    sum_{i < n} 2^(8 nbytes - 1) 2^(8 nbytes i).
-
-    A signed digit c with |c| < 2^(8 nbytes - 1) plus this half is an
-    unsigned digit, so biased slots hold no borrows.
-    """
+def _slot_bias(nbytes: int, n: int) -> int:
+    """Half the range of each of n slots: sum_{i < n} 2^(8 nbytes - 1) 2^(8 nbytes i)."""
     return int.from_bytes((bytes(nbytes - 1) + b"\x80") * n, "little")
 
 
-def signed_slots(packed: int, nbytes: int, n: int) -> list:
-    """The n low digits of packed in base 2^(8 nbytes), as signed ints.
+def _pack(coeffs, nbytes: int) -> int:
+    """sum_i c_i 2^(8 nbytes i) for signed ints c_i that fit their slots."""
+    half = _slot_bias(nbytes, 1)
+    raw = b"".join((c + half).to_bytes(nbytes, "little") for c in coeffs)
+    return int.from_bytes(raw, "little") - _slot_bias(nbytes, len(coeffs))
 
-    packed = sum_i c_i 2^(8 nbytes i) with every |c_i| < 2^(8 nbytes - 1),
-    for i < n (higher digits are dropped). Biasing every slot by half its
-    range leaves no borrows to carry, so the digits are read in one pass.
-    """
-    half = slot_bias(nbytes, 1)
-    bias = slot_bias(nbytes, n)
+
+def _signed_slots(packed: int, nbytes: int, n: int) -> list:
+    """The n low slots of packed as signed ints; higher slots are dropped."""
+    half = _slot_bias(nbytes, 1)
+    bias = _slot_bias(nbytes, n)
     width = 8 * nbytes * n
     raw = ((packed + bias) & ((1 << width) - 1)).to_bytes(nbytes * n, "little")
     return [
         int.from_bytes(raw[i : i + nbytes], "little") - half
         for i in range(0, nbytes * n, nbytes)
     ]
+
+
+def packed_product(f, g, n: int) -> list:
+    """The first n coefficients of the product of the int lists f and g, by
+    one big-int product.
+
+    Each operand is divided by its content (the gcd of its coefficients)
+    and its primitive part is packed, in slots wide enough for any
+    coefficient of the primitive parts' product; the coefficients read back
+    are multiplied by the two contents. The normalized MSS numerators share
+    large factorial factors, so this keeps the slots narrow. When g is the
+    same list as f, its content and packed int are f's, and the product of
+    one int with itself takes the big-int squaring path.
+    """
+    cf = gcd(*f)
+    cg = cf if g is f else gcd(*g)
+    if not (cf and cg):
+        return [0] * n
+    bound = min(n, len(f), len(g)) * max(map(abs, f)) * max(map(abs, g)) // (cf * cg)
+    nbytes = _slot_bytes(bound)
+    packed = _pack(f if cf == 1 else [v // cf for v in f], nbytes)
+    other = packed if g is f else _pack(g if cg == 1 else [v // cg for v in g], nbytes)
+    out = _signed_slots(packed * other, nbytes, n)
+    content = cf * cg
+    return out if content == 1 else [v * content for v in out]
+
+
+def linear_product(values) -> list:
+    """The coefficients of prod (1 + v t) over the ints v, lowest first.
+
+    The product is evaluated at t = 2^(8 nbytes) by shift-and-add on one
+    big int. Every |coefficient| is at most prod (1 + |v|), which sizes the
+    slots.
+    """
+    nbytes = _slot_bytes(prod(1 + abs(v) for v in values))
+    shift = 8 * nbytes
+    packed = 1
+    for v in values:
+        packed += (packed * v) << shift
+    return _signed_slots(packed, nbytes, len(values) + 1)

@@ -166,6 +166,17 @@ def test_result_past_digit_limit_names_the_coefficient(capsys, tmp_path):
     assert "result coefficient a_2 has 4801 digits" in line and "4300" in line
 
 
+# Documents that are not objects with an "a" list: each is refused with the
+# same message, exit 2
+@pytest.mark.parametrize("document", [{}, [1, 2], None, {"a": "13"}], ids=json.dumps)
+def test_non_polynomial_document_is_named(capsys, tmp_path, document):
+    path = write_json(tmp_path, "p.json", document)
+    assert main(["conv", "add", path, path]) == 2
+    line = _assert_one_error_line(capsys)
+    assert line == (f"error: {path} is not a polynomial document: "
+                    'need a JSON object whose "a" is a list of coefficients')
+
+
 # Each library refusal that main reports as exit 2, by command; {p3} is a
 # cubic, {p}, {m} a quadratic and a 3 x 3 matrix, {p1001}, {s1001} a
 # polynomial and a spectrum one past the degree cap, and {s200} a spectrum

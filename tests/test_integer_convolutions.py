@@ -19,6 +19,7 @@ INTEGER_ONLY = {
     "polynomials.py": ("boxplus", "boxminus", "boxtimes", "z_poly", "commutator_poly",
                        "MonicPoly.from_spectrum"),
     "symfunc.py": ("scaled_elementary",),
+    "util.py": ("packed_product", "linear_product"),
 }
 
 

@@ -26,9 +26,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "finfree"
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 # (module, name) kept with no caller in the package, and why
-ALLOWED = {
-    ("symgroup", "class_size"): "reference of the character-orthogonality test",
-}
+ALLOWED = {}
 
 
 def _unreferenced(module, node, references) -> bool:
@@ -98,8 +96,6 @@ def _orphan_methods(sources: dict) -> set:
 # it by name, and why
 ALLOWED_PARAMETERS = {
     ("cli", "main", "argv"): "the tests and perfbench call main(argv) in-process",
-    ("partitions", "semistandard_tableaux", "max_entry"):
-        "the tests count tableaux with it to check schur_principal",
     ("montecarlo", "mc_charpoly", "mode"):
         "the only Monte Carlo reference of the tests for boxplus and boxtimes",
 }

@@ -162,10 +162,19 @@ def test_permutation_module_dimension(k):
         assert total == factorial(k) // prod(factorial(m) for m in mu)
 
 
+def tableaux_with_entries_at_most(lam, n):
+    """Every SSYT of shape lam with entries in 1..n, one weight at a time:
+    the weights are the n-tuples (zeros allowed) that sum to |lam|."""
+    size = sum(lam)
+    for weight in itertools.product(range(size + 1), repeat=n):
+        if sum(weight) == size:
+            yield from semistandard_tableaux(lam, weight=weight)
+
+
 def test_semistandard_tableaux_explicit():
     tabs = sorted(semistandard_tableaux((2, 1), weight=(1, 1, 1)))
     assert tabs == [((1, 2), (3,)), ((1, 3), (2,))]
-    tabs = list(semistandard_tableaux((2,), max_entry=2))
+    tabs = sorted(tableaux_with_entries_at_most((2,), 2))
     assert tabs == [((1, 1),), ((1, 2),), ((2, 2),)]
     # columns strict: shape (1,1) with both entries equal is impossible
     assert list(semistandard_tableaux((1, 1), weight=(2,))) == []
@@ -175,7 +184,7 @@ def test_semistandard_tableaux_explicit():
 def test_semistandard_tableaux_are_valid(lam, n):
     if lam.size == 0:
         return
-    for tab in semistandard_tableaux(lam, max_entry=n):
+    for tab in tableaux_with_entries_at_most(lam, n):
         assert tuple(len(row) for row in tab) == tuple(lam)
         for row in tab:
             assert all(a <= b for a, b in zip(row, row[1:]))

@@ -6,7 +6,7 @@ from math import comb, factorial, gcd, isqrt, prod
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from finfree import polynomials
+from finfree import polynomials, util
 from finfree.polynomials import (
     MonicPoly,
     boxminus,
@@ -19,7 +19,6 @@ from finfree.polynomials import (
 )
 from finfree.oracle import falling
 from finfree.symfunc import elementary_symmetric
-from finfree.util import signed_slots
 
 rational_st = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
@@ -349,7 +348,7 @@ def test_self_boxminus_matches_definition(p):
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(big_rational_st, min_size=1, max_size=12))
-# the Kronecker slots of scaled_elementary are sized from prod(1 + |v_i|):
+# the Kronecker slots of linear_product are sized from prod(1 + |v_i|):
 # all zeros, one value at a byte edge, equal-size mixed signs, 400 digits
 @example([Fraction(0)] * 5)
 @example([Fraction(127)])
@@ -562,16 +561,16 @@ def _seeded_spectrum(d, seed):
     return tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(d))
 
 
-def _recorded(monkeypatch, name):
-    """The argument tuples of every later call of polynomials.<name>."""
+def _recorded(monkeypatch, module, name):
+    """The argument tuples of every later call of module.<name>."""
     calls = []
-    whole = getattr(polynomials, name)
+    whole = getattr(module, name)
 
     def recording(*args):
         calls.append(args)
         return whole(*args)
 
-    monkeypatch.setattr(polynomials, name, recording)
+    monkeypatch.setattr(module, name, recording)
     return calls
 
 
@@ -581,7 +580,7 @@ def test_self_boxminus_takes_no_full_square(monkeypatch):
     # the cutoff, every operand it packs holds at most ceil(n/2) coefficients.
     p = MonicPoly.from_spectrum(_seeded_spectrum(150, seed=3))
     want = boxminus(p, p)
-    calls = _recorded(monkeypatch, "_kronecker_product")
+    calls = _recorded(monkeypatch, polynomials, "packed_product")
     assert boxminus(p, p) == want
     deep = [(len(f), len(g), n) for f, g, n in calls if n >= CUTOFF]
     assert deep, calls
@@ -599,16 +598,16 @@ def test_square_reuses_its_cross_term(monkeypatch, n):
     rng = random.Random(n)
     f = [rng.randint(-(2**90), 2**90) for _ in range(n)]
     want = low_product(f, list(f), n)
-    calls = _recorded(monkeypatch, "_kronecker_product")
+    calls = _recorded(monkeypatch, polynomials, "packed_product")
     assert low_product(f, f, n) == want == ref_low_product(f, f, n)
     assert len(calls) == SQUARE_PRODUCTS[n]
 
 
 def test_kronecker_square_packs_once(monkeypatch):
     f = [3 * v for v in (5, -7, 2**80, 0, 1)]
-    want = polynomials._kronecker_product(f, list(f), 9)
-    packs = _recorded(monkeypatch, "_pack")
-    assert polynomials._kronecker_product(f, f, 9) == want == ref_low_product(f, f, 9)
+    want = util.packed_product(f, list(f), 9)
+    packs = _recorded(monkeypatch, util, "_pack")
+    assert util.packed_product(f, f, 9) == want == ref_low_product(f, f, 9)
     assert len(packs) == 1
 
 
@@ -651,7 +650,7 @@ def test_self_boxminus_packs_primitive_parts(monkeypatch):
     # weights. Every list _pack receives inside p ⊟ p has had it divided out.
     p = MonicPoly.from_spectrum(_seeded_spectrum(150, seed=3))
     want = boxminus(p, p)
-    packed = _recorded(monkeypatch, "_pack")
+    packed = _recorded(monkeypatch, util, "_pack")
     assert boxminus(p, p) == want
     assert packed
     contents = [gcd(*coeffs) for coeffs, _ in packed]
@@ -660,12 +659,12 @@ def test_self_boxminus_packs_primitive_parts(monkeypatch):
 
 @pytest.mark.parametrize("nbytes", range(1, 6))
 def test_pack_round_trip_at_slot_extremes(nbytes):
-    # _pack holds any |c| < 2^(8 nbytes - 1), the range signed_slots reads
+    # _pack holds any |c| < 2^(8 nbytes - 1), the range _signed_slots reads
     top = 2 ** (8 * nbytes - 1) - 1
     for coeffs in ([top], [-top], [0], [top, -top, 0], [-top, top], [0, 0, -top], [top] * 7):
-        packed = polynomials._pack(coeffs, nbytes)
+        packed = util._pack(coeffs, nbytes)
         assert packed == sum(c << (8 * nbytes * i) for i, c in enumerate(coeffs))
-        assert signed_slots(packed, nbytes, len(coeffs)) == coeffs
+        assert util._signed_slots(packed, nbytes, len(coeffs)) == coeffs
 
 
 def test_commutator_routes_agree_every_k_d150():

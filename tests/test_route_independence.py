@@ -41,9 +41,9 @@ PRIMITIVES = {
     ("symfunc", "as_spectrum"): "validates and coerces an input spectrum",
     ("util", "clear_denominators"): "puts values on one denominator",
     ("util", "factorials"): "the table 0!, 1!, ..., n!",
-    ("util", "slot_bytes"): "sizes a big-int slot",
-    ("util", "signed_slots"): "reads signed ints back from big-int slots",
-    ("util", "slot_bias"): "the half-range offset that makes big-int slots unsigned",
+    ("util", "_slot_bytes"): "sizes a big-int slot",
+    ("util", "_signed_slots"): "reads signed ints back from big-int slots",
+    ("util", "_slot_bias"): "the half-range offset that makes big-int slots unsigned",
     ("util", "check_cap"): "refuses a size past its fixed limit",
 }
 

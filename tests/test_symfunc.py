@@ -214,7 +214,11 @@ def test_transition_matrices_invert(k):
     [((2, 1), 2), ((2, 1), 3), ((3, 1), 3), ((2, 2), 4), ((4,), 2), ((1, 1, 1), 2)],
 )
 def test_schur_principal_counts_tableaux(lam, d):
-    want = sum(1 for _ in semistandard_tableaux(lam, max_entry=d))
+    # the tableaux with entries in 1..d, counted over every weight of d
+    # entries (zeros allowed) that sums to |lam|
+    size = sum(lam)
+    weights = [w for w in itertools.product(range(size + 1), repeat=d) if sum(w) == size]
+    want = sum(1 for w in weights for _ in semistandard_tableaux(lam, weight=w))
     assert schur_principal(lam, d) == want
 
 

@@ -1,6 +1,8 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
-from math import comb, factorial
+from functools import lru_cache
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,7 +14,6 @@ from finfree.symgroup import (
     character,
     character_table,
     character_table_json,
-    class_size,
     compose,
     cycle_type,
     dim_irrep,
@@ -62,17 +63,23 @@ def test_sign_multiplicative(p, q):
     assert perm_sign(compose(p, q)) == perm_sign(p) * perm_sign(q)
 
 
+@lru_cache(maxsize=None)
+def class_sizes(k) -> Counter:
+    """{rho: number of permutations of S_k with cycle type rho}, counted."""
+    return Counter(cycle_type(p) for p in itertools.permutations(range(k)))
+
+
 @pytest.mark.parametrize("k", range(1, 8))
 def test_class_sizes_sum_to_group_order(k):
-    assert sum(class_size(rho) for rho in partitions_of(k)) == factorial(k)
+    assert sorted(class_sizes(k)) == sorted(partitions_of(k))
+    assert sum(class_sizes(k).values()) == factorial(k)
 
 
 def test_class_size_direct_count():
+    # k!/z_rho, with z_rho = prod_i i^(m_i) m_i! for m_i parts equal to i
     for rho in partitions_of(5):
-        got = sum(
-            1 for p in itertools.permutations(range(5)) if cycle_type(p) == rho
-        )
-        assert class_size(rho) == got
+        z = prod(rho) * prod(factorial(m) for m in rho.multiplicities().values())
+        assert class_sizes(5)[rho] == factorial(5) // z
 
 
 # --------------------------------------------------------------- characters
@@ -125,7 +132,7 @@ def test_character_row_orthogonality(k):
     for lam in parts:
         for mu in parts:
             total = sum(
-                class_size(rho) * character(lam, rho) * character(mu, rho)
+                class_sizes(k)[rho] * character(lam, rho) * character(mu, rho)
                 for rho in parts
             )
             assert total == (factorial(k) if lam == mu else 0)
