@@ -209,9 +209,28 @@ def semistandard_tableaux(shape, weight):
     yield from fill(0)
 
 
+def _strip_removals(lam: tuple, size: int):
+    """The nu inside lam whose skew shape lam/nu is a horizontal strip of
+    `size` cells: lam_1 >= nu_1 >= lam_2 >= nu_2 >= ..., trailing zeros cut."""
+    target = sum(lam) - size
+    rows = (range(low, top + 1) for top, low in zip(lam, lam[1:] + (0,)))
+    for nu in itertools.product(*rows):
+        if sum(nu) == target:
+            yield nu[: len(nu) - nu.count(0)]
+
+
 @lru_cache(maxsize=None)
 def _kostka_cached(lam: tuple, mu: tuple) -> int:
-    return sum(1 for _ in semistandard_tableaux(lam, weight=mu))
+    """K_{lam,mu} by the horizontal-strip rule (Macdonald, Symmetric Functions
+    and Hall Polynomials, I.5): the cells holding the largest entry of an
+    SSYT form a horizontal strip of mu_last cells, so K_{lam,mu} is the sum
+    of K_{nu, mu minus its last part} over the nu that strip leaves. Every
+    sub-shape is memoized here."""
+    if len(lam) > len(mu):
+        return 0
+    if not mu:
+        return 1
+    return sum(_kostka_cached(nu, mu[:-1]) for nu in _strip_removals(lam, mu[-1]))
 
 
 @lru_cache(maxsize=None)

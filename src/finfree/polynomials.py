@@ -22,7 +22,16 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
-from .symfunc import as_spectrum, left_factor, right_factor, scaled_elementary
+from .symfunc import (
+    as_spectrum,
+    cross_pair,
+    cross_terms,
+    left_factor,
+    left_weight,
+    right_factor,
+    right_weight,
+    scaled_elementary,
+)
 from .util import (
     DEGREE_CAP,
     check_cap,
@@ -285,3 +294,30 @@ def commutator_coefficient(k: int, spec_a, spec_b) -> Fraction:
     if len(spec_b) != len(spec_a):
         raise ValueError(f"spectrum lengths differ: {len(spec_a)} != {len(spec_b)}")
     return left_factor(spec_a, k) * right_factor(spec_b, k)
+
+
+def commutator_poly_closed(spec_a, spec_b) -> tuple:
+    """The unsigned coefficients a_0..a_d of the expected commutator
+    polynomial, all at once, by the closed form of commutator_coefficient.
+
+    Each spectrum's cross_terms are formed once. At even k, a_k is
+    S_k(A) S_k(B) times the left and right weights, formed on ints from the
+    same (num, den) pairs the two factors read and divided once; odd a_k
+    are 0. The lengths are checked against DEGREE_CAP before any entry is
+    converted.
+    """
+    spec_a, spec_b = tuple(spec_a), tuple(spec_b)
+    d = len(spec_a)
+    if len(spec_b) != d:
+        raise ValueError(f"spectrum lengths differ: {d} != {len(spec_b)}")
+    check_cap(d, DEGREE_CAP, "polynomial degree")
+    terms_a, terms_b = cross_terms(spec_a), cross_terms(spec_b)
+    fact = factorials(d)
+    out = [Fraction(0)] * (d + 1)
+    for k in range(0, d + 1, 2):
+        num_a, den_a = cross_pair(terms_a, k)
+        num_b, den_b = cross_pair(terms_b, k)
+        num_l, den_l = left_weight(fact, k)
+        num_r, den_r = right_weight(fact, k)
+        out[k] = Fraction(num_a * num_b * num_l * num_r, den_a * den_b * den_l * den_r)
+    return tuple(out)

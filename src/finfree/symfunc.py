@@ -44,48 +44,76 @@ def scaled_elementary(x) -> tuple:
     return scale, linear_product(ints)
 
 
+def cross_terms(x) -> tuple:
+    """(L, F) with F_i = (d-i)! E_i in ints, E_i = L^i e_i(x) from
+    scaled_elementary: the terms the cross sums S_k of x are formed from."""
+    x = as_spectrum(x)
+    d = len(x)
+    fact = factorials(d)
+    scale, e = scaled_elementary(x)
+    return scale, [fact[d - i] * v for i, v in enumerate(e)]
+
+
+def cross_pair(terms, k: int) -> tuple:
+    """S_k as (num, den) from the cross_terms (L, F) of x: num is
+    sum_i (-1)^i F_i F_{k-i} and den is L^k, at even k. The terms i and
+    k-i are equal, so each pair is formed once."""
+    scale, f = terms
+    h = k // 2
+    total = 0
+    for i in range(h):
+        term = f[i] * f[k - i]
+        total += -term if i % 2 else term
+    middle = f[h] * f[h]
+    return 2 * total + (-middle if h % 2 else middle), scale**k
+
+
 def cross_sum(x, k: int) -> Fraction:
     """S_k = sum_i (-1)^i (d-i)!(d-k+i)! e_i(x) e_{k-i}(x), with d = len(x).
 
     With the normalized coefficients c_i = e_i (d-i)!/d! of Marcus,
     Spielman and Srivastava, S_k is (d!)^2 times the x^k coefficient of
     c(x) c(-x): zero for odd k, and (d!)^2 at k = 0, both returned before
-    any e_i is formed. Otherwise the sum runs on the integers E_i = L^i e_i
-    and is divided by L^k once.
+    any e_i is formed. Otherwise it is cross_pair on the integers
+    (d-i)! L^i e_i, divided by L^k once.
     """
-    x = [to_fraction(v) for v in x]
+    x = as_spectrum(x)
     d = len(x)
     if not 0 <= k <= d:
         raise ValueError(f"need 0 <= k <= {d}, got k={k}")
-    fact = factorials(d)
     if k % 2:
         return Fraction(0)
     if k == 0:
-        return Fraction(fact[d] ** 2)
-    scale, e = scaled_elementary(x)
-    total = 0
-    for i in range(k + 1):
-        term = fact[d - i] * fact[d - k + i] * e[i] * e[k - i]
-        total += -term if i % 2 else term
-    return Fraction(total, scale**k)
+        return Fraction(factorials(d)[d] ** 2)
+    return Fraction(*cross_pair(cross_terms(x), k))
+
+
+def left_weight(fact, k: int) -> tuple:
+    """(num, den) = (h!, k! (d-k)! (d-h)!), h = k // 2, from the table
+    fact = factorials(d): L_k(x) = S_k(x) num/den."""
+    d, h = len(fact) - 1, k // 2
+    return fact[h], fact[k] * fact[d - k] * fact[d - h]
+
+
+def right_weight(fact, k: int) -> tuple:
+    """(num, den) = (k! (d+1-h), (d+1)! d!), h = k // 2, from the table
+    fact = factorials(d): R_k(x) = S_k(x) num/den."""
+    d, h = len(fact) - 1, k // 2
+    return fact[k] * (d + 1 - h), (d + 1) * fact[d] ** 2
 
 
 def left_factor(x, k: int) -> Fraction:
     """L_k(x) = S_k(x) h! / (k! (d-k)! (d-h)!), h = k // 2: the A factor of
     E[e_k] = L_k(A) R_k(B), 1 at k = 0 and 0 at odd k. The subset-sum
     identity of oracle.identity_leftdep restates it."""
-    d, h = len(x), k // 2
-    fact = factorials(d)
-    return cross_sum(x, k) * Fraction(fact[h], fact[k] * fact[d - k] * fact[d - h])
+    return cross_sum(x, k) * Fraction(*left_weight(factorials(len(x)), k))
 
 
 def right_factor(x, k: int) -> Fraction:
     """R_k(x) = S_k(x) k! (d+1-h) / ((d+1)! d!), h = k // 2: the B factor,
     1 at k = 0 and 0 at odd k. The character expansion of
     oracle.identity_rightdep restates it."""
-    d, h = len(x), k // 2
-    fact = factorials(d)
-    return cross_sum(x, k) * Fraction(fact[k] * (d + 1 - h), (d + 1) * fact[d] ** 2)
+    return cross_sum(x, k) * Fraction(*right_weight(factorials(len(x)), k))
 
 
 def elementary_symmetric(x) -> tuple:

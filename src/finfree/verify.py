@@ -33,14 +33,21 @@ from .partitions import (
     distinct_permutations,
     dominance_leq,
     kostka,
+    kostka_rows,
     partitions_of,
+    semistandard_tableaux,
     split_chain_count_formula,
     split_chain_type_count,
     two_column,
     two_row,
 )
-from .polynomials import MonicPoly, commutator_coefficient, commutator_poly
-from .symfunc import e_to_m, eval_monomial, eval_quasisym, m_to_e
+from .polynomials import (
+    MonicPoly,
+    commutator_coefficient,
+    commutator_poly,
+    commutator_poly_closed,
+)
+from .symfunc import as_spectrum, e_to_m, eval_monomial, eval_quasisym, m_to_e
 from .symgroup import c_constant, c_constant_bruteforce, character, perm_of_cycle_type
 from .util import check_mc_caps
 from .weingarten import integrate_moment, weingarten
@@ -102,22 +109,36 @@ def _differ(where: str, lhs, rhs):
     return f"{where}: {lhs} != {rhs}" if lhs != rhs else None
 
 
-def _triple_route_failure(spec_a, spec_b, ks, wg_fn):
-    """Compare brute force, coefficient formula, and convolution at each k
-    of ks; odd-k coefficients must also be 0."""
+def _closed_and_conv(spec_a, spec_b) -> tuple:
+    """Every coefficient a_0..a_d by the closed form and by the convolution."""
     conv = commutator_poly(MonicPoly.from_spectrum(spec_a), MonicPoly.from_spectrum(spec_b))
+    return commutator_poly_closed(spec_a, spec_b), conv.a
+
+
+def _triple_route_failure(spec_a, spec_b, ks, wg_fn):
+    """Compare brute force, closed form, and convolution at each k of ks;
+    odd-k coefficients must also be 0. Each spectrum is converted once, and
+    the closed form and the convolution each give every coefficient at once."""
+    a, b = as_spectrum(spec_a), as_spectrum(spec_b)
+    closed, conv = _closed_and_conv(a, b)
     for k in ks:
-        brute = brute_force_expected_ek(spec_a, spec_b, k, wg_fn=wg_fn)
-        closed = commutator_coefficient(k, spec_a, spec_b)
-        if brute != closed or closed != conv.a[k]:
-            return f"A={spec_a} B={spec_b} k={k}: brute={brute} closed={closed} conv={conv.a[k]}"
-        if k % 2 and closed != 0:
-            return f"A={spec_a} B={spec_b} k={k}: odd coefficient {closed} != 0"
+        brute = brute_force_expected_ek(a, b, k, wg_fn=wg_fn)
+        if brute != closed[k] or closed[k] != conv[k]:
+            return f"A={spec_a} B={spec_b} k={k}: brute={brute} closed={closed[k]} conv={conv[k]}"
+        if k % 2 and closed[k] != 0:
+            return f"A={spec_a} B={spec_b} k={k}: odd coefficient {closed[k]} != 0"
     return None
 
 
+def _closed_conv_failure(spec_a, spec_b):
+    closed, conv = _closed_and_conv(spec_a, spec_b)
+    bad = next((k for k, (u, v) in enumerate(zip(closed, conv)) if u != v), None)
+    return None if bad is None else f"d={len(spec_a)} k={bad}: closed={closed[bad]} conv={conv[bad]}"
+
+
 def verify_convolution(run: VerifyRun) -> list:
-    """Triple-route equality (and odd-k vanishing) over the spectra grids."""
+    """Triple-route equality (and odd-k vanishing) over the spectra grids,
+    and the whole closed form against the convolution at d = 20 and 60."""
     start, wg_fn, rng = time.monotonic(), run.table(), random.Random(run.seed)
 
     def failures(pairs):
@@ -126,11 +147,15 @@ def verify_convolution(run: VerifyRun) -> list:
     def draw(d):
         return tuple(sorted(rng.randint(-2, 2) for _ in range(d)))
 
+    def draw_rational(d):
+        return tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(d))
+
     grids = {d: list(itertools.combinations_with_replacement(range(-2, 3), d)) for d in (2, 3)}
     # Drawn up front, so the d=5..7 pairs do not depend on where the d=4
     # row stopped.
     sampled = [(draw(4), draw(4)) for _ in range(50)]
     larger = [(draw(d), draw(d)) for d in (5, 6, 7)]
+    rational = [(draw_rational(d), draw_rational(d)) for d in (20, 60)]
     return [
         *(first_failure(f"triple route d={d} full grid ({len(g) ** 2} pairs)",
                         failures(itertools.product(g, repeat=2)),
@@ -138,6 +163,9 @@ def verify_convolution(run: VerifyRun) -> list:
         first_failure("triple route d=4 sampled (50 pairs)", failures(sampled),
                       f"seed={run.seed}"),
         first_failure("triple route d=5..7 sampled (one pair each)", failures(larger),
+                      f"seed={run.seed}"),
+        first_failure("closed form == convolution at d=20, 60 (p/q spectra)",
+                      (_closed_conv_failure(a, b) for a, b in rational),
                       f"seed={run.seed}"),
         _runtime("convolution suite", start, 120),
     ]
@@ -347,8 +375,19 @@ def _telescoping_failure(k, p, q):
     return None
 
 
+def _kostka_table_failure(k):
+    """kostka_rows(k), by the strip rule, against a count of the tableaux of
+    every shape and weight; the zero counts must be the undominated pairs."""
+    parts = partitions_of(k)
+    counted = {
+        lam: {mu: n for mu in parts if (n := sum(1 for _ in semistandard_tableaux(lam, mu)))}
+        for lam in parts
+    }
+    return _differ(f"k={k}", kostka_rows(k), counted)
+
+
 def verify_identities(run: VerifyRun) -> list:
-    """Transition, padding, split-chain, binomial, and factor identities."""
+    """Transition, padding, split-chain, Kostka, binomial, and factor identities."""
     rng = random.Random(run.seed)
 
     def padding(k, q, d):
@@ -399,6 +438,10 @@ def verify_identities(run: VerifyRun) -> list:
             "telescoping two-column Kostka identity (k<=8)",
             (_telescoping_failure(k, p, q)
              for k in range(1, 9) for p in range(k // 2 + 1) for q in range(p + 1)),
+        ),
+        first_failure(
+            "Kostka strip rule == tableau count (k<=6)",
+            map(_kostka_table_failure, range(1, 7)),
         ),
         first_failure(
             "alternating binomial identity (n<=8, y<=8)",

@@ -6,6 +6,7 @@ to to_fraction, would put the per-stage rationals back. The scan uses only
 the stdlib ast and looks for the two names as a Name or an attribute inside
 each listed function's own body; the reduced a_k that MonicPoly.a forms for
 display, and the spectrum validation in as_spectrum, lie outside them.
+The parts of the whole closed form are held to the same rule.
 """
 
 import ast
@@ -18,7 +19,9 @@ FORBIDDEN = {"Fraction", "to_fraction"}
 INTEGER_ONLY = {
     "polynomials.py": ("boxplus", "boxminus", "boxtimes", "z_poly", "commutator_poly",
                        "MonicPoly.from_spectrum"),
-    "symfunc.py": ("scaled_elementary",),
+    # the int pairs that commutator_poly_closed divides once per coefficient
+    "symfunc.py": ("scaled_elementary", "cross_terms", "cross_pair", "left_weight",
+                   "right_weight"),
     "util.py": ("packed_product", "linear_product"),
 }
 

@@ -12,6 +12,7 @@ from finfree.partitions import (
     dominance_leq,
     hooks_and_contents,
     kostka,
+    kostka_rows,
     partitions_of,
     semistandard_tableaux,
     set_partition_type,
@@ -148,6 +149,19 @@ def test_kostka_column_weight_independence(k):
             for weight in set(itertools.permutations(mu)):
                 got = sum(1 for _ in semistandard_tableaux(lam, weight=weight))
                 assert got == want
+
+
+@pytest.mark.parametrize("k", [7, 8, 9])
+def test_strip_rule_tables_match_tableau_counts(k):
+    # the full table, past the k <= 6 of the verify row: every Kostka number
+    # by the strip rule against a count of the tableaux, and each zero count
+    # off the table's dominance rows
+    parts = partitions_of(k)
+    counted = {
+        lam: {mu: n for mu in parts if (n := sum(1 for _ in semistandard_tableaux(lam, mu)))}
+        for lam in parts
+    }
+    assert kostka_rows(k) == counted
 
 
 @pytest.mark.parametrize("k", range(1, 7))

@@ -6,7 +6,7 @@ from math import comb, factorial, gcd, isqrt, prod
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from finfree import polynomials, util
+from finfree import polynomials, util, verify
 from finfree.polynomials import (
     MonicPoly,
     boxminus,
@@ -14,11 +14,13 @@ from finfree.polynomials import (
     boxtimes,
     commutator_coefficient,
     commutator_poly,
+    commutator_poly_closed,
     low_product,
     z_poly,
 )
 from finfree.oracle import falling
 from finfree.symfunc import elementary_symmetric
+from finfree.weingarten import weingarten
 
 rational_st = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
@@ -718,3 +720,42 @@ def test_commutator_routes_agree_d150():
     assert all(conv.a[k] == 0 for k in range(1, d + 1, 2))
     for k in (2, 4, 50, 98, 150):
         assert conv.a[k] == commutator_coefficient(k, spec_a, spec_b)
+
+
+# ------------------------------------------------ the whole closed form
+
+
+@pytest.mark.parametrize("d", [150, 400])
+def test_whole_closed_form_matches_convolution(d):
+    spec_a, spec_b = _seeded_spectrum(d, seed=d), _seeded_spectrum(d, seed=d + 1)
+    conv = commutator_poly(MonicPoly.from_spectrum(spec_a), MonicPoly.from_spectrum(spec_b))
+    assert commutator_poly_closed(spec_a, spec_b) == conv.a
+
+
+@settings(max_examples=100, deadline=None)
+@given(spectrum_pair_st())
+def test_whole_closed_form_matches_each_coefficient(pair):
+    spec_a, spec_b = pair
+    whole = commutator_poly_closed(spec_a, spec_b)
+    assert len(whole) == len(spec_a) + 1
+    for k, value in enumerate(whole):
+        assert value == commutator_coefficient(k, spec_a, spec_b), k
+
+
+def test_whole_closed_form_refusals():
+    # past DEGREE_CAP: tests/test_util.py's FIXED_CAPS row
+    with pytest.raises(ValueError, match="^spectrum must be nonempty$"):
+        commutator_poly_closed([], [])
+    with pytest.raises(ValueError, match="^spectrum lengths differ: 2 != 3$"):
+        commutator_poly_closed([1, 2], [1, 2, 3])
+
+
+def test_triple_route_forms_the_whole_closed_form_once(monkeypatch):
+    # one call per spectrum pair, and no per-k coefficient calls
+    whole = _recorded(monkeypatch, verify, "commutator_poly_closed")
+    per_k = [_recorded(monkeypatch, module, "commutator_coefficient")
+             for module in (verify, polynomials)]
+    spec_a, spec_b = (-2, -1, 0, 1, 2), (-1, 0, 0, 1, 2)
+    assert verify._triple_route_failure(spec_a, spec_b, range(6), weingarten) is None
+    assert len(whole) == 1
+    assert per_k == [[], []]

@@ -1,14 +1,16 @@
-"""The routes to the commutator polynomial, and the two routes to the
-Weingarten function, share no package function but the primitives allowed
-below.
+"""The routes to the commutator polynomial, the two routes to the
+Weingarten function, and the two routes of each two-route layer share no
+package function but the primitives allowed below.
 
 Four routes compute the expected characteristic polynomial of A UBU* - UBU* A:
-the closed form, the convolution, the brute-force oracle and Haar Monte
-Carlo. Two compute Wg: the character expansion and the orthogonality
-relations. Their agreement is evidence only while none of them reuses
-another's result, so the scan walks the package's ast from each route's
-entry point. The same walk checks that the closed form and the two factor
-identities reach the one left and right factor they share.
+the closed form (whole, and one coefficient at a time), the convolution,
+the brute-force oracle and Haar Monte Carlo. Two compute Wg: the character
+expansion and the orthogonality relations. Immanants, the subgroup-sum
+constants and Kostka numbers have two routes each. Their agreement is
+evidence only while none of them reuses another's result, so the scan walks
+the package's ast from each route's entry points. The same walk checks that
+both closed entry points and the two factor identities reach the one cross
+sum and left and right weights they share.
 
 A function reaches what its body and its default values name; annotations
 are not uses. A bare name is resolved through its module: its own top-level
@@ -25,14 +27,18 @@ import ast
 from itertools import combinations
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "finfree"
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
+# route -> its entry points
 ROUTES = {
-    "closed": ("polynomials", "commutator_coefficient"),
-    "convolution": ("polynomials", "commutator_poly"),
-    "oracle": ("oracle", "brute_force_expected_ek"),
-    "monte carlo": ("montecarlo", "mc_charpoly"),
+    "closed": (("polynomials", "commutator_poly_closed"),
+               ("polynomials", "commutator_coefficient")),
+    "convolution": (("polynomials", "commutator_poly"),),
+    "oracle": (("oracle", "brute_force_expected_ek"),),
+    "monte carlo": (("montecarlo", "mc_charpoly"),),
 }
 
 # (module, function) that two routes may share, and why it is a primitive
@@ -47,20 +53,26 @@ PRIMITIVES = {
     ("util", "check_cap"): "refuses a size past its fixed limit",
 }
 
-# The two factors of the closed form, E[e_k] = L_k(A) R_k(B), and the
-# functions that must reach them, with the factors each must reach: the
-# closed form multiplies both, and each identity restates one, so the
-# identities row certifies what the closed route runs.
-FACTORS = {"left": ("symfunc", "left_factor"), "right": ("symfunc", "right_factor")}
+# The parts of the closed form's two factors, E[e_k] = L_k(A) R_k(B) with
+# L_k = S_k(A) times the left weight and R_k = S_k(B) times the right one,
+# and the functions that must reach them, with the parts each must reach:
+# both closed entry points read all three, and each identity restates one
+# factor, so the identities row certifies what the closed route runs.
+FACTORS = {
+    "cross sum": ("symfunc", "cross_pair"),
+    "left": ("symfunc", "left_weight"),
+    "right": ("symfunc", "right_weight"),
+}
 FACTOR_USERS = {
-    ("polynomials", "commutator_coefficient"): {"left", "right"},
-    ("oracle", "identity_leftdep"): {"left"},
-    ("oracle", "identity_rightdep"): {"right"},
+    ("polynomials", "commutator_poly_closed"): {"cross sum", "left", "right"},
+    ("polynomials", "commutator_coefficient"): {"cross sum", "left", "right"},
+    ("oracle", "identity_leftdep"): {"cross sum", "left"},
+    ("oracle", "identity_rightdep"): {"cross sum", "right"},
 }
 
 WG_ROUTES = {
-    "character expansion": ("weingarten", "weingarten"),
-    "orthogonality": ("oracle", "weingarten_gram_inverse"),
+    "character expansion": (("weingarten", "weingarten"),),
+    "orthogonality": (("oracle", "weingarten_gram_inverse"),),
 }
 
 WG_PRIMITIVES = {
@@ -71,6 +83,35 @@ WG_PRIMITIVES = {
     ("util", "to_fraction"): "coerces one value to an exact rational",
     ("weingarten", "ClassFunction.__post_init__"): "validates a class function",
     ("weingarten", "ClassFunction.__call__"): "reads a class function",
+}
+
+# Each layer with two routes: (routes, what the pair may share and why)
+_SHAPES = {
+    ("partitions", "Partition.__new__"): "validates a partition",
+    ("partitions", "Partition.size"): "the sum of the parts",
+    ("util", "check_cap"): "refuses a size past its fixed limit",
+}
+TWO_ROUTE_LAYERS = {
+    "immanant": (
+        {"direct": (("immanants", "immanant_direct"),),
+         "goulden-jackson": (("immanants", "immanant_gj"),)},
+        {**_SHAPES,
+         ("immanants", "_checked"): "the shape and size checks of both routes",
+         ("immanants", "_cleared"): "clears the matrix to ints",
+         ("immanants", "as_matrix"): "validates and coerces the input matrix",
+         ("util", "clear_denominators"): "puts values on one denominator",
+         ("util", "to_fraction"): "coerces one value to an exact rational"},
+    ),
+    "subgroup-sum constant": (
+        {"closed": (("symgroup", "c_constant"),),
+         "brute force": (("symgroup", "c_constant_bruteforce"),)},
+        _SHAPES,
+    ),
+    "kostka": (
+        {"strip rule": (("partitions", "_kostka_cached"),),
+         "tableaux": (("partitions", "semistandard_tableaux"),)},
+        {},
+    ),
 }
 
 
@@ -156,13 +197,13 @@ def _graph(sources: dict) -> tuple:
     return graph, classes
 
 
-def _reach(graph, classes, entry) -> set:
-    """The functions and methods a route reaches from its entry point. A
+def _reach(graph, classes, entries) -> set:
+    """The functions and methods a route reaches from its entry points. A
     class it names brings its special methods, and an attribute read off an
     unknown object the methods of that name of every class the route names:
     an instance exists on a route only if the route names its class."""
-    reached, named, attributes = {entry}, set(), set()
-    todo = [entry]
+    reached, named, attributes = set(entries), set(), set()
+    todo = list(entries)
     while todo:
         functions, new_classes, new_attributes = graph[todo.pop()]
         found = set(functions)
@@ -182,7 +223,7 @@ def _reach(graph, classes, entry) -> set:
 def _shared(sources: dict, routes=ROUTES) -> dict:
     """{(module, name): routes} for each function two or more routes reach."""
     graph, classes = _graph(sources)
-    reach = {route: _reach(graph, classes, entry) for route, entry in routes.items()}
+    reach = {route: _reach(graph, classes, entries) for route, entries in routes.items()}
     shared = {}
     for first, second in combinations(routes, 2):
         for key in reach[first] & reach[second]:
@@ -213,13 +254,19 @@ def test_weingarten_routes_share_only_primitives():
     assert set(_shared(_package_sources(), WG_ROUTES)) == set(WG_PRIMITIVES)
 
 
+@pytest.mark.parametrize("layer", sorted(TWO_ROUTE_LAYERS))
+def test_two_route_layers_share_only_primitives(layer):
+    routes, primitives = TWO_ROUTE_LAYERS[layer]
+    assert set(_shared(_package_sources(), routes)) == set(primitives)
+
+
 def _factors_reached(sources: dict) -> dict:
     """{entry: names of the FACTORS it reaches} for each entry of FACTOR_USERS.
     No other route may reach them: test_routes_share_only_primitives."""
     graph, classes = _graph(sources)
     return {
         entry: {name for name, key in FACTORS.items()
-                if key in _reach(graph, classes, entry)}
+                if key in _reach(graph, classes, (entry,))}
         for entry in FACTOR_USERS
     }
 
@@ -230,17 +277,22 @@ def test_closed_form_and_factor_identities_reach_the_same_factors():
 
 def test_scan_flags_a_closed_form_that_restates_a_weight():
     sources = {
-        "symfunc": "def cross_sum(x, k):\n    return 0\n\n"
-                   "def left_factor(x, k):\n    return cross_sum(x, k) * 2\n\n"
-                   "def right_factor(x, k):\n    return cross_sum(x, k) * 3\n",
-        "polynomials": "from .symfunc import cross_sum, left_factor\n\n"
+        "symfunc": "def cross_pair(x, k):\n    return 0\n\n"
+                   "def left_weight(f, k):\n    return 2\n\n"
+                   "def right_weight(f, k):\n    return 3\n\n"
+                   "def left_factor(x, k):\n    return cross_pair(x, k) * left_weight(x, k)\n\n"
+                   "def right_factor(x, k):\n    return cross_pair(x, k) * right_weight(x, k)\n",
+        "polynomials": "from .symfunc import cross_pair, left_factor, left_weight, right_factor\n\n"
                        "def commutator_coefficient(k, a, b):\n"
-                       "    return left_factor(a, k) * cross_sum(b, k) * 3\n",
+                       "    return left_factor(a, k) * right_factor(b, k)\n\n"
+                       "def commutator_poly_closed(a, b):\n"
+                       "    return cross_pair(a, 2) * left_weight(a, 2) * cross_pair(b, 2) * 3\n",
         "oracle": "from .symfunc import left_factor, right_factor\n\n"
                   "def identity_leftdep(a, k):\n    return 0, left_factor(a, k)\n\n"
                   "def identity_rightdep(b, k):\n    return 0, right_factor(b, k)\n",
     }
-    assert _factors_reached(sources) == {**FACTOR_USERS, ROUTES["closed"]: {"left"}}
+    whole = ROUTES["closed"][0]
+    assert _factors_reached(sources) == {**FACTOR_USERS, whole: {"cross sum", "left"}}
 
 
 # A stand-in package: the convolution squares through boxminus, and so
@@ -258,7 +310,8 @@ def test_scan_flags_a_closed_route_that_convolves():
         "polynomials": "from .util import to_fraction\n\n"
                        "def boxminus(p, q):\n    return to_fraction(p)\n\n"
                        "def commutator_poly(p, q):\n    return boxminus(p, q)\n\n"
-                       "def commutator_coefficient(k, a, b):\n    return boxminus(a, b)\n",
+                       "def commutator_poly_closed(a, b):\n    return boxminus(a, b)\n\n"
+                       "def commutator_coefficient(k, a, b):\n    return 0\n",
     }
     assert _shared(sources) == {
         ("polynomials", "boxminus"): {"closed", "convolution"},
@@ -273,6 +326,7 @@ def test_scan_keeps_same_named_private_functions_apart():
                      "def as_matrix(y):\n    return y\n",
         "polynomials": "def _cleared(p):\n    return p\n\n"
                        "def commutator_poly(p, q):\n    return _cleared(p)\n\n"
+                       "def commutator_poly_closed(a, b):\n    return 0\n\n"
                        "def commutator_coefficient(k, a, b):\n    return 0\n",
         "oracle": "from .immanants import _cleared\n\n"
                   "def brute_force_expected_ek(a, b, k):\n    return _cleared(a)\n",
@@ -289,6 +343,7 @@ def test_scan_reads_methods_only_off_classes_the_route_names():
         "partitions": "class Partition(tuple):\n"
                       "    @property\n    def size(self):\n        return sum(self)\n",
         "polynomials": "def commutator_poly(p, q):\n    return 0\n\n"
+                       "def commutator_poly_closed(a, b):\n    return 0\n\n"
                        "def commutator_coefficient(k, a, b):\n    return 0\n",
         "oracle": "from .partitions import Partition\n\n"
                   "def brute_force_expected_ek(a, b, k):\n    return Partition(a).size\n",
@@ -297,7 +352,7 @@ def test_scan_reads_methods_only_off_classes_the_route_names():
     }
     graph, classes = _graph(sources)
     assert ("partitions", "Partition.size") in _reach(graph, classes, ROUTES["oracle"])
-    assert _reach(graph, classes, ROUTES["monte carlo"]) == {ROUTES["monte carlo"]}
+    assert _reach(graph, classes, ROUTES["monte carlo"]) == set(ROUTES["monte carlo"])
     assert _shared(sources) == {}
 
 

@@ -13,9 +13,12 @@ from finfree.symfunc import (
     elementary_symmetric,
     eval_monomial,
     eval_quasisym,
+    left_factor,
     m_to_e,
+    right_factor,
     schur_principal,
 )
+from finfree.polynomials import commutator_coefficient
 
 rational_st = st.fractions(
     min_value=-5, max_value=5, max_denominator=4
@@ -269,3 +272,12 @@ def test_cross_sum_frozen_and_bounds():
     for k in (-1, 3):
         with pytest.raises(ValueError):
             cross_sum(x, k)
+
+
+@pytest.mark.parametrize("function", [cross_sum, left_factor, right_factor])
+def test_an_empty_spectrum_is_refused(function):
+    # as commutator_coefficient refuses it: d = 0 has no coefficient to give
+    with pytest.raises(ValueError, match="^spectrum must be nonempty$"):
+        function([], 0)
+    with pytest.raises(ValueError, match="^spectrum must be nonempty$"):
+        commutator_coefficient(0, [], [])

@@ -141,6 +141,10 @@ FIXED_CAPS = {
                DEGREE_CAP, ("factorials",)),
     "MonicPoly": ("polynomials", lambda m: m.MonicPoly((1,) + (0,) * (DEGREE_CAP + 1)),
                   DEGREE_CAP, ("to_fraction", "factorials", "clear_denominators")),
+    "commutator_poly_closed": (
+        "polynomials",
+        lambda m: m.commutator_poly_closed((1,) * (DEGREE_CAP + 1), (1,) * (DEGREE_CAP + 1)),
+        DEGREE_CAP, ("cross_terms", "factorials")),
     "from_spectrum": (
         "polynomials", lambda m: m.MonicPoly.from_spectrum((1,) * (DEGREE_CAP + 1)),
         DEGREE_CAP, ("scaled_elementary", "factorials")),

@@ -178,22 +178,25 @@ def test_convolution_suite_detects_corrupted_weingarten():
 
 @pytest.mark.parametrize("factor", ["left_factor", "right_factor"])
 def test_a_skewed_factor_fails_its_identity_and_the_triple_route(monkeypatch, factor):
-    # every module that binds the one factor function gets the skewed copy,
-    # so the identity row and the closed route read the same fault
-    true = getattr(symfunc, factor)
+    # a factor is its cross sum times its weight pair: every module that
+    # binds the one weight function gets the skewed copy, so the identity
+    # row (through the factor) and the closed route read the same fault
+    weight = factor.replace("factor", "weight")
+    true = getattr(symfunc, weight)
 
-    def skewed(x, k):
-        value = true(x, k)
-        return value * Fraction(1001, 1000) if k >= 2 else value
+    def skewed(fact, k):
+        num, den = true(fact, k)
+        return (num * 1001, den * 1000) if k >= 2 else (num, den)
 
     bound = [m for name, m in sys.modules.items()
-             if name.startswith("finfree.") and getattr(m, factor, None) is true]
-    assert {m.__name__ for m in bound} == {"finfree.symfunc", "finfree.polynomials",
-                                           "finfree.oracle"}
+             if name.startswith("finfree.") and getattr(m, weight, None) is true]
+    assert {m.__name__ for m in bound} == {"finfree.symfunc", "finfree.polynomials"}
     for module in bound:
-        monkeypatch.setattr(module, factor, skewed)
+        monkeypatch.setattr(module, weight, skewed)
     identities = {r.name: r.passed for r in SUITES["identities"](VerifyRun())}
     assert identities.pop("left/right factor identities (even k<=6, d<=8)") is False
     assert all(identities.values())
-    triple = [r for r in SUITES["convolution"](VerifyRun()) if r.name.startswith("triple route")]
+    rows = SUITES["convolution"](VerifyRun())
+    triple = [r for r in rows if r.name.startswith("triple route")]
     assert len(triple) == 4 and not any(r.passed for r in triple)
+    assert not next(r for r in rows if r.name.startswith("closed form ==")).passed
