@@ -11,8 +11,9 @@ from fractions import Fraction
 from .immanants import as_matrix, immanant_direct, immanant_gj
 from .partitions import Partition, kostka
 from .polynomials import MonicPoly, boxminus, boxplus, boxtimes, commutator_poly, z_poly
+from .symfunc import as_spectrum, as_spectrum_pair
 from .symgroup import character, character_table_json, inverse_kostka
-from .util import DEGREE_CAP, CapExceededError, check_cap, check_mc_caps, to_fraction
+from .util import CapExceededError, check_mc_caps
 from .verify import DEFAULT_SEED, VERIFY_GROUPS, VerifyRun, run_suites
 from .weingarten import ClassFunction, weingarten
 
@@ -21,35 +22,24 @@ class InputError(ValueError):
     """Bad file contents or inconsistent arguments: exit code 2, like any ValueError."""
 
 
-def _load_json(path):
+def _load(path, convert, what: str):
+    """convert(the JSON document at path). A file that cannot be read, or content
+    that is not `what`, is refused with the path; a CapExceededError passes as is."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            payload = json.load(fh)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
     except (OSError, ValueError) as exc:  # ValueError: an int past Python's digit limit
         raise InputError(f"cannot read {path}: {exc}") from exc
-
-
-def _load_poly(path) -> MonicPoly:
-    payload = _load_json(path)
     try:
-        return MonicPoly.from_json_dict(payload)
+        return convert(payload)
+    except CapExceededError:
+        raise
     except (TypeError, ValueError) as exc:
-        raise InputError(f"{path} is not a polynomial document: {exc}") from exc
-
-
-def _load_spectrum(path) -> tuple:
-    payload = _load_json(path)
-    if not isinstance(payload, list) or not payload:
-        raise InputError(f"{path} must hold a nonempty JSON array of rationals")
-    check_cap(len(payload), DEGREE_CAP, "polynomial degree")  # before any entry is converted
-    try:
-        return tuple(to_fraction(v) for v in payload)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{path} holds a non-rational entry: {exc}") from exc
+        raise InputError(f"{path} is not {what}: {exc}") from exc
 
 
 def _parse_partition(text) -> Partition:
@@ -101,7 +91,8 @@ def _rendered(poly: MonicPoly, **head) -> tuple:
 
 
 def cmd_conv(args) -> int:
-    p, q = _load_poly(args.p), _load_poly(args.q)
+    p, q = (_load(path, MonicPoly.from_json_dict, "a polynomial document")
+            for path in (args.p, args.q))
     ops = {"add": boxplus, "mul": boxtimes, "sub": boxminus}
     payload, lines = _rendered(ops[args.op](p, q), op=args.op)
     _emit(payload, args.format, lines)
@@ -123,11 +114,8 @@ def _floats(values, what: str) -> list:
 
 
 def cmd_commutator(args) -> int:
-    spec_a, spec_b = _load_spectrum(args.a), _load_spectrum(args.b)
-    if len(spec_a) != len(spec_b):
-        raise InputError(
-            f"spectrum lengths differ: {len(spec_a)} != {len(spec_b)}"
-        )
+    spec_a, spec_b = as_spectrum_pair(_load(args.a, as_spectrum, "a spectrum"),
+                                      _load(args.b, as_spectrum, "a spectrum"))
     if args.mc is not None:  # refused before the exact work, which may take seconds
         if args.seed is None:
             raise InputError("--mc requires --seed")
@@ -175,13 +163,7 @@ def cmd_weingarten(args) -> int:
 
 def cmd_immanant(args) -> int:
     shape = _parse_partition(args.shape)
-    payload = _load_json(args.matrix)
-    try:
-        mat = as_matrix(payload)
-    except CapExceededError:
-        raise  # a size refusal, not a malformed matrix
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{args.matrix} is not a rational matrix: {exc}") from exc
+    mat = _load(args.matrix, as_matrix, "a rational matrix")
     func = immanant_direct if args.method == "direct" else immanant_gj
     value = func(shape, mat)
     _emit(

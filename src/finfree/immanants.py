@@ -26,25 +26,26 @@ from functools import lru_cache
 from .partitions import Partition
 from .symfunc import as_spectrum, cross_sum
 from .symgroup import character, cycle_type
-from .util import IMMANANT_CAP, bareiss_det, check_cap, clear_denominators, to_fraction
+from .util import IMMANANT_CAP, as_tuple, bareiss_det, check_cap, clear_denominators, to_fraction
 
 # Integer matrices whose class sums or principal elementaries are kept. The
 # verify suite asks for every shape of one matrix before it moves on.
 _CACHED_MATRICES = 32
+_MATRIX = "a list of rows, each a list of rationals"
 
 
 def as_matrix(rows) -> tuple:
     """Validate a square matrix of exact rationals, as a tuple of row tuples.
 
-    A matrix past the immanant cap is refused before any entry is converted.
+    Past the immanant cap or not square, a matrix is refused before any entry is converted.
     """
-    rows = tuple(rows)
-    check_cap(len(rows), IMMANANT_CAP, "immanant size")
-    mat = tuple(tuple(to_fraction(v) for v in row) for row in rows)
-    n = len(mat)
-    if n == 0 or any(len(row) != n for row in mat):
+    rows = as_tuple(rows, _MATRIX)
+    n = len(rows)
+    check_cap(n, IMMANANT_CAP, "immanant size")
+    rows = [as_tuple(row, _MATRIX) for row in rows]
+    if n == 0 or any(len(row) != n for row in rows):
         raise ValueError("matrix must be square and nonempty")
-    return mat
+    return tuple(tuple(to_fraction(v) for v in row) for row in rows)
 
 
 def _cleared(y) -> tuple:

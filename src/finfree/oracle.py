@@ -19,6 +19,7 @@ from math import comb, factorial, prod
 from .partitions import partitions_of, two_column
 from .symfunc import (
     as_spectrum,
+    as_spectrum_pair,
     elementary_symmetric,
     eval_monomial,
     left_factor,
@@ -87,10 +88,8 @@ def brute_force_expected_ek(spec_a, spec_b, k: int, wg_fn=weingarten) -> Fractio
     ints, and so is the Weingarten table, which is injectable so that a
     corrupted table must break the agreement with the closed forms.
     """
-    spec_a, spec_b = as_spectrum(spec_a), as_spectrum(spec_b)
+    spec_a, spec_b = as_spectrum_pair(spec_a, spec_b)
     d = len(spec_a)
-    if len(spec_b) != d:
-        raise ValueError(f"spectrum lengths differ: {d} != {len(spec_b)}")
     if not 0 <= k <= d:
         raise ValueError(f"need 0 <= k <= {d}, got k={k}")
     check_cap(d, DIMENSION_CAP, "brute-force dimension")

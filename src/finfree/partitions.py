@@ -103,25 +103,22 @@ def dominance_leq(mu, lam) -> bool:
 
 
 def distinct_permutations(entries):
-    """All distinct orderings of a multiset, each exactly once."""
-    entries = tuple(entries)
-    n = len(entries)
-    counts = sorted(Counter(entries).items())
-    out = []
-
-    def place(prefix):
-        if len(prefix) == n:
-            out.append(tuple(prefix))
-            return
-        for idx, (value, cnt) in enumerate(counts):
-            if cnt == 0:
-                continue
-            counts[idx] = (value, cnt - 1)
-            place(prefix + [value])
-            counts[idx] = (value, cnt)
-
-    place([])
-    return out
+    """All distinct orderings of a multiset, each once, in lexicographic order:
+    each is the next permutation of the one before (Narayana), without recursion."""
+    perm = sorted(entries)
+    out = [tuple(perm)]
+    while True:
+        i = len(perm) - 2
+        while i >= 0 and perm[i] >= perm[i + 1]:
+            i -= 1
+        if i < 0:
+            return out
+        j = len(perm) - 1
+        while perm[j] <= perm[i]:
+            j -= 1
+        perm[i], perm[j] = perm[j], perm[i]
+        perm[i + 1:] = perm[:i:-1]
+        out.append(tuple(perm))
 
 
 def set_partitions(k: int) -> list[tuple]:

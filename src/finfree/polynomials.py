@@ -24,6 +24,7 @@ from math import gcd
 
 from .symfunc import (
     as_spectrum,
+    as_spectrum_pair,
     cross_pair,
     cross_terms,
     left_factor,
@@ -109,7 +110,6 @@ class MonicPoly:
         """
         spec = as_spectrum(values)
         d = len(spec)
-        _check_degree(d)
         scale, e = scaled_elementary(spec)
         ints, power = [0] * (d + 1), 1
         for k in range(d, -1, -1):
@@ -290,9 +290,7 @@ def commutator_coefficient(k: int, spec_a, spec_b) -> Fraction:
     product L_k(A) R_k(B) of symfunc.left_factor and symfunc.right_factor:
     1 at k = 0 and 0 at odd k.
     """
-    spec_a, spec_b = as_spectrum(spec_a), as_spectrum(spec_b)
-    if len(spec_b) != len(spec_a):
-        raise ValueError(f"spectrum lengths differ: {len(spec_a)} != {len(spec_b)}")
+    spec_a, spec_b = as_spectrum_pair(spec_a, spec_b)
     return left_factor(spec_a, k) * right_factor(spec_b, k)
 
 
@@ -303,14 +301,10 @@ def commutator_poly_closed(spec_a, spec_b) -> tuple:
     Each spectrum's cross_terms are formed once. At even k, a_k is
     S_k(A) S_k(B) times the left and right weights, formed on ints from the
     same (num, den) pairs the two factors read and divided once; odd a_k
-    are 0. The lengths are checked against DEGREE_CAP before any entry is
-    converted.
+    are 0.
     """
-    spec_a, spec_b = tuple(spec_a), tuple(spec_b)
+    spec_a, spec_b = as_spectrum_pair(spec_a, spec_b)
     d = len(spec_a)
-    if len(spec_b) != d:
-        raise ValueError(f"spectrum lengths differ: {d} != {len(spec_b)}")
-    check_cap(d, DEGREE_CAP, "polynomial degree")
     terms_a, terms_b = cross_terms(spec_a), cross_terms(spec_b)
     fact = factorials(d)
     out = [Fraction(0)] * (d + 1)

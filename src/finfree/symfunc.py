@@ -20,7 +20,9 @@ from .partitions import (
 )
 from .symgroup import dim_irrep, inverse_kostka
 from .util import (
+    DEGREE_CAP,
     PARTITION_CAP,
+    as_tuple,
     check_cap,
     clear_denominators,
     factorials,
@@ -29,12 +31,29 @@ from .util import (
 )
 
 
+def _spectrum_entries(values) -> tuple:
+    """The values as a tuple of Fractions, possibly empty; a string, a mapping
+    or a length past DEGREE_CAP is refused before any entry is converted."""
+    values = as_tuple(values, "a list of rationals")
+    check_cap(len(values), DEGREE_CAP, "polynomial degree")
+    return tuple(to_fraction(v) for v in values)
+
+
 def as_spectrum(values) -> tuple:
-    """Validate and coerce to a nonempty tuple of Fractions."""
-    spec = tuple(to_fraction(v) for v in values)
+    """The values as a nonempty tuple of Fractions: the one intake of every
+    function that takes a spectrum, capped before any entry is converted."""
+    spec = _spectrum_entries(values)
     if not spec:
         raise ValueError("spectrum must be nonempty")
     return spec
+
+
+def as_spectrum_pair(spec_a, spec_b) -> tuple:
+    """Both spectra through as_spectrum, refused unless their lengths agree."""
+    spec_a, spec_b = as_spectrum(spec_a), as_spectrum(spec_b)
+    if len(spec_a) != len(spec_b):
+        raise ValueError(f"spectrum lengths differ: {len(spec_a)} != {len(spec_b)}")
+    return spec_a, spec_b
 
 
 def scaled_elementary(x) -> tuple:
@@ -117,8 +136,8 @@ def right_factor(x, k: int) -> Fraction:
 
 
 def elementary_symmetric(x) -> tuple:
-    """e_0..e_d of the values, from scaled_elementary."""
-    scale, e = scaled_elementary([to_fraction(v) for v in x])
+    """e_0..e_d of the values, from scaled_elementary; (1,) for no values."""
+    scale, e = scaled_elementary(_spectrum_entries(x))
     return tuple(Fraction(v, scale**k) for k, v in enumerate(e))
 
 
@@ -131,21 +150,18 @@ def _cleared_powers(x, top: int) -> tuple:
 def eval_monomial(lam, x) -> Fraction:
     """Sum of all distinct monomials with exponent multiset lam.
 
-    The sum runs on the spectrum cleared to ints and is divided by L^|lam|.
+    Each monomial puts the distinct orderings of lam's parts on one row
+    subset of size len(lam), so the sum runs over those subsets and
+    orderings, on the spectrum cleared to ints, and is divided by L^|lam|.
     """
     lam = Partition(lam)
     x = as_spectrum(x)
-    d = len(x)
-    if lam.length > d:
+    if lam.length > len(x):
         return Fraction(0)
     scale, powers = _cleared_powers(x, lam[0] if lam else 0)
-    total = 0
-    for expo in distinct_permutations(lam.pad(d)):
-        term = 1
-        for row, e in zip(powers, expo):
-            if e:
-                term *= row[e]
-        total += term
+    orders = distinct_permutations(lam)
+    total = sum(prod([row[e] for row, e in zip(rows, expo)])
+                for rows in itertools.combinations(powers, lam.length) for expo in orders)
     return Fraction(total, scale**lam.size)
 
 

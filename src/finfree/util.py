@@ -4,6 +4,7 @@ by Kronecker substitution."""
 
 import re
 import sys
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
@@ -52,6 +53,14 @@ def check_mc_caps(d: int, n: int):
     check_cap(min(n, MC_CHUNK_SIZE) * d * d, MC_CHUNK_ENTRIES_CAP,
               f"Monte Carlo chunk at n={n}, d={d}: min(n, {MC_CHUNK_SIZE})*d^2")
     check_cap(n * d**3, MC_WORK_CAP, f"Monte Carlo work at n={n}, d={d}: n*d^3")
+
+
+def as_tuple(values, what: str) -> tuple:
+    """values as a tuple. A string, a mapping or a non-iterable is refused
+    with TypeError(f"need {what}"): iterating it would not give its entries."""
+    if isinstance(values, (str, bytes, Mapping)) or not isinstance(values, Iterable):
+        raise TypeError(f"need {what}")
+    return tuple(values)
 
 
 def to_fraction(value):

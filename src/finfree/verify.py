@@ -47,7 +47,7 @@ from .polynomials import (
     commutator_poly,
     commutator_poly_closed,
 )
-from .symfunc import as_spectrum, e_to_m, eval_monomial, eval_quasisym, m_to_e
+from .symfunc import as_spectrum_pair, e_to_m, eval_monomial, eval_quasisym, m_to_e
 from .symgroup import c_constant, c_constant_bruteforce, character, perm_of_cycle_type
 from .util import check_mc_caps
 from .weingarten import integrate_moment, weingarten
@@ -119,7 +119,7 @@ def _triple_route_failure(spec_a, spec_b, ks, wg_fn):
     """Compare brute force, closed form, and convolution at each k of ks;
     odd-k coefficients must also be 0. Each spectrum is converted once, and
     the closed form and the convolution each give every coefficient at once."""
-    a, b = as_spectrum(spec_a), as_spectrum(spec_b)
+    a, b = as_spectrum_pair(spec_a, spec_b)
     closed, conv = _closed_and_conv(a, b)
     for k in ks:
         brute = brute_force_expected_ek(a, b, k, wg_fn=wg_fn)

@@ -214,6 +214,23 @@ def test_library_refusals_exit_2_with_one_error_line(capsys, tmp_path, argv):
     _assert_one_error_line(capsys)
 
 
+# A size refusal is the library's own message, bare: no file is named as
+# malformed, whichever command loaded the document
+@pytest.mark.parametrize("argv, line", [
+    (["conv", "add", "{p1001}", "{p1001}"], "polynomial degree 1001 exceeds cap 1000"),
+    (["commutator", "{s1001}", "{s1001}"], "polynomial degree 1001 exceeds cap 1000"),
+    (["immanant", "--shape", "10", "{m10}"], "immanant size 10 exceeds cap 9"),
+], ids=["conv", "commutator", "immanant"])
+def test_size_refusals_are_bare(capsys, tmp_path, argv, line):
+    files = {
+        "{p1001}": write_json(tmp_path, "p1001.json", {"d": 1001, "a": [1] + [0] * 1001}),
+        "{s1001}": write_json(tmp_path, "s1001.json", ["1/3"] * 1001),
+        "{m10}": write_json(tmp_path, "m10.json", [["1/2"] * 10] * 10),
+    }
+    assert main([files.get(arg, arg) for arg in argv]) == 2
+    assert _assert_one_error_line(capsys) == f"error: {line}"
+
+
 # Per command: an argv that parses, one missing a required argument, and one
 # with a value its parser refuses ({f} is an existing file). Each is run
 # through main as is and with "--bogus" appended, along with -h and no
@@ -479,6 +496,29 @@ def test_verify_help_names_the_negative_control_rows(capsys):
     text = " ".join(capsys.readouterr().out.split())
     assert "triple-route" in text and "orthogonality rows" in text
     assert "flagship and odd-k rows read the table but still pass" in text
+
+
+# Documents whose iteration would not give the rows and entries of a
+# matrix: a mapping (its keys), a list of strings (their characters), null
+@pytest.mark.parametrize("document, shape", [
+    ({"12": 0, "34": 0}, "2"), (["12", "34"], "1,1"), (None, "2"),
+], ids=json.dumps)
+def test_immanant_refuses_non_matrix_documents(capsys, tmp_path, document, shape):
+    path = write_json(tmp_path, "d.json", document)
+    for method in ("direct", "multilinear"):
+        assert main(["immanant", "--shape", shape, path, "--method", method]) == 2
+        assert _assert_one_error_line(capsys) == (
+            f"error: {path} is not a rational matrix: "
+            "need a list of rows, each a list of rationals")
+
+
+@pytest.mark.parametrize("document", ["12", {"a": [1, 2]}, 3, None], ids=json.dumps)
+def test_commutator_refuses_non_spectrum_documents(capsys, tmp_path, document):
+    path = write_json(tmp_path, "s.json", document)
+    good = write_json(tmp_path, "good.json", [1, 2])
+    assert main(["commutator", good, path]) == 2
+    assert _assert_one_error_line(capsys) == (
+        f"error: {path} is not a spectrum: need a list of rationals")
 
 
 def test_immanant_errors(capsys, tmp_path):

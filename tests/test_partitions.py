@@ -266,8 +266,11 @@ def test_count_set_partitions_of_type_formula():
 # -------------------------------------------------------------- permutations
 
 def test_distinct_permutations():
-    got = sorted(distinct_permutations((1, 1, 2)))
-    assert got == [(1, 1, 2), (1, 2, 1), (2, 1, 1)]
+    # in lexicographic order, and without recursion as deep as the entries
+    assert distinct_permutations((2, 1, 1)) == [(1, 1, 2), (1, 2, 1), (2, 1, 1)]
+    assert distinct_permutations(()) == [()]
+    assert distinct_permutations((1,) * 5000) == [(1,) * 5000]
+    assert len(distinct_permutations((2,) + (1,) * 999)) == 1000
 
 
 @given(st.lists(st.integers(min_value=0, max_value=3), min_size=0, max_size=6))

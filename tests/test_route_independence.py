@@ -45,6 +45,9 @@ ROUTES = {
 PRIMITIVES = {
     ("util", "to_fraction"): "coerces one input value to an exact rational",
     ("symfunc", "as_spectrum"): "validates and coerces an input spectrum",
+    ("symfunc", "_spectrum_entries"): "caps and coerces the entries of an input spectrum",
+    ("symfunc", "as_spectrum_pair"): "validates two input spectra of one length",
+    ("util", "as_tuple"): "refuses an input that is not a list of entries",
     ("util", "clear_denominators"): "puts values on one denominator",
     ("util", "factorials"): "the table 0!, 1!, ..., n!",
     ("util", "_slot_bytes"): "sizes a big-int slot",
@@ -99,6 +102,7 @@ TWO_ROUTE_LAYERS = {
          ("immanants", "_checked"): "the shape and size checks of both routes",
          ("immanants", "_cleared"): "clears the matrix to ints",
          ("immanants", "as_matrix"): "validates and coerces the input matrix",
+         ("util", "as_tuple"): "refuses an input that is not a list of entries",
          ("util", "clear_denominators"): "puts values on one denominator",
          ("util", "to_fraction"): "coerces one value to an exact rational"},
     ),

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from finfree.partitions import Partition, partitions_of, semistandard_tableaux
 from finfree.symfunc import (
     as_spectrum,
+    as_spectrum_pair,
     cross_sum,
     e_to_m,
     elementary_symmetric,
@@ -33,15 +34,32 @@ def spectrum_st(min_size=1, max_size=5):
 
 def test_as_spectrum():
     assert as_spectrum([1, "1/2"]) == (Fraction(1), Fraction(1, 2))
+    assert as_spectrum(range(3)) == (0, 1, 2)
     with pytest.raises(ValueError):
         as_spectrum([])
     with pytest.raises(TypeError):
         as_spectrum([0.5])
 
 
+@pytest.mark.parametrize("values", ["12", b"12", {"1": 2}, None, 3], ids=repr)
+def test_as_spectrum_refuses_what_is_not_a_list(values):
+    # a string or a mapping would be read entry by entry as characters or keys
+    with pytest.raises(TypeError, match="^need a list of rationals$"):
+        as_spectrum(values)
+
+
+def test_as_spectrum_pair():
+    assert as_spectrum_pair([1], ["1/2"]) == ((1,), (Fraction(1, 2),))
+    with pytest.raises(ValueError, match="^spectrum lengths differ: 2 != 3$"):
+        as_spectrum_pair([1, 2], [1, 2, 3])
+    with pytest.raises(ValueError, match="^spectrum must be nonempty$"):
+        as_spectrum_pair([1], [])
+
+
 def test_elementary_symmetric_frozen():
     assert elementary_symmetric((1, 2, 3)) == (1, 6, 11, 6)
     assert elementary_symmetric((Fraction(1, 2),)) == (1, Fraction(1, 2))
+    assert elementary_symmetric(()) == (1,)  # identity_leftdep's subset at k = 0
 
 
 @given(spectrum_st())
@@ -100,6 +118,16 @@ def test_eval_monomial_equals_e_on_columns():
     x = (Fraction(2), Fraction(-1), Fraction(4))
     for k in range(1, 4):
         assert eval_monomial((1,) * k, x) == elementary_symmetric(x)[k]
+
+
+def test_eval_monomial_at_the_degree_cap():
+    # the sum runs over row subsets of size len(lam), not over orderings of
+    # an exponent vector padded to the spectrum's length
+    x = range(1000)
+    assert eval_monomial((1,), x) == 499500
+    assert eval_monomial((2,), x) == sum(v * v for v in x)
+    assert eval_monomial((1,) * 1000, x) == 0
+    assert eval_monomial((1,) * 1000, range(1, 1001)) == factorial(1000)
 
 
 def test_eval_quasisym():

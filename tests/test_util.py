@@ -96,8 +96,10 @@ def _json_file(name, payload):
 
 
 # Every guard, called one past its fixed limit: (module, call, limit, names
-# of the module the call must not reach). A guard that takes a list of
-# entries refuses it before it converts one.
+# the call must not reach, each in the module or as "other_module.name").
+# A guard that takes a list of entries refuses it before it converts one;
+# every spectrum is converted by symfunc.as_spectrum, so the rows of
+# functions that take one forbid symfunc's to_fraction.
 FIXED_CAPS = {
     "partitions_of": ("partitions", lambda m: m.partitions_of(11), PARTITION_CAP, ()),
     "kostka": ("partitions", lambda m: m.kostka((11,), (11,)),
@@ -144,13 +146,26 @@ FIXED_CAPS = {
     "commutator_poly_closed": (
         "polynomials",
         lambda m: m.commutator_poly_closed((1,) * (DEGREE_CAP + 1), (1,) * (DEGREE_CAP + 1)),
-        DEGREE_CAP, ("cross_terms", "factorials")),
+        DEGREE_CAP, ("cross_terms", "factorials", "symfunc.to_fraction")),
+    "commutator_coefficient": (
+        "polynomials",
+        lambda m: m.commutator_coefficient(2, (1,) * (DEGREE_CAP + 1), (1,) * (DEGREE_CAP + 1)),
+        DEGREE_CAP, ("left_factor", "right_factor", "symfunc.to_fraction")),
     "from_spectrum": (
         "polynomials", lambda m: m.MonicPoly.from_spectrum((1,) * (DEGREE_CAP + 1)),
-        DEGREE_CAP, ("scaled_elementary", "factorials")),
+        DEGREE_CAP, ("scaled_elementary", "factorials", "symfunc.to_fraction")),
+    "cross_sum": ("symfunc", lambda m: m.cross_sum((1,) * (DEGREE_CAP + 1), 2),
+                  DEGREE_CAP, ("cross_terms", "factorials", "to_fraction")),
+    "elementary_symmetric": ("symfunc", lambda m: m.elementary_symmetric((1,) * (DEGREE_CAP + 1)),
+                             DEGREE_CAP, ("scaled_elementary", "to_fraction")),
+    "imm_delta_minus": (
+        "immanants", lambda m: m.imm_delta_minus((DEGREE_CAP + 1,), (1,) * (DEGREE_CAP + 1)),
+        DEGREE_CAP, ("cross_sum", "symfunc.to_fraction")),
     "spectrum_file": (
-        "cli", lambda m: m._load_spectrum(_json_file("s.json", ["1/2"] * (DEGREE_CAP + 1))),
-        DEGREE_CAP, ("to_fraction",)),
+        "cli",
+        lambda m: m._load(_json_file("s.json", ["1/2"] * (DEGREE_CAP + 1)),
+                          m.as_spectrum, "a spectrum"),
+        DEGREE_CAP, ("symfunc.to_fraction",)),
     "split_chains": ("partitions", lambda m: m.split_chains(3, 1, 11),
                      PARTITION_CAP, ("itertools",)),
     "split_chain_type_count": ("partitions", lambda m: m.split_chain_type_count(11, 5, 2),
@@ -163,8 +178,10 @@ def test_fixed_cap_refuses_one_past_its_limit(monkeypatch, tmp_path, name):
     monkeypatch.chdir(tmp_path)
     module_name, call, limit, forbidden = FIXED_CAPS[name]
     module = importlib.import_module(f"finfree.{module_name}")
-    for attr in forbidden:
-        monkeypatch.setattr(module, attr, _Forbidden(attr))
+    for name in forbidden:
+        owner, _, attr = name.rpartition(".")
+        target = importlib.import_module(f"finfree.{owner}") if owner else module
+        monkeypatch.setattr(target, attr, _Forbidden(name))
     with pytest.raises(CapExceededError, match=f" {limit + 1} exceeds cap {limit}$"):
         call(module)
 
@@ -172,7 +189,7 @@ def test_fixed_cap_refuses_one_past_its_limit(monkeypatch, tmp_path, name):
 # Private helpers that call check_cap, and the row whose call reaches them.
 HELPER_ROWS = {
     "_check_degree": "MonicPoly",
-    "_load_spectrum": "spectrum_file",
+    "_spectrum_entries": "spectrum_file",
 }
 
 
