@@ -4,6 +4,9 @@ Sampling is chunked: chunk c of a run with seed s draws min(MC_CHUNK_SIZE,
 samples left) unitaries from the generator seeded by
 SeedSequence(entropy=s, spawn_key=(c,)), and chunk results are folded in
 index order, so a report is a pure function of (d, n, seed) down to the byte.
+A chunk's Ginibre draws are never one complex array: the generator gives
+all real parts before any imaginary part, so the real half is held and the
+imaginary half is drawn block by block as each block is orthonormalized.
 """
 
 from __future__ import annotations
@@ -37,16 +40,6 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 # dispatch. Moving the cut would change the bytes of the reports at the d
 # it moves.
 GRAM_SCHMIDT_MAX_D = 11
-
-
-def _draw(z: np.ndarray, rng: np.random.Generator):
-    """Fill z (m, d, d) with complex Ginibre matrices: the real parts of all m
-    samples, then the imaginary parts, each from one standard normal draw."""
-    # complex division by sqrt(2) multiplies each part by 1/sqrt(2), so
-    # this writes the bytes of (x + iy) / sqrt(2) with no complex temporary
-    scale = 1 / np.sqrt(2.0)
-    for part in (z.real, z.imag):
-        np.multiply(rng.standard_normal(z.shape), scale, out=part)
 
 
 def haar_batch(z: np.ndarray) -> tuple:
@@ -249,26 +242,44 @@ def _sample(d: int, n: int, seed: int, mode: str, labels: list,
     """Means and standard errors of statistic(U) over n Haar samples.
 
     statistic maps a batch of unitaries (m, d, d) to per-sample values
-    (m, len(labels)). Each chunk is drawn whole, then orthonormalized and
-    measured block by block into the chunk's values, which are folded
-    together; chunks are folded in order.
+    (m, len(labels)). A chunk of m Ginibre matrices (x + iy) / sqrt(2) takes
+    its m d^2 real parts x from the chunk's generator first and its
+    imaginary parts y after them, so x is drawn whole into a real buffer and
+    y block by block, each block's y just before the block is built,
+    orthonormalized and measured into the chunk's values. The generator
+    gives the numbers in the order one whole-chunk draw would, so a report
+    has the bytes of one. Values are folded per chunk, chunks in order.
     """
     check_mc_caps(d, n)  # before anything is allocated
     acc = _Accumulator(len(labels))
-    # one buffer of draws for the whole run, so that no chunk's draws
-    # outlive the next chunk's and the allocator is not asked for them again
-    draws = np.empty((min(n, MC_CHUNK_SIZE), d, d), dtype=complex)
+    # one buffer of each kind for the whole run, so that the allocator is
+    # not asked for them again: the real parts of a chunk, half the bytes of
+    # its draws, and the imaginary parts and complex draws of one block. A
+    # later chunk is no longer than the first and its blocks no longer than
+    # the first chunk's, since _block_size never grows as m shrinks.
+    first = min(n, MC_CHUNK_SIZE)
+    imag = np.empty((_block_size(first, d), d, d))
+    block = np.empty(imag.shape, dtype=complex)
+    real = np.empty((first, d, d))
+    scale = 1 / np.sqrt(2.0)
     residuals = []
     for index, done in enumerate(range(0, n, MC_CHUNK_SIZE)):
         m = min(MC_CHUNK_SIZE, n - done)
-        z = draws[:m]
-        _draw(z, _chunk_rng(seed, index))
+        rng = _chunk_rng(seed, index)
+        x = real[:m]
+        # scaling each part by 1/sqrt(2) writes the bytes of complex
+        # division of x + iy by sqrt(2)
+        np.multiply(rng.standard_normal(out=x), scale, out=x)
         values = np.empty((m, len(labels)), dtype=complex)
         size = _block_size(m, d)
         for start in range(0, m, size):
-            u, residual = haar_batch(z[start:start + size])
+            stop = min(start + size, m)
+            z = block[:stop - start]
+            z.real = x[start:stop]
+            np.multiply(rng.standard_normal(out=imag[:stop - start]), scale, out=z.imag)
+            u, residual = haar_batch(z)
             residuals.append(residual)
-            values[start:start + size] = statistic(u)
+            values[start:stop] = statistic(u)
         acc.add(values)
         # values (d^2 per sample in mc_conjugation_mean) is freed before the
         # next draw, but the last block's u is not: freeing it too let glibc

@@ -20,7 +20,6 @@ from .partitions import partitions_of, two_column
 from .symfunc import (
     as_spectrum,
     as_spectrum_pair,
-    elementary_symmetric,
     eval_monomial,
     left_factor,
     right_factor,
@@ -40,7 +39,9 @@ from .util import (
     PARTITION_CAP,
     bareiss_det,
     check_cap,
+    check_subset_sum,
     clear_denominators,
+    linear_product,
     to_fraction,
 )
 
@@ -185,22 +186,27 @@ def gram_identity_residual(k: int, d: int, wg_fn=weingarten) -> Fraction:
 def identity_leftdep(spec_a, k: int) -> tuple:
     """Both sides of the subset-sum identity for the A-dependent factor.
 
-    Raw side: sum_l (-1)^l / binom(k,l) sum_{|S|=k} e_{k-l}(A_S) e_l(A_S).
+    Raw side: sum_l (-1)^l / binom(k,l) sum_{|S|=k} e_{k-l}(A_S) e_l(A_S),
+    on A cleared to ints L A: each subset's L^j e_j are the coefficients of
+    util.linear_product, so every product is over L^k, divided out once.
+    The k + 1 products of each subset count against SUBSET_SUM_CAP.
     Closed side: symfunc.left_factor, the factor the closed commutator
     coefficient multiplies.
     """
     spec_a = as_spectrum(spec_a)
     closed = left_factor(spec_a, k)  # refuses k outside 0..d
-    subset_acc = [Fraction(0)] * (k + 1)
-    for subset in itertools.combinations(spec_a, k):
-        e = elementary_symmetric(subset)
+    check_subset_sum(len(spec_a), k, k + 1, f"subset-sum identity at k={k}")
+    scale, ints = clear_denominators(spec_a)
+    subset_acc = [0] * (k + 1)
+    for subset in itertools.combinations(ints, k):
+        e = linear_product(subset)
         for l in range(k + 1):
             subset_acc[l] += e[k - l] * e[l]
     raw = sum(
-        (Fraction((-1) ** l, comb(k, l)) * acc for l, acc in enumerate(subset_acc)),
+        (Fraction((-1) ** l * acc, comb(k, l)) for l, acc in enumerate(subset_acc)),
         Fraction(0),
     )
-    return raw, closed
+    return raw / scale**k, closed
 
 
 def identity_rightdep(spec_b, k: int) -> tuple:

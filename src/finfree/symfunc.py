@@ -24,6 +24,7 @@ from .util import (
     PARTITION_CAP,
     as_tuple,
     check_cap,
+    check_subset_sum,
     clear_denominators,
     factorials,
     linear_product,
@@ -153,11 +154,15 @@ def eval_monomial(lam, x) -> Fraction:
     Each monomial puts the distinct orderings of lam's parts on one row
     subset of size len(lam), so the sum runs over those subsets and
     orderings, on the spectrum cleared to ints, and is divided by L^|lam|.
+    Sums of more than SUBSET_SUM_CAP terms are refused before either is
+    listed.
     """
     lam = Partition(lam)
     x = as_spectrum(x)
     if lam.length > len(x):
         return Fraction(0)
+    orderings = factorial(lam.length) // prod(map(factorial, lam.multiplicities().values()))
+    check_subset_sum(len(x), lam.length, orderings, f"monomial sum of {lam}")
     scale, powers = _cleared_powers(x, lam[0] if lam else 0)
     orders = distinct_permutations(lam)
     total = sum(prod([row[e] for row, e in zip(rows, expo)])
@@ -169,7 +174,8 @@ def eval_quasisym(comp, x) -> Fraction:
     """Quasisymmetric monomial: ordered exponents on an increasing index chain.
 
     comp may contain zeros; a zero exponent still occupies an index slot.
-    The sum runs on the spectrum cleared to ints and is divided by L^|comp|.
+    The sum runs on the spectrum cleared to ints and is divided by L^|comp|;
+    sums of more than SUBSET_SUM_CAP terms are refused before it starts.
     """
     comp = tuple(int(c) for c in comp)
     if any(c < 0 for c in comp):
@@ -177,6 +183,7 @@ def eval_quasisym(comp, x) -> Fraction:
     x = as_spectrum(x)
     if len(comp) > len(x):
         raise ValueError(f"composition length {len(comp)} exceeds {len(x)} values")
+    check_subset_sum(len(x), len(comp), 1, f"quasisymmetric sum of {comp}")
     scale, powers = _cleared_powers(x, max(comp, default=0))
     total = 0
     for chain in itertools.combinations(powers, len(comp)):

@@ -7,7 +7,7 @@ import sys
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm, prod
+from math import comb, gcd, lcm, prod
 
 # Limits of the size guards. Partition and tableau searches grow
 # super-polynomially and set partitions grow like Bell numbers; the exact
@@ -22,13 +22,24 @@ DEGREE_CAP = 1000  # polynomial degree and spectrum length
 
 MC_CHUNK_SIZE = 4096  # Haar samples per Monte Carlo chunk
 # A Monte Carlo run costs about 1.4e-8 s of one core per unit of n*d^3 at
-# d >= 16, more per unit at small d, and its arrays peak at about 24 bytes
-# per entry of min(n, MC_CHUNK_SIZE)*d^2 however many chunks it draws (34
-# for mc_conjugation_mean, whose values are d^2 per sample; measurements in
-# CHANGES.md). So an accepted run takes at most about 35 s at any d, and
-# at most about 140 MiB of arrays (d <= 32).
+# d >= 16, more per unit at small d, and its arrays peak at about 11 bytes
+# per entry of min(n, MC_CHUNK_SIZE)*d^2 at d = 32 (15 at d = 16, 24 at
+# d = 8) however many chunks it draws (27 at d = 32 for mc_conjugation_mean,
+# whose values are d^2 per sample; measurements in CHANGES.md). So an
+# accepted run takes at most about 35 s at any d, and at most about 110 MiB
+# of arrays (d <= 32).
 MC_WORK_CAP = 2**28
 MC_CHUNK_ENTRIES_CAP = 2**22
+# Terms of an enumerated subset sum: C(d, l) subsets times the terms each
+# adds. Process time per term at the largest d under 2^20 terms, on spectra
+# of p/q entries (|p| <= 9, q <= 4) and one CPU of a 2-vCPU x86 host, one
+# run each: eval_monomial 0.59-0.70 us for l <= 4 parts, 0.85 us at l = 6,
+# 0.96 us at l = 10 and 1.22 us at l = 14; eval_quasisym 0.40-0.82 us;
+# identity_leftdep, k + 1 terms per subset, 1.49 us at k = 2 and 0.81-0.97
+# us at k = 4 to 14. identity_rightdep sums k/2 + 1 monomials and took up to
+# 1.64 s. A cap of 2^19 keeps every accepted sum under about 0.8 s and
+# accepts the C(1000, 2) pairs of a spectrum at the degree cap.
+SUBSET_SUM_CAP = 2**19
 # A decimal string as Fraction reads it: digits, fraction part, exponent.
 _DECIMAL = re.compile(r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?(?:[eE]([-+]?\d[\d_]*))?\s*")
 
@@ -53,6 +64,13 @@ def check_mc_caps(d: int, n: int):
     check_cap(min(n, MC_CHUNK_SIZE) * d * d, MC_CHUNK_ENTRIES_CAP,
               f"Monte Carlo chunk at n={n}, d={d}: min(n, {MC_CHUNK_SIZE})*d^2")
     check_cap(n * d**3, MC_WORK_CAP, f"Monte Carlo work at n={n}, d={d}: n*d^3")
+
+
+def check_subset_sum(d: int, size: int, per_subset: int, what: str):
+    """Refuse a sum over the C(d, size) subsets of d values, per_subset terms
+    each, past SUBSET_SUM_CAP terms, before any subset is enumerated."""
+    check_cap(comb(d, size) * per_subset, SUBSET_SUM_CAP,
+              f"{what}: C({d}, {size})*{per_subset} terms")
 
 
 def as_tuple(values, what: str) -> tuple:

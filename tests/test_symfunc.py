@@ -59,7 +59,7 @@ def test_as_spectrum_pair():
 def test_elementary_symmetric_frozen():
     assert elementary_symmetric((1, 2, 3)) == (1, 6, 11, 6)
     assert elementary_symmetric((Fraction(1, 2),)) == (1, Fraction(1, 2))
-    assert elementary_symmetric(()) == (1,)  # identity_leftdep's subset at k = 0
+    assert elementary_symmetric(()) == (1,)  # no values
 
 
 @given(spectrum_st())

@@ -17,6 +17,7 @@ from finfree.util import (
     MOMENT_CAP,
     PARTITION_CAP,
     SET_PARTITION_CAP,
+    SUBSET_SUM_CAP,
     CapExceededError,
     check_cap,
     factorials,
@@ -130,8 +131,10 @@ FIXED_CAPS = {
     "weingarten_gram_inverse": ("oracle", lambda m: m.weingarten_gram_inverse(11, 11),
                                 PARTITION_CAP, ("partitions_of", "bareiss_det")),
     "check_mc_caps": ("util", lambda m: m.check_mc_caps(1, MC_WORK_CAP + 1), MC_WORK_CAP, ()),
+    "check_subset_sum": ("util", lambda m: m.check_subset_sum(SUBSET_SUM_CAP + 1, 1, 1, "sum"),
+                         SUBSET_SUM_CAP, ()),
     "mc_entry_moments": ("montecarlo", lambda m: m.mc_entry_moments(1, MC_WORK_CAP + 1, 1),
-                         MC_WORK_CAP, ("_draw", "haar_batch")),
+                         MC_WORK_CAP, ("_chunk_rng", "haar_batch")),
     "set_partitions": ("partitions", lambda m: m.set_partitions(9),
                        SET_PARTITION_CAP, ()),
     "set_partitions_of_type": ("partitions", lambda m: m.set_partitions_of_type((5, 4)),
@@ -173,16 +176,51 @@ FIXED_CAPS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(FIXED_CAPS))
-def test_fixed_cap_refuses_one_past_its_limit(monkeypatch, tmp_path, name):
-    monkeypatch.chdir(tmp_path)
-    module_name, call, limit, forbidden = FIXED_CAPS[name]
+def _forbid(monkeypatch, module_name, forbidden):
+    """finfree.module_name, with each forbidden name, in it or given as
+    "other_module.name", replaced by a _Forbidden."""
     module = importlib.import_module(f"finfree.{module_name}")
     for name in forbidden:
         owner, _, attr = name.rpartition(".")
         target = importlib.import_module(f"finfree.{owner}") if owner else module
         monkeypatch.setattr(target, attr, _Forbidden(name))
+    return module
+
+
+@pytest.mark.parametrize("name", sorted(FIXED_CAPS))
+def test_fixed_cap_refuses_one_past_its_limit(monkeypatch, tmp_path, name):
+    monkeypatch.chdir(tmp_path)
+    module_name, call, limit, forbidden = FIXED_CAPS[name]
+    module = _forbid(monkeypatch, module_name, forbidden)
     with pytest.raises(CapExceededError, match=f" {limit + 1} exceeds cap {limit}$"):
+        call(module)
+
+
+# The subset sums refused by check_subset_sum, each called at the fewest
+# terms past SUBSET_SUM_CAP that its C(d, l) subsets times its terms per
+# subset reach (the counts skip values, so none lands on SUBSET_SUM_CAP + 1):
+# (module, call, terms it reports, names the call must not reach).
+SUBSET_SUMS = {
+    "eval_monomial": ("symfunc", lambda m: m.eval_monomial((1, 1, 1), range(148)),
+                      529396, ("distinct_permutations", "_cleared_powers", "itertools")),
+    "eval_monomial_orderings": (
+        "symfunc", lambda m: m.eval_monomial((3, 2, 1), range(82)),
+        531360, ("distinct_permutations", "_cleared_powers", "itertools")),
+    "eval_quasisym": ("symfunc", lambda m: m.eval_quasisym((1, 0, 2), range(148)),
+                      529396, ("_cleared_powers", "itertools")),
+    "identity_leftdep": ("oracle", lambda m: m.identity_leftdep(range(592), 2),
+                         524808, ("clear_denominators", "linear_product", "itertools")),
+    "identity_rightdep": ("oracle", lambda m: m.identity_rightdep(range(24), 8),
+                          735471, ("c_constant", "symfunc._cleared_powers", "symfunc.itertools")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUBSET_SUMS))
+def test_subset_sums_refuse_past_the_term_cap(monkeypatch, name):
+    module_name, call, terms, forbidden = SUBSET_SUMS[name]
+    assert terms > SUBSET_SUM_CAP
+    module = _forbid(monkeypatch, module_name, forbidden)
+    with pytest.raises(CapExceededError, match=f" terms {terms} exceeds cap {SUBSET_SUM_CAP}$"):
         call(module)
 
 
