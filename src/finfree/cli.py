@@ -8,14 +8,14 @@ import json
 import sys
 from fractions import Fraction
 
-from .immanants import as_matrix, immanant_direct, immanant_gj
+# What conv, zpoly and commutator run. The Weingarten, immanant, verify and
+# Monte Carlo layers are imported by the handlers and argument builders that
+# use them, so a one-shot process loads only the layers its command runs.
 from .partitions import Partition, kostka
 from .polynomials import MonicPoly, boxminus, boxplus, boxtimes, commutator_poly, z_poly
 from .symfunc import as_spectrum, as_spectrum_pair
 from .symgroup import character, character_table_json, inverse_kostka
 from .util import CapExceededError, check_mc_caps
-from .verify import DEFAULT_SEED, VERIFY_GROUPS, VerifyRun, run_suites
-from .weingarten import ClassFunction, weingarten
 
 
 class InputError(ValueError):
@@ -151,6 +151,8 @@ def cmd_commutator(args) -> int:
 
 
 def cmd_weingarten(args) -> int:
+    from .weingarten import weingarten
+
     table = weingarten(args.k, args.d)
     payload = table.to_json_dict(d=args.d)
     lines = [
@@ -162,6 +164,8 @@ def cmd_weingarten(args) -> int:
 
 
 def cmd_immanant(args) -> int:
+    from .immanants import as_matrix, immanant_direct, immanant_gj
+
     shape = _parse_partition(args.shape)
     mat = _load(args.matrix, as_matrix, "a rational matrix")
     func = immanant_direct if args.method == "direct" else immanant_gj
@@ -215,6 +219,8 @@ def cmd_kostka(args) -> int:
 
 
 def _corrupted_weingarten(k: int, d: int) -> ClassFunction:
+    from .weingarten import ClassFunction, weingarten
+
     base = weingarten(k, d)
     values = dict(base.values)
     worst = max(values)
@@ -223,6 +229,8 @@ def _corrupted_weingarten(k: int, d: int) -> ClassFunction:
 
 
 def cmd_verify(args) -> int:
+    from .verify import VERIFY_GROUPS, VerifyRun, run_suites
+
     wg_fn = _corrupted_weingarten if args.inject_wg_error else None
     results = run_suites(VERIFY_GROUPS[args.suite], VerifyRun(args.seed, args.mc, wg_fn))
     for result in results:
@@ -305,6 +313,8 @@ def _kostka_arguments(p):
 
 
 def _verify_arguments(p):
+    from .verify import DEFAULT_SEED, VERIFY_GROUPS
+
     p.add_argument("suite", choices=sorted(VERIFY_GROUPS))
     p.add_argument("--seed", type=_int_at_least(0), default=DEFAULT_SEED,
                    help="seed of the random cases and Monte Carlo runs (default %(default)s)")

@@ -20,6 +20,7 @@ from .partitions import partitions_of, two_column
 from .symfunc import (
     as_spectrum,
     as_spectrum_pair,
+    check_monomial_sum,
     eval_monomial,
     left_factor,
     right_factor,
@@ -89,19 +90,33 @@ def brute_force_expected_ek(spec_a, spec_b, k: int, wg_fn=weingarten) -> Fractio
     ints, and so is the Weingarten table, which is injectable so that a
     corrupted table must break the agreement with the closed forms.
     """
+    return brute_force_coefficients(spec_a, spec_b, (k,), wg_fn)[k]
+
+
+def brute_force_coefficients(spec_a, spec_b, ks, wg_fn=weingarten) -> dict:
+    """{k: E[e_k]} for each k of ks, by brute_force_expected_ek's expansion,
+    with both spectra converted and cleared, and B's power sums formed, once."""
     spec_a, spec_b = as_spectrum_pair(spec_a, spec_b)
     d = len(spec_a)
-    if not 0 <= k <= d:
-        raise ValueError(f"need 0 <= k <= {d}, got k={k}")
+    ks = tuple(ks)
+    for k in ks:
+        if not 0 <= k <= d:
+            raise ValueError(f"need 0 <= k <= {d}, got k={k}")
     check_cap(d, DIMENSION_CAP, "brute-force dimension")
+    a_scale, a = clear_denominators(spec_a)
+    b_scale, b = clear_denominators(spec_b)
+    pb = [sum(v**j for v in b) for j in range(1, max(ks, default=0) + 1)]
+    return {k: _brute_force(a_scale * b_scale, a, pb, k, wg_fn) for k in ks}
+
+
+def _brute_force(scale: int, a, pb, k: int, wg_fn) -> Fraction:
+    """brute_force_expected_ek at k from A cleared to ints a, the power sums
+    pb of B cleared to ints, and the product scale of the two clearings."""
     if k == 0:
         return Fraction(1)
     rhos, classes = _derangement_classes(k)
-    wg = wg_fn(k, d)
+    wg = wg_fn(k, len(a))
     wg_scale, wg_ints = clear_denominators([wg(rho) for rho in rhos])
-    a_scale, a = clear_denominators(spec_a)
-    b_scale, b = clear_denominators(spec_b)
-    pb = [sum(v**j for v in b) for j in range(1, k + 1)]
     pb_by_type = [prod(pb[c - 1] for c in rho) for rho in rhos]
     class_sums = [0] * len(classes)
     for sub in itertools.combinations(a, k):
@@ -120,7 +135,7 @@ def brute_force_expected_ek(spec_a, spec_b, k: int, wg_fn=weingarten) -> Fractio
         for class_sum, (sign, _, counts) in zip(class_sums, classes)
         if class_sum
     )
-    return Fraction(total, wg_scale * (a_scale * b_scale) ** k)
+    return Fraction(total, wg_scale * scale**k)
 
 
 def weingarten_gram_inverse(k: int, d: int) -> ClassFunction:
@@ -220,7 +235,10 @@ def identity_rightdep(spec_b, k: int) -> tuple:
     spec_b = as_spectrum(spec_b)
     d = len(spec_b)
     closed = right_factor(spec_b, k)  # refuses k outside 0..d
-    monomials = [eval_monomial(two_column(k, q), spec_b) for q in range(k // 2 + 1)]
+    shapes = [two_column(k, q) for q in range(k // 2 + 1)]
+    for lam in shapes:  # every monomial sum is refused before the first is taken
+        check_monomial_sum(lam, d)
+    monomials = [eval_monomial(lam, spec_b) for lam in shapes]
     raw = Fraction(0)
     for p in range(k // 2 + 1):
         lam = two_column(k, p)

@@ -17,7 +17,6 @@ demand, for display.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -56,10 +55,10 @@ def _mss_normalize(scale: int, ints) -> tuple:
     return scale * fact[d], [v * fact[d - k] for k, v in enumerate(ints)]
 
 
-@dataclass(frozen=True, init=False)
 class MonicPoly:
-    den: int
-    nums: tuple
+    """An immutable value: equal, with equal hashes, exactly when den and
+    nums are. Only _settle stores them, and only cached_property adds an
+    attribute (`a`), through the instance dict."""
 
     def __init__(self, a):
         """The polynomial with unsigned coefficients a: rationals, a_0 = 1.
@@ -87,6 +86,23 @@ class MonicPoly:
     def _normalized(cls, den: int, nums) -> "MonicPoly":
         """The polynomial with c_k = nums[k]/den (den > 0, nums[0] = den)."""
         return object.__new__(cls)._settle(den, nums)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.den, self.nums) == (other.den, other.nums)
+
+    def __hash__(self):
+        return hash((self.den, self.nums))
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}(den={self.den!r}, nums={self.nums!r})"
 
     @property
     def degree(self) -> int:

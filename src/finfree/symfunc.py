@@ -22,6 +22,7 @@ from .symgroup import dim_irrep, inverse_kostka
 from .util import (
     DEGREE_CAP,
     PARTITION_CAP,
+    POWER_TABLE_CAP,
     as_tuple,
     check_cap,
     check_subset_sum,
@@ -143,9 +144,21 @@ def elementary_symmetric(x) -> tuple:
 
 
 def _cleared_powers(x, top: int) -> tuple:
-    """(L, P): L clears the denominators of x, P[i][e] = (L x_i)^e for e <= top."""
+    """(L, P): L clears the denominators of x, P[i][e] = (L x_i)^e for e <= top.
+
+    A table past POWER_TABLE_CAP bits is refused before it is built; each
+    power v^e counts e bits per bit of v, and at least e."""
     scale, ints = clear_denominators(x)
+    bits = top * (top + 1) // 2 * sum(max(v.bit_length(), 1) for v in ints)
+    check_cap(bits, POWER_TABLE_CAP, f"powers 0..{top} of {len(ints)} values: bits")
     return scale, [[v**e for e in range(top + 1)] for v in ints]
+
+
+def check_monomial_sum(lam: Partition, d: int):
+    """Refuse eval_monomial of lam at d values past SUBSET_SUM_CAP terms:
+    C(d, len(lam)) row subsets times the distinct orderings of lam's parts."""
+    orderings = factorial(lam.length) // prod(map(factorial, lam.multiplicities().values()))
+    check_subset_sum(d, lam.length, orderings, f"monomial sum of {lam}")
 
 
 def eval_monomial(lam, x) -> Fraction:
@@ -161,8 +174,7 @@ def eval_monomial(lam, x) -> Fraction:
     x = as_spectrum(x)
     if lam.length > len(x):
         return Fraction(0)
-    orderings = factorial(lam.length) // prod(map(factorial, lam.multiplicities().values()))
-    check_subset_sum(len(x), lam.length, orderings, f"monomial sum of {lam}")
+    check_monomial_sum(lam, len(x))
     scale, powers = _cleared_powers(x, lam[0] if lam else 0)
     orders = distinct_permutations(lam)
     total = sum(prod([row[e] for row, e in zip(rows, expo)])

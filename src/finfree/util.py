@@ -40,6 +40,25 @@ MC_CHUNK_ENTRIES_CAP = 2**22
 # 1.64 s. A cap of 2^19 keeps every accepted sum under about 0.8 s and
 # accepts the C(1000, 2) pairs of a spectrum at the degree cap.
 SUBSET_SUM_CAP = 2**19
+# Bits of the table of powers (L x_i)^e, e <= top, that eval_monomial and
+# eval_quasisym read: top(top+1)/2 times the summed bit lengths of the L x_i
+# (at least 1 each), a bound on the table's digits that also counts its
+# entries. Building one, on one CPU of a 2-vCPU x86 host (process time, peak
+# RSS rise, one run each; "int" entries are 1..999, "p/q" as above):
+#
+#   d     top   entries  bits     time      RSS
+#   1000   30   int      2^22.0   0.007 s    1.6 MiB
+#   1000   60   int      2^24.0   0.021 s    4.4 MiB
+#   1000   60   p/q      2^23.2   0.020 s    3.4 MiB
+#   1000  100   int      2^25.4   0.050 s    8.9 MiB
+#   1000  200   int      2^27.3   0.167 s   29.5 MiB
+#   1000  300   int      2^28.5   0.367 s   60.9 MiB
+#    100 1000   int      2^28.1   0.283 s   37.1 MiB
+#     10 3000   int      2^27.0   0.121 s   13.0 MiB
+#
+# The package's own sums take top <= 2; top 10 at d = 1000 is 2^19 bits. A cap
+# of 2^24 keeps an accepted table under about 5 MiB and 0.03 s.
+POWER_TABLE_CAP = 2**24
 # A decimal string as Fraction reads it: digits, fraction part, exponent.
 _DECIMAL = re.compile(r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?(?:[eE]([-+]?\d[\d_]*))?\s*")
 

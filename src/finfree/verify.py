@@ -19,6 +19,7 @@ from math import comb, factorial
 from .immanants import delta_minus, imm_delta_minus, immanant_direct, immanant_gj
 from .oracle import (
     alternating_binomial_pair,
+    brute_force_coefficients,
     brute_force_expected_ek,
     gram_identity_residual,
     identity_leftdep,
@@ -118,13 +119,14 @@ def _closed_and_conv(spec_a, spec_b) -> tuple:
 def _triple_route_failure(spec_a, spec_b, ks, wg_fn):
     """Compare brute force, closed form, and convolution at each k of ks;
     odd-k coefficients must also be 0. Each spectrum is converted once, and
-    the closed form and the convolution each give every coefficient at once."""
+    each route gives its coefficients in one call."""
     a, b = as_spectrum_pair(spec_a, spec_b)
     closed, conv = _closed_and_conv(a, b)
+    brute = brute_force_coefficients(a, b, ks, wg_fn=wg_fn)
     for k in ks:
-        brute = brute_force_expected_ek(a, b, k, wg_fn=wg_fn)
-        if brute != closed[k] or closed[k] != conv[k]:
-            return f"A={spec_a} B={spec_b} k={k}: brute={brute} closed={closed[k]} conv={conv[k]}"
+        if brute[k] != closed[k] or closed[k] != conv[k]:
+            return (f"A={spec_a} B={spec_b} k={k}: brute={brute[k]} closed={closed[k]} "
+                    f"conv={conv[k]}")
         if k % 2 and closed[k] != 0:
             return f"A={spec_a} B={spec_b} k={k}: odd coefficient {closed[k]} != 0"
     return None

@@ -83,3 +83,25 @@ def test_missing_keys_names_what_is_absent():
          "mc_bands/1/provenance/change"]
         + [f"mc_bands/1/peak_rss_mb/{side}/{key}" for side in ("parent", "change")
            for key in ("median", "q1", "q3")])
+
+
+def test_fresh_reports_one_shot_pairs_in_both_bytecode_modes(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(bench_record, "FRESH_RUNS", 2)
+    log = tmp_path / "log"
+    code = bench_record.main(["fresh", "--parent", str(ROOT), "--change", str(ROOT),
+                              "--log", str(log), "--", "zpoly", "--d", "3"])
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["argv"] == ["zpoly", "--d", "3"] and report["pairs"] == 2
+    assert set(report["wall_ms"]) == set(bench_record.FRESH_MODES)
+    for mode in report["wall_ms"].values():
+        assert 0 <= mode["pairs_won"] <= 2
+        for side in bench_record.SIDES:
+            assert set(mode[side]) == bench_record.SUMMARY_KEYS
+    assert report["exit_codes"] == {"parent": [0], "change": [0]}
+    assert report["same_stdout"]
+    assert set(report["provenance"]) == {"python", *bench_record.SIDES}
+    # the saved report goes into the BENCH record, beside the perfbench pairs
+    (saved,) = log.glob("fresh-*.json")
+    assert json.loads(saved.read_text()) == report
+    assert bench_record.assemble(log, END_TO_END)["fresh"] == [report]

@@ -775,15 +775,18 @@ print(json.dumps([codes, exact_numpy, mc_code, mc_numpy, resolved]))
 """
 
 
-def test_exact_commands_do_not_load_numpy():
+def _fresh(probe: str, *args):
+    """The JSON last line a probe prints in a fresh interpreter."""
     env = {**os.environ, "PYTHONPATH": str(Path(finfree.__file__).parents[1])}
     proc = subprocess.run(
-        [sys.executable, "-c", NUMPY_PROBE], capture_output=True, text=True, env=env,
+        [sys.executable, "-c", probe, *args], capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    codes, exact_numpy, mc_code, mc_numpy, resolved = json.loads(
-        proc.stdout.splitlines()[-1]
-    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_exact_commands_do_not_load_numpy():
+    codes, exact_numpy, mc_code, mc_numpy, resolved = _fresh(NUMPY_PROBE)
     assert codes == [0] * 12 and not exact_numpy
     assert mc_code == 0 and mc_numpy
     assert resolved == ["McReport", "finfree.montecarlo"]
@@ -793,3 +796,90 @@ def test_package_resolves_only_its_own_names():
     assert finfree.within_band is finfree.montecarlo.within_band
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         finfree.no_such_name
+
+
+CONVOLUTION_PROBE = """
+import json, sys, tempfile
+from pathlib import Path
+
+tmp = Path(tempfile.mkdtemp())
+(tmp / "p.json").write_text(json.dumps({"d": 2, "a": ["1", "0", "-1"]}))
+(tmp / "a.json").write_text(json.dumps([1, -1]))
+p, a = str(tmp / "p.json"), str(tmp / "a.json")
+
+from finfree.cli import main
+
+codes = [main(argv) for argv in (
+    ["commutator", a, a], ["conv", "add", p, p], ["conv", "sub", p, p],
+    ["conv", "mul", p, p], ["zpoly", "--d", "3"],
+)]
+print(json.dumps([codes, sorted(sys.modules)]))
+"""
+
+
+def test_convolution_commands_load_only_their_layers():
+    codes, loaded = _fresh(CONVOLUTION_PROBE)
+    assert codes == [0] * 5
+    unused = {f"finfree.{m}" for m in ("verify", "oracle", "immanants", "weingarten",
+                                       "montecarlo")}
+    unused |= {"dataclasses", "inspect", "numpy"}  # @dataclass loads the first two
+    assert unused.isdisjoint(loaded)
+    assert {"finfree.polynomials", "finfree.symfunc"} <= set(loaded)
+
+
+# The package's public names, by the submodule that defines them.
+PUBLIC_NAMES = {
+    "partitions": ["Partition", "dominance_leq", "hooks_and_contents", "kostka",
+                   "partitions_of", "semistandard_tableaux", "set_partitions",
+                   "set_partitions_of_type", "split_chains", "two_column", "two_row"],
+    "symgroup": ["c_constant", "c_constant_bruteforce", "character", "character_table",
+                 "cycle_type", "dim_irrep", "inverse_kostka", "perm_sign"],
+    "symfunc": ["e_to_m", "eval_monomial", "eval_quasisym", "m_to_e", "schur_principal"],
+    "weingarten": ["ClassFunction", "integrate_moment", "weingarten"],
+    "immanants": ["delta_minus", "imm_delta_minus", "immanant_direct", "immanant_gj"],
+    "polynomials": ["MonicPoly", "boxminus", "boxplus", "boxtimes", "commutator_coefficient",
+                    "commutator_poly", "z_poly"],
+    "oracle": ["alternating_binomial_pair", "brute_force_expected_ek",
+               "gram_identity_residual", "identity_leftdep", "identity_rightdep",
+               "rothe_hagen_pair", "telescoping_pair", "weingarten_gram_inverse"],
+    "util": ["CapExceededError"],
+    "montecarlo": ["McReport", "mc_charpoly", "mc_conjugation_mean", "mc_entry_moments",
+                   "within_band"],
+}
+
+NAMESPACE_PROBE = """
+import json, sys
+if sys.argv[1] == "verify-first":
+    import finfree.verify
+import finfree
+from finfree import weingarten
+
+public = json.loads(sys.argv[2])
+wrong = [name for home, names in public.items() for name in names
+         if getattr(finfree, name) is not getattr(sys.modules["finfree." + home], name)]
+wrong += [home for home in public if home != "weingarten"
+          if getattr(finfree, home) is not sys.modules["finfree." + home]]
+try:
+    finfree.no_such_name
+except AttributeError as exc:
+    missing = str(exc)
+star = {}
+exec("from finfree import *", star)
+print(json.dumps([wrong, weingarten.__module__, finfree.weingarten is weingarten,
+                  dir(finfree), missing, finfree.__version__, sorted(star)]))
+"""
+
+
+@pytest.mark.parametrize("order", ["package-first", "verify-first"])
+def test_package_names_resolve_in_either_import_order(order):
+    wrong, wg_module, same_wg, listed, missing, version, star = _fresh(
+        NAMESPACE_PROBE, order, json.dumps(PUBLIC_NAMES))
+    assert wrong == []
+    assert wg_module == "finfree.weingarten" and same_wg  # the function, not the module
+    assert {name for names in PUBLIC_NAMES.values() for name in names} <= set(listed)
+    assert set(PUBLIC_NAMES) <= set(listed)
+    assert missing == "module 'finfree' has no attribute 'no_such_name'"
+    assert version == "0.1.0"
+    # a star import binds every exact-layer name, and no Monte Carlo one
+    assert set(star) - {"__builtins__"} == {
+        name for home, names in PUBLIC_NAMES.items() if home != "montecarlo" for name in names}

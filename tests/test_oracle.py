@@ -10,6 +10,7 @@ from finfree.cli import _corrupted_weingarten
 from finfree.oracle import (
     _derangement_classes,
     alternating_binomial_pair,
+    brute_force_coefficients,
     brute_force_expected_ek,
     gen_binom,
     identity_leftdep,
@@ -105,6 +106,22 @@ def test_brute_force_validation():
         brute_force_expected_ek((1, 2), (1, 2, 3), 1)
     with pytest.raises(ValueError):
         brute_force_expected_ek((1, 2), (1, 2), 3)
+    with pytest.raises(ValueError, match="^spectrum lengths differ: 2 != 3$"):
+        brute_force_coefficients((1, 2), (1, 2, 3), [1])
+    with pytest.raises(ValueError, match="^need 0 <= k <= 2, got k=3$"):
+        brute_force_coefficients((1, 2), (1, 2), [1, 3])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda d: st.tuples(spectrum_st(d), spectrum_st(d))))
+def test_brute_force_coefficients_match_each_coefficient(pair):
+    sa, sb = pair
+    every, odd = range(len(sa) + 1), range(1, len(sa) + 1, 2)
+    for ks in (every, odd):
+        assert brute_force_coefficients(sa, sb, ks) == {
+            k: brute_force_expected_ek(sa, sb, k) for k in ks}
+    bad = {k: brute_force_expected_ek(sa, sb, k, wg_fn=_corrupted_weingarten) for k in every}
+    assert brute_force_coefficients(sa, sb, every, wg_fn=_corrupted_weingarten) == bad
 
 
 @pytest.mark.parametrize("k", range(1, 6))

@@ -82,6 +82,42 @@ def test_json_roundtrip():
         MonicPoly.from_json_dict({"d": 3, "a": ["1", "0", "0"]})
 
 
+def test_value_semantics():
+    p = MonicPoly((1, Fraction(1, 2), -2))
+    same = MonicPoly.from_json_dict({"a": ["1", "2/4", "-2"]})
+    assert p == same and not p != same and hash(p) == hash(same)
+    assert p is not same
+    for other in (
+        MonicPoly((1, Fraction(1, 2), -2, 0)),  # same coefficients, one degree more
+        MonicPoly((1, Fraction(1, 3), -2)),  # another content
+        MonicPoly((1, 1, -4)),  # the same numerators over another denominator
+    ):
+        assert p != other and not p == other
+    assert p != (p.den, p.nums) and p != p.a and p != "MonicPoly(den=4, nums=(4, 1, -4))"
+    assert len({p, same, MonicPoly((1, 0))}) == 2
+    assert {p: "p"}[same] == "p"
+    assert repr(p) == "MonicPoly(den=4, nums=(4, 1, -4))"
+    assert repr(z_poly(2)) == "MonicPoly(den=3, nums=(3, 0, 1))"
+
+
+def test_value_is_immutable():
+    p = MonicPoly.from_spectrum((1, -1))
+    for name, value in (("den", 1), ("nums", (1, 0, 0)), ("extra", 0)):
+        with pytest.raises(AttributeError):
+            setattr(p, name, value)
+        with pytest.raises(AttributeError):
+            delattr(p, name)
+    assert (p.den, p.nums) == (2, (2, 0, -1)) and not hasattr(p, "extra")
+
+
+def test_coefficients_are_computed_once():
+    p = MonicPoly((1, 0, Fraction(8, 3)))
+    assert "a" not in vars(p)
+    first = p.a
+    assert first == (1, 0, Fraction(8, 3)) and p.a is first
+    assert p == MonicPoly((1, 0, Fraction(8, 3)))  # a cached `a` is not part of the value
+
+
 # ------------------------------------------------------------ convolutions
 
 def test_boxplus_frozen():
@@ -568,9 +604,9 @@ def _recorded(monkeypatch, module, name):
     calls = []
     whole = getattr(module, name)
 
-    def recording(*args):
+    def recording(*args, **kwargs):
         calls.append(args)
-        return whole(*args)
+        return whole(*args, **kwargs)
 
     monkeypatch.setattr(module, name, recording)
     return calls
@@ -751,11 +787,14 @@ def test_whole_closed_form_refusals():
 
 
 def test_triple_route_forms_the_whole_closed_form_once(monkeypatch):
-    # one call per spectrum pair, and no per-k coefficient calls
+    # one call per spectrum pair, and no per-k coefficient calls, on the
+    # closed route and on the brute force
     whole = _recorded(monkeypatch, verify, "commutator_poly_closed")
+    brute = _recorded(monkeypatch, verify, "brute_force_coefficients")
     per_k = [_recorded(monkeypatch, module, "commutator_coefficient")
              for module in (verify, polynomials)]
+    per_k.append(_recorded(monkeypatch, verify, "brute_force_expected_ek"))
     spec_a, spec_b = (-2, -1, 0, 1, 2), (-1, 0, 0, 1, 2)
     assert verify._triple_route_failure(spec_a, spec_b, range(6), weingarten) is None
-    assert len(whole) == 1
-    assert per_k == [[], []]
+    assert len(whole) == len(brute) == 1
+    assert per_k == [[], [], []]

@@ -37,7 +37,8 @@ ROUTES = {
     "closed": (("polynomials", "commutator_poly_closed"),
                ("polynomials", "commutator_coefficient")),
     "convolution": (("polynomials", "commutator_poly"),),
-    "oracle": (("oracle", "brute_force_expected_ek"),),
+    "oracle": (("oracle", "brute_force_expected_ek"),
+               ("oracle", "brute_force_coefficients")),
     "monte carlo": (("montecarlo", "mc_charpoly"),),
 }
 
@@ -303,7 +304,8 @@ def test_scan_flags_a_closed_form_that_restates_a_weight():
 # does a closed form that has lost its independence.
 _ROUTE_STUBS = {
     "util": "def to_fraction(v):\n    return v\n",
-    "oracle": "def brute_force_expected_ek(a, b, k):\n    return 0\n",
+    "oracle": "def brute_force_expected_ek(a, b, k):\n    return 0\n\n"
+              "def brute_force_coefficients(a, b, ks):\n    return 0\n",
     "montecarlo": "def mc_charpoly(a, b, n, seed):\n    return 0\n",
 }
 
@@ -333,7 +335,8 @@ def test_scan_keeps_same_named_private_functions_apart():
                        "def commutator_poly_closed(a, b):\n    return 0\n\n"
                        "def commutator_coefficient(k, a, b):\n    return 0\n",
         "oracle": "from .immanants import _cleared\n\n"
-                  "def brute_force_expected_ek(a, b, k):\n    return _cleared(a)\n",
+                  "def brute_force_expected_ek(a, b, k):\n    return _cleared(a)\n\n"
+                  "def brute_force_coefficients(a, b, ks):\n    return 0\n",
     }
     assert _reach(*_graph(sources), ROUTES["convolution"]) == {
         ("polynomials", "commutator_poly"), ("polynomials", "_cleared"),
@@ -350,7 +353,8 @@ def test_scan_reads_methods_only_off_classes_the_route_names():
                        "def commutator_poly_closed(a, b):\n    return 0\n\n"
                        "def commutator_coefficient(k, a, b):\n    return 0\n",
         "oracle": "from .partitions import Partition\n\n"
-                  "def brute_force_expected_ek(a, b, k):\n    return Partition(a).size\n",
+                  "def brute_force_expected_ek(a, b, k):\n    return Partition(a).size\n\n"
+                  "def brute_force_coefficients(a, b, ks):\n    return 0\n",
         # a.size is numpy's here; the route names no package class
         "montecarlo": "def mc_charpoly(a, b, n, seed):\n    return a.size\n",
     }

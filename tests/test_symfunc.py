@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
@@ -20,6 +21,7 @@ from finfree.symfunc import (
     schur_principal,
 )
 from finfree.polynomials import commutator_coefficient
+from finfree.util import CapExceededError
 
 rational_st = st.fractions(
     min_value=-5, max_value=5, max_denominator=4
@@ -128,6 +130,20 @@ def test_eval_monomial_at_the_degree_cap():
     assert eval_monomial((2,), x) == sum(v * v for v in x)
     assert eval_monomial((1,) * 1000, x) == 0
     assert eval_monomial((1,) * 1000, range(1, 1001)) == factorial(1000)
+
+
+@pytest.mark.parametrize("function", [eval_monomial, eval_quasisym])
+def test_a_power_table_past_its_cap_is_refused_before_it_is_built(function):
+    # (3000,) on range(1000) would build 3001000 powers, about 4e10 bits
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError, match=r"^powers 0\.\.3000 of 1000 values: bits "
+                                                   r"\d+ exceeds cap 16777216$"):
+            function((3000,), range(1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_eval_quasisym():

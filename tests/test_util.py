@@ -16,6 +16,7 @@ from finfree.util import (
     MC_WORK_CAP,
     MOMENT_CAP,
     PARTITION_CAP,
+    POWER_TABLE_CAP,
     SET_PARTITION_CAP,
     SUBSET_SUM_CAP,
     CapExceededError,
@@ -120,6 +121,9 @@ FIXED_CAPS = {
     "brute_force_expected_ek": (
         "oracle", lambda m: m.brute_force_expected_ek((1,) * 8, (1,) * 8, 2),
         DIMENSION_CAP, ("_derangement_classes",)),
+    "brute_force_coefficients": (
+        "oracle", lambda m: m.brute_force_coefficients((1,) * 8, (1,) * 8, range(9)),
+        DIMENSION_CAP, ("clear_denominators", "_derangement_classes")),
     "integrate_moment": (
         "weingarten",
         lambda m: m.integrate_moment((1,) * 7, (1,) * 7, (1,) * 7, (1,) * 7, 7),
@@ -130,6 +134,9 @@ FIXED_CAPS = {
                PARTITION_CAP, ("partitions_of", "inverse_kostka")),
     "weingarten_gram_inverse": ("oracle", lambda m: m.weingarten_gram_inverse(11, 11),
                                 PARTITION_CAP, ("partitions_of", "bareiss_det")),
+    # one value of POWER_TABLE_CAP + 1 bits, to the first power
+    "eval_monomial_powers": ("symfunc", lambda m: m.eval_monomial((1,), (2**POWER_TABLE_CAP,)),
+                             POWER_TABLE_CAP, ("distinct_permutations", "itertools")),
     "check_mc_caps": ("util", lambda m: m.check_mc_caps(1, MC_WORK_CAP + 1), MC_WORK_CAP, ()),
     "check_subset_sum": ("util", lambda m: m.check_subset_sum(SUBSET_SUM_CAP + 1, 1, 1, "sum"),
                          SUBSET_SUM_CAP, ()),
@@ -212,6 +219,10 @@ SUBSET_SUMS = {
                          524808, ("clear_denominators", "linear_product", "itertools")),
     "identity_rightdep": ("oracle", lambda m: m.identity_rightdep(range(24), 8),
                           735471, ("c_constant", "symfunc._cleared_powers", "symfunc.itertools")),
+    # its q = 0 sum, C(20, 8) terms, is under the cap: refused before it is taken
+    "identity_rightdep_second_monomial": (
+        "oracle", lambda m: m.identity_rightdep(range(20), 8),
+        542640, ("c_constant", "eval_monomial", "symfunc._cleared_powers", "symfunc.itertools")),
 }
 
 
@@ -226,6 +237,7 @@ def test_subset_sums_refuse_past_the_term_cap(monkeypatch, name):
 
 # Private helpers that call check_cap, and the row whose call reaches them.
 HELPER_ROWS = {
+    "_cleared_powers": "eval_monomial_powers",
     "_check_degree": "MonicPoly",
     "_spectrum_entries": "spectrum_file",
 }
