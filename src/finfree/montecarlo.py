@@ -4,9 +4,10 @@ Sampling is chunked: chunk c of a run with seed s draws min(MC_CHUNK_SIZE,
 samples left) unitaries from the generator seeded by
 SeedSequence(entropy=s, spawn_key=(c,)), and chunk results are folded in
 index order, so a report is a pure function of (d, n, seed) down to the byte.
-A chunk's Ginibre draws are never one complex array: the generator gives
-all real parts before any imaginary part, so the real half is held and the
-imaginary half is drawn block by block as each block is orthonormalized.
+No array holds a chunk's draws: each block of the chunk draws its samples'
+Ginibre entries in sample order, the real and imaginary part of each entry
+side by side, just before the block is orthonormalized, so a report does not
+depend on how its chunks are cut into blocks.
 """
 
 from __future__ import annotations
@@ -242,50 +243,39 @@ def _sample(d: int, n: int, seed: int, mode: str, labels: list,
     """Means and standard errors of statistic(U) over n Haar samples.
 
     statistic maps a batch of unitaries (m, d, d) to per-sample values
-    (m, len(labels)). A chunk of m Ginibre matrices (x + iy) / sqrt(2) takes
-    its m d^2 real parts x from the chunk's generator first and its
-    imaginary parts y after them, so x is drawn whole into a real buffer and
-    y block by block, each block's y just before the block is built,
-    orthonormalized and measured into the chunk's values. The generator
-    gives the numbers in the order one whole-chunk draw would, so a report
-    has the bytes of one. Values are folded per chunk, chunks in order.
+    (m, len(labels)). Each block of a chunk draws its Ginibre matrices from
+    the chunk's generator in sample order, real and imaginary part of each
+    entry side by side, just before the block is orthonormalized and
+    measured into the chunk's values. A sample's draws are then the same
+    numbers however the chunk is cut into blocks, so a report does not
+    depend on the block budget. Values are folded per chunk, chunks in order.
     """
     check_mc_caps(d, n)  # before anything is allocated
     acc = _Accumulator(len(labels))
-    # one buffer of each kind for the whole run, so that the allocator is
-    # not asked for them again: the real parts of a chunk, half the bytes of
-    # its draws, and the imaginary parts and complex draws of one block. A
+    # one draw buffer for the whole run, of the first chunk's block size: a
     # later chunk is no longer than the first and its blocks no longer than
-    # the first chunk's, since _block_size never grows as m shrinks.
-    first = min(n, MC_CHUNK_SIZE)
-    imag = np.empty((_block_size(first, d), d, d))
-    block = np.empty(imag.shape, dtype=complex)
-    real = np.empty((first, d, d))
-    scale = 1 / np.sqrt(2.0)
+    # the first chunk's, since _block_size never grows as m shrinks. The
+    # entries are standard normal, not scaled by 1/sqrt(2): Q does not
+    # depend on a positive scale of Z.
+    draws = np.empty((_block_size(min(n, MC_CHUNK_SIZE), d), d, d, 2))
     residuals = []
     for index, done in enumerate(range(0, n, MC_CHUNK_SIZE)):
         m = min(MC_CHUNK_SIZE, n - done)
         rng = _chunk_rng(seed, index)
-        x = real[:m]
-        # scaling each part by 1/sqrt(2) writes the bytes of complex
-        # division of x + iy by sqrt(2)
-        np.multiply(rng.standard_normal(out=x), scale, out=x)
         values = np.empty((m, len(labels)), dtype=complex)
         size = _block_size(m, d)
         for start in range(0, m, size):
             stop = min(start + size, m)
-            z = block[:stop - start]
-            z.real = x[start:stop]
-            np.multiply(rng.standard_normal(out=imag[:stop - start]), scale, out=z.imag)
+            z = rng.standard_normal(out=draws[:stop - start]).view(complex)[..., 0]
             u, residual = haar_batch(z)
             residuals.append(residual)
             values[start:stop] = statistic(u)
         acc.add(values)
         # values (d^2 per sample in mc_conjugation_mean) is freed before the
-        # next draw, but the last block's u is not: freeing it too let glibc
-        # malloc give the heap top back to the system after every chunk, and
-        # a 70 000-sample d = 2 mc_charpoly op took 3 131 minor page faults
-        # instead of 290
+        # next chunk's values are made, but the last block's u is not:
+        # freeing it too moved where glibc malloc put the next blocks, and a
+        # 16 000-sample d = 8 mc_charpoly op in a loop of perfbench's ops
+        # took about 2 870 minor page faults instead of 785
         del values
     mean, se_re, se_im = acc.finalize()
     return McReport(

@@ -22,11 +22,11 @@ DEGREE_CAP = 1000  # polynomial degree and spectrum length
 
 MC_CHUNK_SIZE = 4096  # Haar samples per Monte Carlo chunk
 # A Monte Carlo run costs about 1.4e-8 s of one core per unit of n*d^3 at
-# d >= 16, more per unit at small d, and its arrays peak at about 11 bytes
-# per entry of min(n, MC_CHUNK_SIZE)*d^2 at d = 32 (15 at d = 16, 24 at
-# d = 8) however many chunks it draws (27 at d = 32 for mc_conjugation_mean,
+# d >= 16, more per unit at small d, and its arrays peak at about 3 bytes
+# per entry of min(n, MC_CHUNK_SIZE)*d^2 at d = 32 (7 at d = 16, 18 at
+# d = 8) however many chunks it draws (19 at d = 32 for mc_conjugation_mean,
 # whose values are d^2 per sample; measurements in CHANGES.md). So an
-# accepted run takes at most about 35 s at any d, and at most about 110 MiB
+# accepted run takes at most about 35 s at any d, and at most about 75 MiB
 # of arrays (d <= 32).
 MC_WORK_CAP = 2**28
 MC_CHUNK_ENTRIES_CAP = 2**22

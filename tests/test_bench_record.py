@@ -93,11 +93,17 @@ def test_fresh_reports_one_shot_pairs_in_both_bytecode_modes(monkeypatch, tmp_pa
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["argv"] == ["zpoly", "--d", "3"] and report["pairs"] == 2
-    assert set(report["wall_ms"]) == set(bench_record.FRESH_MODES)
-    for mode in report["wall_ms"].values():
-        assert 0 <= mode["pairs_won"] <= 2
+    for metric in ("wall_ms", "peak_rss_mb"):
+        assert set(report[metric]) == set(bench_record.FRESH_MODES)
+        for mode in report[metric].values():
+            assert 0 <= mode["pairs_won"] <= 2
+            for side in bench_record.SIDES:
+                assert set(mode[side]) == bench_record.SUMMARY_KEYS
+    # ru_maxrss of each child in MiB: a Python process holds a few MiB at
+    # least, and a d = 3 zpoly far less than a GiB
+    for mode in report["peak_rss_mb"].values():
         for side in bench_record.SIDES:
-            assert set(mode[side]) == bench_record.SUMMARY_KEYS
+            assert 1 < mode[side]["q1"] <= mode[side]["q3"] < 1024
     assert report["exit_codes"] == {"parent": [0], "change": [0]}
     assert report["same_stdout"]
     assert set(report["provenance"]) == {"python", *bench_record.SIDES}

@@ -34,11 +34,10 @@ SEED = 99
 # ----------------------------------------------------------------- sampling
 
 def _ginibre(d, m, seed, chunk=0):
-    # chunk's Ginibre draw as (x + 1j*y) / sqrt(2), made whole: the bytes
-    # that _sample streams to haar_batch block by block
-    rng = _chunk_rng(seed, chunk)
-    z = rng.standard_normal((m, d, d)) + 1j * rng.standard_normal((m, d, d))
-    return z / np.sqrt(2.0)
+    # chunk's Ginibre draw made whole, each entry's real and imaginary part
+    # side by side in sample order: the bytes that _sample hands haar_batch
+    # block by block
+    return _chunk_rng(seed, chunk).standard_normal((m, d, d, 2)).view(complex)[..., 0]
 
 
 def _haar(d, m, seed, chunk=0):
@@ -67,7 +66,7 @@ def test_block_size_rule():
     assert _block_size(4100, 12) == 316  # 13 blocks, the last of 308
     assert _block_size(1, 12) == 1
     assert _block_size(3, 5000) == 1
-    # _sample sizes its block buffers by the first chunk's blocks, so no
+    # _sample sizes its draw buffer by the first chunk's blocks, so no
     # shorter chunk may have longer blocks
     for d in range(1, 33):
         full = _block_size(MC_CHUNK_SIZE, d)
@@ -100,10 +99,9 @@ def test_haar_batch_deterministic(d):
 
 @pytest.mark.parametrize("d", [2, 9, 10, 11, 12])
 def test_haar_batch_matches_the_two_temporaries_draw(monkeypatch, d):
-    # the blocks _sample hands haar_batch, from the chunk's real parts drawn
-    # whole and its imaginary parts drawn block by block, give the bytes of
-    # (x + 1j*y) / sqrt(2), and so the same unitaries, on both sides of
-    # GRAM_SCHMIDT_MAX_D
+    # the blocks _sample hands haar_batch, each drawn just before it is
+    # orthonormalized, give the bytes of the chunk's whole draw in sample
+    # order, and so the same unitaries, on both sides of GRAM_SCHMIDT_MAX_D
     blocks = []
 
     def recorded_block(z):
@@ -117,6 +115,18 @@ def test_haar_batch_matches_the_two_temporaries_draw(monkeypatch, d):
     assert np.concatenate(blocks).tobytes() == want.tobytes()
     got = _gram_schmidt(want)[0] if d <= GRAM_SCHMIDT_MAX_D else _householder(want)[0]
     assert haar_batch(want)[0].tobytes() == got.tobytes()
+
+
+@pytest.mark.parametrize("d", [2, GRAM_SCHMIDT_MAX_D, GRAM_SCHMIDT_MAX_D + 1, 16])
+def test_haar_batch_ignores_a_positive_scale(d):
+    # Z = QR and cZ = Q(cR) for c > 0 have the same Q, so _sample draws its
+    # Ginibre entries standard normal, without the 1/sqrt(2) of unit variance
+    z = _ginibre(d, RAGGED, SEED)
+    u, _ = haar_batch(z)
+    for c in (1 / np.sqrt(2.0), 3.0):
+        scaled, residual = haar_batch(c * z)
+        assert np.abs(scaled - u).max() < 1e-13, c
+        assert residual < 1e-10, c
 
 
 @pytest.mark.parametrize("d", range(1, 13))
@@ -221,29 +231,30 @@ def test_householder_peak_memory_within_2_5_results(d):
     assert peak <= 2.5 * _chunk_bytes(d), peak / _chunk_bytes(d)
 
 
-# The largest one-chunk peak of _sampling_peak, in chunks of unitaries,
-# below the 1.5 of a chunk whose draws are held whole. It read 0.98 and 0.86
-# at d = 12 and 16 (1.06 and 0.90 as a process's first run), and 1.39 and
-# 1.29 at d = 8 and 9, where the sweep's blocks are larger shares of the
-# chunk (1.57 at d = 8 as a process's first run).
-SAMPLING_PEAK = {8: 1.75, 9: 1.75, 12: 1.1, 16: 1.1}
+# The largest one-chunk peak of _sampling_peak, in chunks of unitaries. It
+# read 0.83, 0.73, 0.44 and 0.33 at d = 8, 9, 12 and 16 (1.01, 0.88, 0.52
+# and 0.37 as a process's first run), larger at small d, where the sweep's
+# blocks are larger shares of the chunk. Each bound is below the 1.39, 1.29,
+# 0.98 and 0.86 read when the chunk's real parts were held whole.
+SAMPLING_PEAK = {8: 1.2, 9: 1.1, 12: 0.7, 16: 0.6}
 
 
 @pytest.mark.parametrize("d", sorted(SAMPLING_PEAK))
 def test_sampling_holds_no_chunk_of_unitaries(d):
-    # a chunk's real parts (half the bytes of its draws) and block-sized
-    # arrays; only the last block of a chunk outlives the next chunk's draw
+    # block-sized arrays and the chunk's values; only the last block of a
+    # chunk outlives the next chunk's first draw
     one = _sampling_peak(d, 1)
     assert one <= SAMPLING_PEAK[d] * _chunk_bytes(d), one / _chunk_bytes(d)
     three = _sampling_peak(d, 3)
     assert three <= 1.1 * one, three / one
 
 
-# The one-chunk peak of each run below, in chunks of unitaries, for
-# mc_charpoly below the 1.5 of a chunk whose draws are held whole. It read
-# 0.91 and 0.70 for mc_charpoly at d = 16 and 32, and 1.97 for
-# mc_conjugation_mean at d = 12, whose values are d^2 per sample.
-CHUNK_PEAK = {("charpoly", 16): 1.0, ("charpoly", 32): 0.8, ("conjugation", 12): 2.5}
+# The one-chunk peak of each run below, in chunks of unitaries. It read
+# 0.38 and 0.19 for mc_charpoly at d = 16 and 32 (0.43 and 0.20 as a
+# process's first run), and 1.43 (1.51) for mc_conjugation_mean at d = 12,
+# whose values are d^2 per sample. Each bound is below the 0.91, 0.70 and
+# 1.97 read when the chunk's real parts were held whole.
+CHUNK_PEAK = {("charpoly", 16): 0.6, ("charpoly", 32): 0.35, ("conjugation", 12): 1.75}
 
 
 @pytest.mark.parametrize("run, d", sorted(CHUNK_PEAK))
@@ -318,25 +329,24 @@ def test_statistic_blocks_change_no_report_byte(monkeypatch, d, run):
 
 
 # SHA-256 of json.dumps(report.to_json_dict()) at n = MC_CHUNK_SIZE + 37 and
-# seed SEED, recorded when each chunk's draws were still made whole into one
-# complex array, before they were streamed block by block: mc_charpoly of
-# range(d) and ((-1)^i i / 3) in each mode, mc_entry_moments(5) and
-# mc_conjugation_mean(range(5)).
+# seed SEED, recorded when each block first drew its samples whole in sample
+# order: mc_charpoly of range(d) and ((-1)^i i / 3) in each mode,
+# mc_entry_moments(5) and mc_conjugation_mean(range(5)).
 REPORT_SHA256 = {
-    ("commutator", 2): "14560edd0a6f02accb89ba94ad100842d511793d919e372b43f69f1d7eef89b4",
-    ("commutator", 5): "75cdd86b8cfc72dfd9bae1528cdf4f7b95dadef21f429cd9fd3596d3a62d2082",
-    ("commutator", 12): "1859a180ad25186488252d625a5ae58156f2357ae350ee044702f065d5c13d06",
-    ("commutator", 16): "8b126e8de4d8a96c6c9a22bb124c798905e8fbc157f95c39c362753ec35ec8d9",
-    ("sum", 2): "06ef66898f40fb56d13a286d513d0594fbb4c3bff7e50408b5843e3d042aa508",
-    ("sum", 5): "d3adba6f7c665ffafb4b7fdcc2d939494a79c31d3f8eaa7bf389bc448c07328f",
-    ("sum", 12): "1c001d120623acb538ff7e8fdc071f0debc662ee7cd0f4fff2b354d8e7c1a7db",
-    ("sum", 16): "1cedc096629b5918196b3fa5e41fe9a60a1d25a85c3dae17ede946e876ce3772",
-    ("product", 2): "f8be39c8c9e4f4ee9c91ec1da5146e3caf7283057d6e92ae22458ab7d49b5af8",
-    ("product", 5): "9f14075169ff3431865f3ec8a0cd28c338e443b2098a2ae437df6b87b131b80a",
-    ("product", 12): "b8f8cd77c97a12aee1c0c4f2af97403d18726ec4abc0996aab586232fff3acff",
-    ("product", 16): "1655fd4a648aa98c987ef2eda6fb64675576dc1d89568830073b8dc47e7ea270",
-    ("entry_moments", 5): "41229800d7099a5053d5b7821d02a3e0096590d09a30592ccb8e744af8dbfd6d",
-    ("conjugation", 5): "43f77e74465f5d67c0541514ece1d3f745e29864d2fb3a331c561c62cb2e0938",
+    ("commutator", 2): "f043d9b34ea29a620b0abdac6bc0e9fcaaf4572fad792bca6bb3e59df44ef0f4",
+    ("commutator", 5): "639d0d9b0f97c27e607e136f10f461e75c77faf0357e55185a7caedac27b742b",
+    ("commutator", 12): "78d5b65066876bc625ac826d0407f401cbce9aed546f08bc0b39f3fd321b1fa0",
+    ("commutator", 16): "fc693d0d707af814ad93eae63d20a781c1ba0b75d2526dfdbb724aa4c42fd2f0",
+    ("sum", 2): "5e7840239de01deace7e1b8dde69ebb78fc50f254f38dad8e8e1e3858e214e6d",
+    ("sum", 5): "051e55aa04df18d76deede8c9ddcbf604ad7dd85005b537b1ef0dd562d564662",
+    ("sum", 12): "01027f874a9edd319fe29e140b499abeb5303d1e0954f21adf5efb41a8324aab",
+    ("sum", 16): "8d57bf7bd7ed9e626621a4b4569011d0aa648f5e67f10b3814b7a4fb96ae0725",
+    ("product", 2): "b8fd3f7dfb58f8b0d04371c44ae297917a025672cd30a205e9c69c75e6401a58",
+    ("product", 5): "43b2c48fac426d363b1d305583e677a4a53c106bf294c31d36c737c652f16f05",
+    ("product", 12): "ce132d0584a02fae75113aacd869c4ed8d7248ce6407279b3eeea11dd73ab263",
+    ("product", 16): "afa9f5ac3f4dd7580fcaa1fbffbd9f271dcf1096f89620ac412a70eaba7599de",
+    ("entry_moments", 5): "167906b14e27e78d38d5e90c0dc29c76eb95438dde10c3f9e6a9916241ab99ba",
+    ("conjugation", 5): "b6ec935f49eaa7b6e0b132190bb0366a3c71eba84001c95a62a6217fb3c59866",
 }
 
 
@@ -470,8 +480,8 @@ class _RecordedRng:
 
 
 def test_report_counts_ragged_final_chunk(monkeypatch):
-    # each chunk draws its real parts whole, then its imaginary parts one
-    # block at a time, just before the block is orthonormalized
+    # each block of a chunk draws its samples whole, just before the block
+    # is orthonormalized
     draws, blocks = [], []
     chunk_rng, orthonormalize = montecarlo._chunk_rng, montecarlo.haar_batch
 
@@ -488,8 +498,7 @@ def test_report_counts_ragged_final_chunk(monkeypatch):
     monkeypatch.setattr(montecarlo, "haar_batch", recorded_block)
     rep = mc_charpoly((1, -1), (1, -1), n=MC_CHUNK_SIZE + 3, seed=SEED)
     half = MC_CHUNK_SIZE // 2
-    assert draws == ["chunk 0", MC_CHUNK_SIZE, half, "block", half, "block",
-                     "chunk 1", 3, 3, "block"]
+    assert draws == ["chunk 0", half, "block", half, "block", "chunk 1", 3, "block"]
     assert blocks == [MC_CHUNK_SIZE // 2, MC_CHUNK_SIZE // 2, 3]
     assert rep.n == MC_CHUNK_SIZE + 3
     assert rep.chunk_size == MC_CHUNK_SIZE

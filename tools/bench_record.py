@@ -21,8 +21,9 @@ nothing under perfbench/ is changed.
 perfbench does not: it calls the CLI in-process after a warm-up. It runs
 FRESH_RUNS alternating pairs of the two checkouts, after one untimed run of
 each, in two bytecode modes, and prints and saves to LOG each side's median
-and quartiles of wall time in ms, the pairs the change won, both sides'
-exit codes, whether their outputs matched, and provenance. It sets two
+and quartiles of wall time in ms and of each child's peak RSS in MiB
+(`ru_maxrss` from `os.wait4`), the pairs the change won on each, both
+sides' exit codes, whether their outputs matched, and provenance. It sets two
 variables for its child processes and nothing else: "no_cache" sets
 PYTHONDONTWRITEBYTECODE=1, so finfree is compiled from source in every
 process (unless a checkout holds its own __pycache__), and "cache" points
@@ -77,12 +78,17 @@ def run_pairs(args) -> int:
 
 
 def _one_shot(checkout: Path, argv: list, env: dict) -> tuple:
-    """(wall ms, exit code, stdout bytes) of one `python -m finfree argv`."""
+    """(wall ms, peak RSS MiB, exit code, stdout bytes) of one
+    `python -m finfree argv`."""
     env = {**env, "PYTHONPATH": str(checkout / "src")}
     start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "finfree", *argv], env=env,
-                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
-    return (time.perf_counter() - start) * 1000, proc.returncode, proc.stdout
+    with subprocess.Popen([sys.executable, "-m", "finfree", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL) as proc:
+        out = proc.stdout.read()
+        _, status, usage = os.wait4(proc.pid, 0)
+        ms = (time.perf_counter() - start) * 1000
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    return ms, usage.ru_maxrss / 1024, proc.returncode, out  # ru_maxrss is in KiB
 
 
 def _commit(checkout: Path) -> str:
@@ -95,25 +101,28 @@ def fresh_report(checkouts: dict, argv: list) -> dict:
     """The `fresh` report of argv on checkouts, {side: Path}."""
     base = {k: v for k, v in os.environ.items()
             if k not in ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")}
-    modes, codes, outputs = {}, {s: set() for s in SIDES}, {s: set() for s in SIDES}
+    figures = {"wall_ms": {}, "peak_rss_mb": {}}
+    codes, outputs = {s: set() for s in SIDES}, {s: set() for s in SIDES}
     with tempfile.TemporaryDirectory() as cache:
         envs = {"no_cache": {**base, "PYTHONDONTWRITEBYTECODE": "1"},
                 "cache": {**base, "PYTHONPYCACHEPREFIX": cache}}
         for mode in FRESH_MODES:
-            times = {s: [] for s in SIDES}
+            runs = {s: {metric: [] for metric in figures} for s in SIDES}
             for pair in range(-1, FRESH_RUNS):  # pair -1 is the untimed run
                 for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-                    ms, code, out = _one_shot(checkouts[side], argv, envs[mode])
+                    ms, rss, code, out = _one_shot(checkouts[side], argv, envs[mode])
                     codes[side].add(code)
                     outputs[side].add(out)
                     if pair >= 0:
-                        times[side].append(ms)
-            won = sum(c < p for p, c in zip(times["parent"], times["change"]))
-            modes[mode] = {s: _summary(times[s]) for s in SIDES} | {"pairs_won": won}
+                        runs[side]["wall_ms"].append(ms)
+                        runs[side]["peak_rss_mb"].append(rss)
+            for metric, by_mode in figures.items():
+                won = sum(c < p for p, c in zip(runs["parent"][metric], runs["change"][metric]))
+                by_mode[mode] = {s: _summary(runs[s][metric]) for s in SIDES} | {"pairs_won": won}
     return {
         "argv": argv,
         "pairs": FRESH_RUNS,
-        "wall_ms": modes,
+        **figures,
         "exit_codes": {s: sorted(codes[s]) for s in SIDES},
         "same_stdout": len(outputs["parent"] | outputs["change"]) == 1,
         "provenance": {"python": platform.python_version(),
