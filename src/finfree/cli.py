@@ -313,16 +313,17 @@ def _kostka_arguments(p):
 
 
 def _verify_arguments(p):
-    from .verify import DEFAULT_SEED, VERIFY_GROUPS
+    from .verify import DEFAULT_SEED, MC_SUITES, VERIFY_GROUPS
 
     p.add_argument("suite", choices=sorted(VERIFY_GROUPS))
     p.add_argument("--seed", type=_int_at_least(0), default=DEFAULT_SEED,
                    help="seed of the random cases and Monte Carlo runs (default %(default)s)")
+    defaults = ", ".join(f"{name} (default {n})" for name, (_, n) in MC_SUITES.items())
     p.add_argument(
         "--mc", type=_int_at_least(2),
-        help="sample count of the flagship (default 200000), entry-moment and "
-        "Haar Monte Carlo rows (default 100000 each); refused before any suite "
-        "runs if past the Monte Carlo caps at a dimension they sample",
+        help=f"sample count of the Monte Carlo rows of the suites {defaults}; "
+        "refused before any suite runs if past the Monte Carlo caps at a "
+        "dimension they sample",
     )
     p.add_argument(
         "--inject-wg-error",

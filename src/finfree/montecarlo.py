@@ -12,7 +12,7 @@ depend on how its chunks are cut into blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -147,7 +147,6 @@ class McReport:
     d: int
     n: int
     seed: int
-    chunk_size: int = field(default=MC_CHUNK_SIZE, init=False)
     mode: str
     labels: list
     means: list
@@ -179,7 +178,7 @@ class McReport:
             "d": self.d,
             "n": self.n,
             "seed": self.seed,
-            "chunk_size": self.chunk_size,
+            "chunk_size": MC_CHUNK_SIZE,
             "mode": self.mode,
             "unitarity_residual_max": repr(self.unitarity_residual_max),
             "statistics": [

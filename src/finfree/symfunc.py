@@ -33,21 +33,15 @@ from .util import (
 )
 
 
-def _spectrum_entries(values) -> tuple:
-    """The values as a tuple of Fractions, possibly empty; a string, a mapping
-    or a length past DEGREE_CAP is refused before any entry is converted."""
-    values = as_tuple(values, "a list of rationals")
-    check_cap(len(values), DEGREE_CAP, "polynomial degree")
-    return tuple(to_fraction(v) for v in values)
-
-
 def as_spectrum(values) -> tuple:
     """The values as a nonempty tuple of Fractions: the one intake of every
-    function that takes a spectrum, capped before any entry is converted."""
-    spec = _spectrum_entries(values)
-    if not spec:
+    function that takes a spectrum. A string, a mapping, no values or a
+    length past DEGREE_CAP is refused before any entry is converted."""
+    values = as_tuple(values, "a list of rationals")
+    if not values:
         raise ValueError("spectrum must be nonempty")
-    return spec
+    check_cap(len(values), DEGREE_CAP, "polynomial degree")
+    return tuple(to_fraction(v) for v in values)
 
 
 def as_spectrum_pair(spec_a, spec_b) -> tuple:
@@ -67,8 +61,8 @@ def scaled_elementary(x) -> tuple:
 
 def cross_terms(x) -> tuple:
     """(L, F) with F_i = (d-i)! E_i in ints, E_i = L^i e_i(x) from
-    scaled_elementary: the terms the cross sums S_k of x are formed from."""
-    x = as_spectrum(x)
+    scaled_elementary: the terms the cross sums S_k of x are formed from.
+    x is a spectrum its caller has already taken through as_spectrum."""
     d = len(x)
     fact = factorials(d)
     scale, e = scaled_elementary(x)
@@ -94,9 +88,9 @@ def cross_sum(x, k: int) -> Fraction:
 
     With the normalized coefficients c_i = e_i (d-i)!/d! of Marcus,
     Spielman and Srivastava, S_k is (d!)^2 times the x^k coefficient of
-    c(x) c(-x): zero for odd k, and (d!)^2 at k = 0, both returned before
-    any e_i is formed. Otherwise it is cross_pair on the integers
-    (d-i)! L^i e_i, divided by L^k once.
+    c(x) c(-x): zero for odd k, returned before any e_i is formed.
+    Otherwise it is cross_pair on the integers (d-i)! L^i e_i, divided by
+    L^k once; at k = 0 that is (d!)^2.
     """
     x = as_spectrum(x)
     d = len(x)
@@ -104,8 +98,6 @@ def cross_sum(x, k: int) -> Fraction:
         raise ValueError(f"need 0 <= k <= {d}, got k={k}")
     if k % 2:
         return Fraction(0)
-    if k == 0:
-        return Fraction(factorials(d)[d] ** 2)
     return Fraction(*cross_pair(cross_terms(x), k))
 
 
@@ -138,8 +130,8 @@ def right_factor(x, k: int) -> Fraction:
 
 
 def elementary_symmetric(x) -> tuple:
-    """e_0..e_d of the values, from scaled_elementary; (1,) for no values."""
-    scale, e = scaled_elementary(_spectrum_entries(x))
+    """e_0..e_d of a spectrum, from scaled_elementary."""
+    scale, e = scaled_elementary(as_spectrum(x))
     return tuple(Fraction(v, scale**k) for k, v in enumerate(e))
 
 

@@ -55,10 +55,13 @@ from .weingarten import integrate_moment, weingarten
 
 DEFAULT_SEED = 20260814
 FLAGSHIP_SPECTRUM = (1, -1)
-# The dimensions each Monte Carlo suite samples at: the suite reads them, and
-# run_suites checks the run's sample count at each before any suite runs.
-MC_DIMENSIONS = {"flagship": (len(FLAGSHIP_SPECTRUM),), "weingarten": (2, 3, 4, 5, 6),
-                 "haar": (2, 3, 5)}
+# Each Monte Carlo suite's rows: the dimensions they sample at and their
+# default sample count. The suite reads both through VerifyRun.mc_rows,
+# run_suites checks the run's count at each dimension before any suite runs,
+# and `verify --mc` prints the defaults in its help.
+MC_SUITES = {"flagship": ((len(FLAGSHIP_SPECTRUM),), 200_000),
+             "weingarten": ((2, 3, 4, 5, 6), 100_000),
+             "haar": ((2, 3, 5), 100_000)}
 
 
 @dataclass(frozen=True)
@@ -66,12 +69,14 @@ class VerifyRun:
     """The settings of one verify run, passed to every suite."""
 
     seed: int = DEFAULT_SEED
-    mc_n: int | None = None  # None: each Monte Carlo row's own sample count
+    mc_n: int | None = None  # None: each Monte Carlo suite's count in MC_SUITES
     wg_fn: Callable | None = None  # None: the true Weingarten table
 
-    def samples(self, default: int) -> int:
-        """The sample count of a Monte Carlo row whose own count is default."""
-        return default if self.mc_n is None else self.mc_n
+    def mc_rows(self, suite: str) -> tuple:
+        """(dimensions, sample count) of the named suite's Monte Carlo rows in
+        this run: MC_SUITES' entry, with the run's own count if it sets one."""
+        dims, default = MC_SUITES[suite]
+        return dims, default if self.mc_n is None else self.mc_n
 
     def table(self) -> Callable:
         """The run's Weingarten function. The true one is looked up here, not
@@ -118,8 +123,9 @@ def _closed_and_conv(spec_a, spec_b) -> tuple:
 
 def _triple_route_failure(spec_a, spec_b, ks, wg_fn):
     """Compare brute force, closed form, and convolution at each k of ks;
-    odd-k coefficients must also be 0. Each spectrum is converted once, and
-    each route gives its coefficients in one call."""
+    odd-k coefficients must also be 0. The spectra are converted here, so
+    that each route's own as_spectrum finds Fractions, and each route gives
+    all its coefficients in one call."""
     a, b = as_spectrum_pair(spec_a, spec_b)
     closed, conv = _closed_and_conv(a, b)
     brute = brute_force_coefficients(a, b, ks, wg_fn=wg_fn)
@@ -186,7 +192,7 @@ def verify_flagship(run: VerifyRun) -> list:
     conv = commutator_poly(p, p)
     exact_ok = (closed == brute == target and conv.a == (1, 0, target)
                 and commutator_coefficient(1, spec, spec) == 0)
-    mc_n = run.samples(200_000)
+    _, mc_n = run.mc_rows("flagship")
     report = mc_charpoly(spec, spec, mc_n, run.seed)
     m2, se2 = report.mean("e_2"), report.se("e_2")
     return [
@@ -222,7 +228,7 @@ def verify_weingarten(run: VerifyRun) -> list:
     """Closed Wg values, exact entry moments, MC bands, and the Wg oracle."""
     from .montecarlo import mc_entry_moments  # loads numpy
 
-    wg_fn, mc_n, dims = run.table(), run.samples(100_000), MC_DIMENSIONS["weingarten"]
+    wg_fn, (dims, mc_n) = run.table(), run.mc_rows("weingarten")
 
     def closed_values(d):
         wg = wg_fn(2, d)
@@ -483,7 +489,7 @@ def verify_haar(run: VerifyRun) -> list:
 
     # Each run is seeded on its own, so every d is sampled up front: the
     # passing detail reports the worst residual over all of them.
-    dims, mc_n = MC_DIMENSIONS["haar"], run.samples(100_000)
+    dims, mc_n = run.mc_rows("haar")
     spectra = [tuple(range(1, d + 1)) for d in dims]
     reports = [mc_conjugation_mean(spec, mc_n, run.seed) for spec in spectra]
     worst = nan_max(r.unitarity_residual_max for r in reports)
@@ -521,8 +527,7 @@ VERIFY_GROUPS = {
 def run_suites(names, run: VerifyRun = VerifyRun()) -> list:
     """Run the named suites in order on one record. A sample count past the
     Monte Carlo caps at a dimension they sample is refused before any runs."""
-    if run.mc_n is not None:
-        for name in names:
-            for d in MC_DIMENSIONS.get(name, ()):
-                check_mc_caps(d, run.mc_n)
+    for dims, mc_n in (run.mc_rows(name) for name in names if name in MC_SUITES):
+        for d in dims:
+            check_mc_caps(d, mc_n)
     return [row for name in names for row in SUITES[name](run)]

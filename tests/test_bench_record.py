@@ -48,6 +48,10 @@ def test_assemble_pairs_runs_in_the_order_they_were_made(tmp_path):
     for seq, (side, rss, ops) in enumerate(runs):
         rec = _record("mc_bands", 7, rss, ops, side)
         (tmp_path / f"{seq:04d}-{side}-mc_bands-seed7-trace0.json").write_text(json.dumps(rec))
+    # the host record `run` saves beside the runs; one of another seed is not read
+    host = {"cpu": "x", "openblas_core": {"parent": "SkylakeX", "change": "SkylakeX"}}
+    (tmp_path / "host-mc_bands-seed7-0000.json").write_text(json.dumps(host))
+    (tmp_path / "host-mc_bands-seed1-0000.json").write_text(json.dumps({"cpu": "y"}))
     bench = bench_record.assemble(tmp_path, END_TO_END)
     assert bench_record.missing_keys(bench) == []
     entry = bench["workloads"]["mc_bands"]["7"]
@@ -59,7 +63,7 @@ def test_assemble_pairs_runs_in_the_order_they_were_made(tmp_path):
     assert entry["metrics"]["ops_per_s"]["pairs_won"] == 2  # higher is better
     assert entry["metrics"]["setup_s"]["pairs_won"] == 0  # ties win nothing
     assert entry["provenance"] == {"parent": [{"commit": "parent"}],
-                                   "change": [{"commit": "change"}]}
+                                   "change": [{"commit": "change"}], "host": [host]}
     assert entry["failed"]["change"] == [[0, 4]] * 3
 
 
@@ -106,8 +110,49 @@ def test_fresh_reports_one_shot_pairs_in_both_bytecode_modes(monkeypatch, tmp_pa
             assert 1 < mode[side]["q1"] <= mode[side]["q3"] < 1024
     assert report["exit_codes"] == {"parent": [0], "change": [0]}
     assert report["same_stdout"]
-    assert set(report["provenance"]) == {"python", *bench_record.SIDES}
+    provenance = report["provenance"]
+    assert set(provenance) == {"python", "cpu", "openblas_core", *bench_record.SIDES}
+    assert provenance["cpu"] and set(provenance["openblas_core"]) == set(bench_record.SIDES)
+    assert all(provenance["openblas_core"].values())
     # the saved report goes into the BENCH record, beside the perfbench pairs
     (saved,) = log.glob("fresh-*.json")
     assert json.loads(saved.read_text()) == report
     assert bench_record.assemble(log, END_TO_END)["fresh"] == [report]
+
+
+@pytest.mark.parametrize("fake_numpy", ["raise ImportError('no numpy')\n", ""],
+                         ids=["numpy-missing", "no-openblas"])
+def test_openblas_core_is_unknown_without_the_library(tmp_path, fake_numpy):
+    # a numpy.py first on the checkout's PYTHONPATH: one that fails to
+    # import, and one that maps no OpenBLAS into the child
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "numpy.py").write_text(fake_numpy)
+    assert bench_record.openblas_core(tmp_path) == "unknown"
+
+
+def test_run_saves_the_host_beside_the_runs_and_write_reports_it(monkeypatch, tmp_path):
+    # two checkouts whose perfbench/run.py writes a fixed record
+    metrics = {spec["name"]: {"value": 1.0} for spec in END_TO_END}
+    checkouts = {}
+    for side in bench_record.SIDES:
+        rec = {"workload": "exact_conv", "seed": 3, "attempted": 1, "failed": 0,
+               "metrics": metrics, "provenance": {"commit": side}}
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text(
+            "from pathlib import Path\n"
+            "out = Path(__file__).resolve().parent.parent / '.perfbench_out'\n"
+            "out.mkdir(exist_ok=True)\n"
+            f"(out / 'exact_conv-seed3-trace0.json').write_text({json.dumps(rec)!r})\n")
+        checkouts[side] = str(tmp_path / side)
+    monkeypatch.setattr(bench_record, "PAIRS", 2)
+    log = tmp_path / "log"
+    assert bench_record.main(["run", "--parent", checkouts["parent"], "--change",
+                              checkouts["change"], "--workload", "exact_conv",
+                              "--seed", "3", "--log", str(log)]) == 0
+    (saved,) = log.glob("host-*.json")
+    host = json.loads(saved.read_text())
+    assert set(host) == {"cpu", "openblas_core"} and host["cpu"]
+    # the fake checkouts hold no numpy.py, so each child reads the real one
+    assert set(host["openblas_core"]) == set(bench_record.SIDES)
+    entry = bench_record.assemble(log, END_TO_END)["workloads"]["exact_conv"]["3"]
+    assert entry["pairs"] == 2 and entry["provenance"]["host"] == [host]

@@ -331,7 +331,10 @@ def test_statistic_blocks_change_no_report_byte(monkeypatch, d, run):
 # SHA-256 of json.dumps(report.to_json_dict()) at n = MC_CHUNK_SIZE + 37 and
 # seed SEED, recorded when each block first drew its samples whole in sample
 # order: mc_charpoly of range(d) and ((-1)^i i / 3) in each mode,
-# mc_entry_moments(5) and mc_conjugation_mean(range(5)).
+# mc_entry_moments(5) and mc_conjugation_mean(range(5)). They were recorded
+# on OpenBLAS's SkylakeX kernel (x86 with AVX-512), and hold on that kernel
+# only: under OPENBLAS_CORETYPE=Haswell every digest but entry_moments-5
+# differs, since the QR and matrix products round differently.
 REPORT_SHA256 = {
     ("commutator", 2): "f043d9b34ea29a620b0abdac6bc0e9fcaaf4572fad792bca6bb3e59df44ef0f4",
     ("commutator", 5): "639d0d9b0f97c27e607e136f10f461e75c77faf0357e55185a7caedac27b742b",
@@ -501,7 +504,7 @@ def test_report_counts_ragged_final_chunk(monkeypatch):
     assert draws == ["chunk 0", half, "block", half, "block", "chunk 1", 3, "block"]
     assert blocks == [MC_CHUNK_SIZE // 2, MC_CHUNK_SIZE // 2, 3]
     assert rep.n == MC_CHUNK_SIZE + 3
-    assert rep.chunk_size == MC_CHUNK_SIZE
+    assert rep.to_json_dict()["chunk_size"] == MC_CHUNK_SIZE
 
 
 def test_report_lookup_and_json_fields():

@@ -46,7 +46,6 @@ ROUTES = {
 PRIMITIVES = {
     ("util", "to_fraction"): "coerces one input value to an exact rational",
     ("symfunc", "as_spectrum"): "validates and coerces an input spectrum",
-    ("symfunc", "_spectrum_entries"): "caps and coerces the entries of an input spectrum",
     ("symfunc", "as_spectrum_pair"): "validates two input spectra of one length",
     ("util", "as_tuple"): "refuses an input that is not a list of entries",
     ("util", "clear_denominators"): "puts values on one denominator",

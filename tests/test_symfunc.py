@@ -1,11 +1,14 @@
 import itertools
+import re
 import tracemalloc
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from finfree import immanants, oracle, polynomials
 from finfree.partitions import Partition, partitions_of, semistandard_tableaux
 from finfree.symfunc import (
     as_spectrum,
@@ -61,7 +64,8 @@ def test_as_spectrum_pair():
 def test_elementary_symmetric_frozen():
     assert elementary_symmetric((1, 2, 3)) == (1, 6, 11, 6)
     assert elementary_symmetric((Fraction(1, 2),)) == (1, Fraction(1, 2))
-    assert elementary_symmetric(()) == (1,)  # no values
+    with pytest.raises(ValueError, match="^spectrum must be nonempty$"):
+        elementary_symmetric(())  # as every function that takes a spectrum
 
 
 @given(spectrum_st())
@@ -318,10 +322,41 @@ def test_cross_sum_frozen_and_bounds():
             cross_sum(x, k)
 
 
-@pytest.mark.parametrize("function", [cross_sum, left_factor, right_factor])
-def test_an_empty_spectrum_is_refused(function):
-    # as commutator_coefficient refuses it: d = 0 has no coefficient to give
+# Every function that takes a spectrum, called with no values in each
+# spectrum argument: all of them convert it through as_spectrum, and d = 0
+# has no coefficient to give.
+SPECTRUM_INTAKES = {
+    "as_spectrum": lambda: as_spectrum(()),
+    "as_spectrum_pair": lambda: as_spectrum_pair((), ()),
+    "elementary_symmetric": lambda: elementary_symmetric(()),
+    "cross_sum": lambda: cross_sum((), 0),
+    "left_factor": lambda: left_factor((), 0),
+    "right_factor": lambda: right_factor((), 0),
+    "eval_monomial": lambda: eval_monomial((1,), ()),
+    "eval_quasisym": lambda: eval_quasisym((1,), ()),
+    "MonicPoly.from_spectrum": lambda: polynomials.MonicPoly.from_spectrum(()),
+    "commutator_coefficient": lambda: commutator_coefficient(0, (), ()),
+    "commutator_poly_closed": lambda: polynomials.commutator_poly_closed((), ()),
+    "delta_minus": lambda: immanants.delta_minus(()),
+    "imm_delta_minus": lambda: immanants.imm_delta_minus((1,), ()),
+    "brute_force_expected_ek": lambda: oracle.brute_force_expected_ek((), (), 0),
+    "brute_force_coefficients": lambda: oracle.brute_force_coefficients((), (), (0,)),
+    "identity_leftdep": lambda: oracle.identity_leftdep((), 0),
+    "identity_rightdep": lambda: oracle.identity_rightdep((), 0),
+}
+
+
+@pytest.mark.parametrize("name", SPECTRUM_INTAKES)
+def test_an_empty_spectrum_is_refused(name):
     with pytest.raises(ValueError, match="^spectrum must be nonempty$"):
-        function([], 0)
-    with pytest.raises(ValueError, match="^spectrum must be nonempty$"):
-        commutator_coefficient(0, [], [])
+        SPECTRUM_INTAKES[name]()
+
+
+def test_spectrum_intakes_are_the_readme_caps_row():
+    # the functions the README's caps row lists after "each through
+    # `as_spectrum`:", up to the commands that reach them
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    row = next(line for line in readme.splitlines()
+               if line.startswith("| every function that takes a spectrum"))
+    listed = row.split("`as_spectrum`:", 1)[1].split("(so ", 1)[0]
+    assert set(re.findall(r"`([\w.]+)`", listed)) == set(SPECTRUM_INTAKES) - {"as_spectrum"}

@@ -166,6 +166,8 @@ FIXED_CAPS = {
         DEGREE_CAP, ("scaled_elementary", "factorials", "symfunc.to_fraction")),
     "cross_sum": ("symfunc", lambda m: m.cross_sum((1,) * (DEGREE_CAP + 1), 2),
                   DEGREE_CAP, ("cross_terms", "factorials", "to_fraction")),
+    "as_spectrum": ("symfunc", lambda m: m.as_spectrum(["1/2"] * (DEGREE_CAP + 1)),
+                    DEGREE_CAP, ("to_fraction",)),
     "elementary_symmetric": ("symfunc", lambda m: m.elementary_symmetric((1,) * (DEGREE_CAP + 1)),
                              DEGREE_CAP, ("scaled_elementary", "to_fraction")),
     "imm_delta_minus": (
@@ -239,7 +241,6 @@ def test_subset_sums_refuse_past_the_term_cap(monkeypatch, name):
 HELPER_ROWS = {
     "_cleared_powers": "eval_monomial_powers",
     "_check_degree": "MonicPoly",
-    "_spectrum_entries": "spectrum_file",
 }
 
 

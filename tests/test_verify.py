@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from finfree import cli, symfunc
+from finfree import cli, montecarlo, symfunc
 from finfree.util import CapExceededError
 from finfree.verify import (
-    MC_DIMENSIONS,
+    MC_SUITES,
     SUITES,
     VERIFY_GROUPS,
     CheckResult,
@@ -109,8 +109,34 @@ def test_the_record_reaches_every_suite(name):
     rows = SUITES[name](VerifyRun(seed=7, mc_n=2000))
     assert rows and all(r.passed for r in rows), [r.line() for r in rows]
     sizes = [n for r in rows for n in re.findall(r"\bn=(\d+)", r.name)]
-    assert sizes == (["2000"] if name in MC_DIMENSIONS else [])
+    assert sizes == (["2000"] if name in MC_SUITES else [])
     assert {s for r in rows for s in re.findall(r"\bseed=(\d+)", r.detail)} <= {"7"}
+
+
+def test_verify_help_prints_each_default_sample_count(capsys):
+    assert cli.main(["verify", "-h"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for name, (_, n) in MC_SUITES.items():
+        assert f"{name} (default {n})" in text
+
+
+@pytest.mark.parametrize("name", MC_SUITES)
+def test_a_run_without_mc_n_samples_each_suites_own_count(monkeypatch, name):
+    # every sampler is asked for the table's count at each of the table's
+    # dimensions, and the rows are named by it; the sampler then draws 2000
+    # samples, the seed 7 runs that test_the_record_reaches_every_suite passes
+    dims, n = MC_SUITES[name]
+    asked, sample = [], montecarlo._sample
+
+    def recorded(d, count, *rest):
+        asked.append((d, count))
+        return sample(d, 2000, *rest)
+
+    monkeypatch.setattr(montecarlo, "_sample", recorded)
+    rows = SUITES[name](VerifyRun(seed=7))
+    assert all(r.passed for r in rows), [r.line() for r in rows]
+    assert [s for r in rows for s in re.findall(r"\bn=(\d+)", r.name)] == [str(n)]
+    assert asked == [(d, n) for d in dims]
 
 
 def test_run_suites_order():

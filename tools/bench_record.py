@@ -10,11 +10,15 @@ that records them.
 `run` runs `perfbench/run.py` of two checkouts in turn, PAIRS times each,
 the parent first in even pairs and the change first in odd ones, and copies each run's
 `.perfbench_out/<workload>-seed<N>-trace0.json` record into LOG, numbered
-in the order the runs were made. `write` reads every record in LOG and
-writes, per workload and seed, each side's median and quartiles of each
-end-to-end metric of BENCHMARK.json, the pairs the change won on it, the
-order of each pair, the failed ops and both sides' provenance, and under
-"fresh" every `fresh` report in LOG. Only the standard library is used, and
+in the order the runs were made, with one record of the host beside them:
+its CPU model and the OpenBLAS core name (the BLAS kernel) each checkout's
+numpy loads, read in a child `python -c` under that checkout's PYTHONPATH,
+or "unknown" when the library or its function is missing. `write` reads
+every record in LOG and writes, per workload and seed, each side's median
+and quartiles of each end-to-end metric of BENCHMARK.json, the pairs the
+change won on it, the order of each pair, the failed ops and both sides'
+provenance with the host records, and under "fresh" every `fresh` report
+in LOG. Only the standard library is used, and
 nothing under perfbench/ is changed.
 
 `fresh` times one CLI argv as one-shot `python -m finfree` processes, which
@@ -23,7 +27,8 @@ FRESH_RUNS alternating pairs of the two checkouts, after one untimed run of
 each, in two bytecode modes, and prints and saves to LOG each side's median
 and quartiles of wall time in ms and of each child's peak RSS in MiB
 (`ru_maxrss` from `os.wait4`), the pairs the change won on each, both
-sides' exit codes, whether their outputs matched, and provenance. It sets two
+sides' exit codes, whether their outputs matched, and provenance, the host
+included. It sets two
 variables for its child processes and nothing else: "no_cache" sets
 PYTHONDONTWRITEBYTECODE=1, so finfree is compiled from source in every
 process (unless a checkout holds its own __pycache__), and "cache" points
@@ -55,6 +60,50 @@ TOP_KEYS = {"metrics", "workloads"}
 SEED_KEYS = {"pairs", "pair_order", "metrics", "failed", "provenance"}
 METRIC_KEYS = {"parent", "change", "pairs_won"}
 SUMMARY_KEYS = {"median", "q1", "q3"}
+# Printed by a child `python -c` under a checkout's PYTHONPATH: the core name
+# of the OpenBLAS library that importing numpy maps into the process, or
+# nothing when no mapped OpenBLAS has the function. It exits nonzero when
+# numpy or /proc/self/maps is missing.
+_CORE_QUERY = """
+import ctypes, numpy
+names = ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+         "openblas_get_corename64_", "openblas_get_corename")
+with open("/proc/self/maps") as maps:
+    paths = sorted({line.split()[-1] for line in maps if "openblas" in line.rsplit("/", 1)[-1]})
+cores = [getattr(lib, n) for lib in map(ctypes.CDLL, paths) for n in names if hasattr(lib, n)]
+for core in cores[:1]:
+    core.restype = ctypes.c_char_p
+    print(core().decode())
+"""
+
+
+def cpu_model() -> str:
+    """The CPU's model name from /proc/cpuinfo, else platform.processor(),
+    else "unknown"."""
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                key, _, value = line.partition(":")
+                if key.strip() == "model name":
+                    return value.strip()
+    except OSError:
+        pass
+    return platform.processor() or "unknown"
+
+
+def openblas_core(checkout: Path) -> str:
+    """The OpenBLAS core name numpy loads under checkout's PYTHONPATH, or
+    "unknown"."""
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    proc = subprocess.run([sys.executable, "-c", _CORE_QUERY], env=env,
+                          capture_output=True, text=True)
+    return (proc.returncode == 0 and proc.stdout.strip()) or "unknown"
+
+
+def host(checkouts: dict) -> dict:
+    """The CPU model, and the OpenBLAS core of each side of checkouts, {side: Path}."""
+    return {"cpu": cpu_model(),
+            "openblas_core": {s: openblas_core(checkouts[s]) for s in SIDES}}
 
 
 def run_pairs(args) -> int:
@@ -62,9 +111,12 @@ def run_pairs(args) -> int:
     log.mkdir(parents=True, exist_ok=True)
     seq = len(list(log.glob("*.json")))
     record = f"{args.workload}-seed{args.seed}-trace0.json"
+    checkouts = {s: Path(getattr(args, s)).resolve() for s in SIDES}
+    (log / f"host-{args.workload}-seed{args.seed}-{seq:04d}.json").write_text(
+        json.dumps(host(checkouts)) + "\n")
     for pair in range(PAIRS):
         for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-            checkout = Path(getattr(args, side)).resolve()
+            checkout = checkouts[side]
             cmd = [sys.executable, str(checkout / "perfbench" / "run.py"),
                    "--workload", args.workload, "--seed", str(args.seed)]
             code = subprocess.run(cmd, stdout=subprocess.DEVNULL).returncode
@@ -126,7 +178,7 @@ def fresh_report(checkouts: dict, argv: list) -> dict:
         "exit_codes": {s: sorted(codes[s]) for s in SIDES},
         "same_stdout": len(outputs["parent"] | outputs["change"]) == 1,
         "provenance": {"python": platform.python_version(),
-                       **{s: _commit(checkouts[s]) for s in SIDES}},
+                       **{s: _commit(checkouts[s]) for s in SIDES}, **host(checkouts)},
     }
 
 
@@ -164,6 +216,7 @@ def assemble(log: Path, end_to_end: list) -> dict:
             raise ValueError(f"{workload} seed {seed}: {counts[0]} parent and "
                              f"{counts[1]} change runs; need equal counts of at least 2")
         pairs = list(zip(sides["parent"], sides["change"]))
+        hosts = sorted(log.glob(f"host-{workload}-seed{seed}-*.json"))
         metrics = {}
         for spec in end_to_end:
             name = spec["name"]
@@ -180,8 +233,9 @@ def assemble(log: Path, end_to_end: list) -> dict:
             "metrics": metrics,
             "failed": {s: [[rec["failed"], rec["attempted"]] for _, rec in sides[s]]
                        for s in SIDES},
-            "provenance": {s: _distinct(rec["provenance"] for _, rec in sides[s])
-                           for s in SIDES},
+            "provenance": {**{s: _distinct(rec["provenance"] for _, rec in sides[s])
+                              for s in SIDES},
+                           "host": _distinct(json.loads(p.read_text()) for p in hosts)},
         }
     return {"metrics": {spec["name"]: {k: spec[k] for k in ("unit", "better", "bound")}
                         for spec in end_to_end},
