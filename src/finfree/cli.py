@@ -7,6 +7,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 # What conv, zpoly and commutator run. The Weingarten, immanant, verify and
 # Monte Carlo layers are imported by the handlers and argument builders that
@@ -355,8 +356,10 @@ COMMANDS = {
 }
 
 
+@lru_cache(maxsize=None)
 def build_parser(command=None) -> argparse.ArgumentParser:
-    """The parser of every command, or of `command` alone.
+    """The parser of every command, or of `command` alone, built once per
+    process: parsing reads a parser and never changes it.
 
     A one-command parser still names every command in its usage line, which
     argparse prints for unrecognized arguments; the full parser keeps the

@@ -59,6 +59,9 @@ SUBSET_SUM_CAP = 2**19
 # The package's own sums take top <= 2; top 10 at d = 1000 is 2^19 bits. A cap
 # of 2^24 keeps an accepted table under about 5 MiB and 0.03 s.
 POWER_TABLE_CAP = 2**24
+# A string of ASCII digits with an optional sign and an optional /denominator:
+# the common spectrum entry, which int() reads directly.
+_RATIONAL = re.compile(r"([-+]?\d+)(?:/(\d+))?", re.ASCII)
 # A decimal string as Fraction reads it: digits, fraction part, exponent.
 _DECIMAL = re.compile(r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?(?:[eE]([-+]?\d[\d_]*))?\s*")
 
@@ -116,7 +119,15 @@ def to_fraction(value):
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        match, limit = _DECIMAL.fullmatch(value), sys.get_int_max_str_digits()
+        limit = sys.get_int_max_str_digits()
+        plain = _RATIONAL.fullmatch(value)
+        if plain and (not limit or len(value) <= limit):  # so no part passes the limit
+            num, den = plain.groups()
+            den = int(den or 1)
+            if not den:
+                raise ValueError(f"zero denominator in {value!r}")
+            return Fraction(int(num), den)
+        match = _DECIMAL.fullmatch(value)
         if match and limit:
             whole, frac, exp = (part.replace("_", "") for part in match.groups(""))
             shift = int(exp or 0) - len(frac)

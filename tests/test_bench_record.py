@@ -4,6 +4,7 @@ pairs and summarizes saved perfbench records as it says."""
 
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -156,3 +157,73 @@ def test_run_saves_the_host_beside_the_runs_and_write_reports_it(monkeypatch, tm
     assert set(host["openblas_core"]) == set(bench_record.SIDES)
     entry = bench_record.assemble(log, END_TO_END)["workloads"]["exact_conv"]["3"]
     assert entry["pairs"] == 2 and entry["provenance"]["host"] == [host]
+
+
+def _bench(parent_median, change_median, won, host=None):
+    """A one-metric BENCH record of exact_conv seed 1."""
+    provenance = {side: [{"nproc": 2, "cpus_usable": 2}] for side in bench_record.SIDES}
+    if host is not None:
+        provenance["host"] = [host]
+    metric = {"parent": {"median": parent_median}, "change": {"median": change_median},
+              "pairs_won": won}
+    return {"metrics": {"op_p50_ms": {"better": "lower"}},
+            "workloads": {"exact_conv": {"1": {"pairs": 10, "metrics": {"op_p50_ms": metric},
+                                               "provenance": provenance}}}}
+
+
+def test_trend_chains_ratios_and_marks_gaps_and_hosts(tmp_path, capsys):
+    same = {"cpu": "x", "openblas_core": {"parent": "SkylakeX", "change": "SkylakeX"}}
+    differ = {"cpu": "x", "openblas_core": {"parent": "SkylakeX", "change": "Haswell"}}
+    # PR 29 comes before the trajectory's first PR, 31; PRs 31 and 34 wrote none
+    files = {29: _bench(1.0, 1.0, 5), 32: _bench(2.0, 1.5, 9), 33: _bench(1.5, 1.5, 4, same),
+             35: _bench(1.5, 1.2, 10, differ), 36: _bench(1.0, 2.0, 0, same)}
+    for pr, bench in files.items():
+        (tmp_path / f"BENCH_{pr}.json").write_text(json.dumps(bench))
+    (tmp_path / "BENCH_notes.json").write_text("{}")  # not BENCH_<n>.json: not read
+    benches = bench_record.read_benches(tmp_path)
+    assert sorted(benches) == [29, 32, 33, 35, 36]
+    (series,) = bench_record.trend(benches).items()
+    key, entry = series
+    assert key == ("exact_conv", "1", "op_p50_ms")
+    assert entry["chain"] == pytest.approx(1.0 * 0.75 * 1.0 * 0.8 * 2.0)
+    assert entry["missing"] == [31, 34]
+    assert [(link["pr"], link["after_gap"], link["hosts"], link["pairs_won"])
+            for link in entry["links"]] == [
+        (29, False, "unknown", 5), (32, True, "unknown", 9), (33, False, "same", 4),
+        (35, True, "differ", 10), (36, False, "same", 0)]
+    # sides whose CPU counts differ ran on different hosts
+    files[33]["workloads"]["exact_conv"]["1"]["provenance"]["change"][0]["cpus_usable"] = 1
+    assert bench_record._hosts(files[33]["workloads"]["exact_conv"]["1"]) == "differ"
+    assert bench_record.main(["trend", "--dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == ("exact_conv seed 1 op_p50_ms (lower is better): chained "
+                      "change/parent 1.2000 over 5 links; no entry for PRs 31, 34")
+    assert out[1:] == ["  PR 29: 1.0000, 5/10 pairs won; hosts unknown",
+                       "  PR 32: 0.7500, 9/10 pairs won; after a gap, hosts unknown",
+                       "  PR 33: 1.0000, 4/10 pairs won",
+                       "  PR 35: 0.8000, 10/10 pairs won; after a gap, hosts differ",
+                       "  PR 36: 2.0000, 0/10 pairs won"]
+    assert bench_record.main(["trend", "--dir", str(tmp_path / "none")]) == 2
+
+
+def test_trend_of_the_committed_files():
+    benches = {pr: bench for pr, bench in bench_record.read_benches(ROOT).items() if pr <= 37}
+    assert sorted(benches) == [33, 34, 35, 37]
+    series = bench_record.trend(benches)
+    runs = {(w, seed) for b in benches.values() for w, seeds in b["workloads"].items()
+            for seed in seeds}
+    assert len(series) == len(runs) * len(END_TO_END)
+    for workload, seed in [("exact_conv", "1"), ("verify_all", "1"), ("mc_bands", "1")]:
+        entry = series[(workload, seed, "op_p50_ms")]
+        # PRs 31 and 32 wrote no file, and PR 36 was refused
+        assert entry["missing"] == [31, 32, 36]
+        assert [(link["pr"], link["after_gap"]) for link in entry["links"]] == [
+            (33, True), (34, False), (35, False), (37, True)]
+        # only PR 37's file holds host records, and both sides ran on SkylakeX
+        assert [link["hosts"] for link in entry["links"]] == ["unknown"] * 3 + ["same"]
+        ratios = [benches[pr]["workloads"][workload][seed]["metrics"]["op_p50_ms"]
+                  for pr in (33, 34, 35, 37)]
+        assert entry["chain"] == pytest.approx(
+            math.prod(m["change"]["median"] / m["parent"]["median"] for m in ratios))
+    # seed 7 of exact_conv first ran in PR 34
+    assert series[("exact_conv", "7", "setup_s")]["missing"] == [31, 32, 33, 36]

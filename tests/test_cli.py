@@ -279,9 +279,15 @@ def test_main_builds_only_the_invoked_command(capsys, monkeypatch):
 
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
     for argv, count in [(["commutator", "a", "b"], 1), (["-h"], 8), (["comutator"], 8)]:
+        cli.build_parser.cache_clear()
         built.clear()
         assert main(argv) in (0, 2)
         assert len(built) == count, argv
+    # each command's parser is built once per process
+    main(["commutator", "a", "b"])
+    built.clear()
+    assert main(["commutator", "a", "b"]) == 2
+    assert built == []
 
 
 # -------------------------------------------------------------------- zpoly

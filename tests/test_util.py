@@ -61,6 +61,55 @@ def test_to_fraction_bounds_exponent_strings():
     assert to_fraction("7/3") == Fraction(7, 3)
 
 
+def _general_to_fraction(text: str):
+    """to_fraction(text) as it read every string before the ASCII p/q fast
+    path: the digit-limit check of a decimal string, then Fraction(text)."""
+    match, limit = util._DECIMAL.fullmatch(text), sys.get_int_max_str_digits()
+    if match and limit:
+        whole, frac, exp = (part.replace("_", "") for part in match.groups(""))
+        shift = int(exp or 0) - len(frac)
+        digits = max(len(whole + frac) + max(shift, 0), 1 + max(-shift, 0))
+        if digits > limit:
+            raise ValueError(f"refusing a decimal string with {digits} digits in its "
+                             f"numerator or denominator, past Python's {limit}-digit limit")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {text!r}") from exc
+
+
+def _outcome(func, text):
+    try:
+        value = func(text)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return type(value), value
+
+
+def test_to_fraction_fast_path_matches_general_path():
+    limit = sys.get_int_max_str_digits()
+    texts = ["7/3", "-2", "+5", "007/010", "-0/5", "1/0", "3/-4", "-7/4", "0",
+             " 3/4", "3/ 4", "1_000/3", "\uff13/\uff14", "\u0663", "2.5e-3", "1.", "x",
+             "1" * (limit + 1), "-" + "1" * limit, "1" * (limit + 1) + "/3",
+             "1" * limit, "3/" + "1" * (limit + 1)]
+    outcomes = {text: _outcome(to_fraction, text) for text in texts}
+    for text, seen in outcomes.items():
+        assert seen == _outcome(_general_to_fraction, text), text
+    # the refusals include both kinds of message and the zero denominator
+    assert outcomes["1/0"] == (ValueError, "zero denominator in '1/0'")
+    assert outcomes["3/-4"][0] is ValueError
+    assert "digit limit" in outcomes["1" * (limit + 1)][1]
+    assert "limit" in outcomes["1" * (limit + 1) + "/3"][1]
+    assert outcomes["\uff13/\uff14"] == (Fraction, Fraction(3, 4))
+    # with no digit limit, any plain string takes the fast path
+    long_text = "-" + "7" * (limit + 5) + "/" + "3" * (limit + 5)
+    sys.set_int_max_str_digits(0)
+    try:
+        assert _outcome(to_fraction, long_text) == _outcome(_general_to_fraction, long_text)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_check_cap():
     check_cap(5, 5, "thing")
     with pytest.raises(CapExceededError) as excinfo:

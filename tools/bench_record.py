@@ -6,6 +6,7 @@ that records them.
     python3 tools/bench_record.py fresh --parent DIR --change DIR --log LOG \\
         -- commutator a.json b.json
     python3 tools/bench_record.py write --log LOG --out BENCH_33.json
+    python3 tools/bench_record.py trend [--dir DIR]
 
 `run` runs `perfbench/run.py` of two checkouts in turn, PAIRS times each,
 the parent first in even pairs and the change first in odd ones, and copies each run's
@@ -33,10 +34,21 @@ variables for its child processes and nothing else: "no_cache" sets
 PYTHONDONTWRITEBYTECODE=1, so finfree is compiled from source in every
 process (unless a checkout holds its own __pycache__), and "cache" points
 PYTHONPYCACHEPREFIX at a new temporary directory that the untimed runs fill.
+
+`trend` reads every BENCH_<n>.json in DIR (the repo root by default) in PR
+order and prints, for each workload, seed and end-to-end metric, the product
+of the change/parent median ratios, and each link: its PR number, ratio and
+pairs won. A link is one file, so files are joined by PR number, never by
+commit. It marks a link that follows a gap, the PR numbers from FIRST_PR on
+that hold no entry for the series, and a link whose two sides ran on
+different hosts: a host record whose OpenBLAS core differs between the
+sides, or sides whose CPU counts differ. A file written before host records
+were kept has its hosts marked "unknown".
 """
 
 import argparse
 import json
+import math
 import os
 import platform
 import shutil
@@ -55,6 +67,8 @@ PAIRS = 10
 # alternating one-shot process pairs per bytecode mode
 FRESH_RUNS = 21
 FRESH_MODES = ("no_cache", "cache")
+# the first PR whose BENCH file the trajectory expects; PRs 31 and 32 wrote none
+FIRST_PR = 31
 # the keys every BENCH_*.json holds, at each level
 TOP_KEYS = {"metrics", "workloads"}
 SEED_KEYS = {"pairs", "pair_order", "metrics", "failed", "provenance"}
@@ -282,6 +296,75 @@ def write(args) -> int:
     return 0
 
 
+def read_benches(directory: Path) -> dict:
+    """{PR number: BENCH record} of the BENCH_<n>.json files in directory."""
+    benches = {}
+    for path in directory.glob("BENCH_*.json"):
+        number = path.stem.removeprefix("BENCH_")
+        if number.isdecimal():
+            benches[int(number)] = json.loads(path.read_text())
+    return benches
+
+
+def _hosts(entry: dict) -> str:
+    """"same", "differ" or "unknown": whether a workload and seed's two
+    sides ran on one host, as far as its records tell."""
+    prov = entry["provenance"]
+    records = prov.get("host", [])
+    cpus = {s: {(r.get("nproc"), r.get("cpus_usable")) for r in prov[s]} for s in SIDES}
+    cores = [r.get("openblas_core", {}) for r in records]
+    if cpus["parent"] != cpus["change"] or any(c.get("parent") != c.get("change") for c in cores):
+        return "differ"
+    return "same" if records else "unknown"
+
+
+def trend(benches: dict) -> dict:
+    """{(workload, seed, metric): series} over benches, {PR number: BENCH
+    record}, in PR order. A series holds "chain", the product of its links'
+    change/parent median ratios; "links", one per PR with an entry: PR
+    number, ratio, pairs won, pairs, hosts ("same", "differ" or "unknown")
+    and after_gap (the PR before it, if at least FIRST_PR, holds no entry);
+    and "missing", the PRs from FIRST_PR to the last file's that hold none."""
+    prs = sorted(benches)
+    series = {}
+    for pr in prs:
+        for workload, seeds in benches[pr]["workloads"].items():
+            for seed, entry in seeds.items():
+                for name, metric in entry["metrics"].items():
+                    links = series.setdefault((workload, seed, name), {})
+                    links[pr] = {
+                        "pr": pr,
+                        "ratio": metric["change"]["median"] / metric["parent"]["median"],
+                        "pairs_won": metric["pairs_won"],
+                        "pairs": entry["pairs"],
+                        "hosts": _hosts(entry),
+                        "after_gap": pr - 1 >= FIRST_PR and pr - 1 not in links,
+                    }
+    return {key: {"chain": math.prod(link["ratio"] for link in links.values()),
+                  "links": list(links.values()),
+                  "missing": [pr for pr in range(FIRST_PR, prs[-1] + 1) if pr not in links]}
+            for key, links in sorted(series.items())}
+
+
+def print_trend(args) -> int:
+    benches = read_benches(Path(args.dir))
+    if not benches:
+        print(f"error: no BENCH_<n>.json in {args.dir}", file=sys.stderr)
+        return 2
+    better = {name: m["better"] for b in benches.values() for name, m in b["metrics"].items()}
+    for (workload, seed, name), entry in trend(benches).items():
+        missing = ", ".join(map(str, entry["missing"])) or "none"
+        print(f"{workload} seed {seed} {name} ({better[name]} is better): chained "
+              f"change/parent {entry['chain']:.4f} "
+              f"over {len(entry['links'])} links; no entry for PRs {missing}")
+        for link in entry["links"]:
+            marks = (["after a gap"] if link["after_gap"] else []) + (
+                [] if link["hosts"] == "same" else [f"hosts {link['hosts']}"])
+            print(f"  PR {link['pr']}: {link['ratio']:.4f}, {link['pairs_won']}/"
+                  f"{link['pairs']} pairs won{'; ' if marks else ''}{', '.join(marks)}")
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     commands = parser.add_subparsers(dest="command", required=True)
@@ -299,8 +382,11 @@ def main(argv=None) -> int:
     out = commands.add_parser("write", help="write the BENCH record of saved runs")
     out.add_argument("--log", required=True)
     out.add_argument("--out", required=True)
+    chain = commands.add_parser("trend", help="chain the paired ratios of the BENCH files")
+    chain.add_argument("--dir", default=str(ROOT), help="directory of the BENCH_<n>.json files")
     args = parser.parse_args(argv)
-    return {"run": run_pairs, "fresh": run_fresh, "write": write}[args.command](args)
+    handlers = {"run": run_pairs, "fresh": run_fresh, "write": write, "trend": print_trend}
+    return handlers[args.command](args)
 
 
 if __name__ == "__main__":
