@@ -60,34 +60,10 @@ def _emit(payload, fmt: str, pretty_lines):
             print(line)
 
 
-def _digits(n: int) -> int:
-    """Decimal digits of |n|, counted without converting n to a string."""
-    n = abs(n)
-    estimate = int(n.bit_length() * 0.30102999566398120) + 1  # true count or one more
-    return estimate if n >= 10 ** (estimate - 1) or n == 0 else estimate - 1
-
-
-def _too_long(poly: MonicPoly):
-    """Name the first coefficient whose digits pass Python's int/str limit,
-    or None if none does."""
-    limit = sys.get_int_max_str_digits()
-    for k, v in enumerate(poly.a):
-        digits = max(_digits(v.numerator), _digits(v.denominator))
-        if limit and digits > limit:
-            return (
-                f"result coefficient a_{k} has {digits} digits, past Python's "
-                f"{limit}-digit limit for int/str conversion"
-            )
-    return None
-
-
 def _rendered(poly: MonicPoly, **head) -> tuple:
     """(JSON payload, pretty lines) of a polynomial result, rendered once;
     `head` holds the payload's other keys."""
-    try:
-        text, doc = poly.pretty(), poly.to_json_dict()
-    except ValueError as exc:  # a coefficient past Python's int/str digit limit
-        raise InputError(_too_long(poly) or str(exc)) from exc
+    text, doc = poly.pretty(), poly.to_json_dict()
     return {**head, "pretty": text, "result": doc}, [text, f"a = {doc['a']}"]
 
 
@@ -106,14 +82,6 @@ def cmd_zpoly(args) -> int:
     return 0
 
 
-def _floats(values, what: str) -> list:
-    """The values as floats for sampling, or exit 2 if one does not fit."""
-    try:
-        return [float(v) for v in values]
-    except OverflowError as exc:
-        raise InputError(f"--mc: {what} is outside float range ({exc})") from exc
-
-
 def cmd_commutator(args) -> int:
     spec_a, spec_b = as_spectrum_pair(_load(args.a, as_spectrum, "a spectrum"),
                                       _load(args.b, as_spectrum, "a spectrum"))
@@ -125,30 +93,20 @@ def cmd_commutator(args) -> int:
         MonicPoly.from_spectrum(spec_a), MonicPoly.from_spectrum(spec_b)
     )
     payload, lines = _rendered(exact, d=exact.degree)
-    code = 0
+    bands_ok = True
     if args.mc is not None:
-        from .montecarlo import mc_charpoly  # loads numpy
+        from .montecarlo import as_floats, mc_charpoly  # loads numpy
 
-        exact_f = _floats(exact.a, "an exact coefficient")
-        report = mc_charpoly(
-            _floats(spec_a, "a spectrum entry"),
-            _floats(spec_b, "a spectrum entry"),
-            args.mc, args.seed,
-        )
-        expected = dict(zip(report.labels, exact_f[1:]))
-        bands_ok = not report.band_misses(expected)
-        z_scores = {}
-        for label, exact_k in expected.items():
-            mean, (se_re, _) = report.mean(label), report.se(label)
-            z_scores[label] = repr(abs(mean.real - exact_k) / se_re if se_re else 0.0)
-        payload["mc"] = report.to_json_dict()
-        payload["mc"]["z_scores"] = z_scores
-        payload["mc"]["bands_ok"] = bands_ok
+        exact_f = as_floats(exact.a, "exact coefficient a_{}")
+        report = mc_charpoly(spec_a, spec_b, args.mc, args.seed)
+        bands_ok = not report.band_misses(dict(zip(report.labels, exact_f[1:])))
+        rows = zip(report.labels, report.means, report.se_re, exact_f[1:])
+        z_scores = {label: repr(abs(mean.real - exact_k) / se if se else 0.0)
+                    for label, mean, se, exact_k in rows}
+        payload["mc"] = {**report.to_json_dict(), "z_scores": z_scores, "bands_ok": bands_ok}
         lines.append(f"mc n={args.mc} seed={args.seed} bands_ok={bands_ok}")
-        if not bands_ok:
-            code = 1
     _emit(payload, args.format, lines)
-    return code
+    return 0 if bands_ok else 1
 
 
 def cmd_weingarten(args) -> int:

@@ -12,10 +12,12 @@ depend on how its chunks are cut into blocks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .symfunc import as_spectrum, as_spectrum_pair
 from .util import MC_CHUNK_SIZE, check_mc_caps
 
 
@@ -24,6 +26,18 @@ def nan_max(values) -> float:
     NaN if any is NaN. The builtin max keeps its running maximum when the
     next value is NaN, so it would drop every NaN but a leading one."""
     return float(np.max(list(values), initial=0.0))
+
+
+def as_floats(values, name: str) -> list:
+    """Exact values as Python floats: this layer's one intake of outside
+    values. Value i past the float range is refused by name.format(i)."""
+    floats = []
+    for i, value in enumerate(values):
+        try:
+            floats.append(float(value))
+        except OverflowError:
+            raise ValueError(f"{name.format(i)} is outside the float range") from None
+    return floats
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -295,12 +309,12 @@ def mc_charpoly(spec_a, spec_b, n: int, seed: int,
     """Sampled means of e_1..e_d for a two-matrix word in A and UBU*.
 
     mode selects the word: 'commutator' (AT - TA), 'sum' (A + T), or
-    'product' (AT), with T = UBU* and A, B diagonal with the given spectra.
+    'product' (AT), with T = UBU* and A, B diagonal with the given spectra,
+    which go through symfunc.as_spectrum_pair and then as_floats.
     """
-    a = np.array([float(v) for v in spec_a])
-    b = np.array([float(v) for v in spec_b])
-    if a.shape != b.shape:
-        raise ValueError("spectra must have equal length")
+    spec_a, spec_b = as_spectrum_pair(spec_a, spec_b)
+    a = np.array(as_floats(spec_a, "entry {} of spectrum A"))
+    b = np.array(as_floats(spec_b, "entry {} of spectrum B"))
     d = a.size
     if mode not in ("commutator", "sum", "product"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -347,10 +361,11 @@ def mc_entry_moments(d: int, n: int, seed: int) -> McReport:
 def mc_conjugation_mean(spec_x, n: int, seed: int) -> McReport:
     """Sampled mean of U X U* entrywise, X diagonal with the given spectrum.
 
-    The exact mean is (tr X / d) times the identity; the report labels are
+    The spectrum goes through symfunc.as_spectrum and then as_floats. The
+    exact mean is (tr X / d) times the identity; the report labels are
     'entry_i_j' in row-major order.
     """
-    x = np.array([float(v) for v in spec_x])
+    x = np.array(as_floats(as_spectrum(spec_x), "entry {} of spectrum X"))
     d = x.size
 
     def conjugate(u):
@@ -363,10 +378,11 @@ def mc_conjugation_mean(spec_x, n: int, seed: int) -> McReport:
 
 
 def within_band(exact, mean, se) -> bool:
-    """|mean - exact| <= 4 se + 1e-9 max(1, |exact|).
+    """|mean - exact| <= 4 se + 1e-9 max(1, |exact|), for a finite se only.
 
     The additive floor only matters when the per-sample statistic is an
-    exact constant (se == 0), where pure se bands have zero width.
+    exact constant (se == 0), where pure se bands have zero width. An
+    infinite or NaN se (the spread overflowed) bounds nothing: a miss.
     """
-    exact = float(exact)
-    return abs(mean - exact) <= 4.0 * se + 1e-9 * max(1.0, abs(exact))
+    [exact] = as_floats([exact], "the exact value")
+    return math.isfinite(se) and abs(mean - exact) <= 4.0 * se + 1e-9 * max(1.0, abs(exact))

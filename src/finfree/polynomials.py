@@ -11,12 +11,13 @@ Srivastava, as integers over one denominator: c_k = nums[k]/den, with
 den > 0 and gcd(den, *nums) = 1. That form is unique, so equality and
 hashing are exact. In it the additive convolution is a plain polynomial
 product and the multiplicative one is c_k = c^p_k c^q_k k!, so every
-convolution runs on ints. The reduced rationals a_k are formed once, on
-demand, for display.
+convolution runs on ints. The reduced rationals a_k, and their strings,
+are formed once, on demand, for display.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -42,6 +43,13 @@ from .util import (
 )
 
 
+def _digits(n: int) -> int:
+    """Decimal digits of |n|, counted without converting n to a string."""
+    n = abs(n)
+    estimate = int(n.bit_length() * 0.30102999566398120) + 1  # true count or one more
+    return estimate if n >= 10 ** (estimate - 1) or n == 0 else estimate - 1
+
+
 def _check_degree(d: int):
     if d < 1:
         raise ValueError("degree must be at least 1")
@@ -57,8 +65,8 @@ def _mss_normalize(scale: int, ints) -> tuple:
 
 class MonicPoly:
     """An immutable value: equal, with equal hashes, exactly when den and
-    nums are. Only _settle stores them, and only cached_property adds an
-    attribute (`a`), through the instance dict."""
+    nums are. Only _settle stores them, and only cached_property adds
+    attributes (`a` and `a_str`), through the instance dict."""
 
     def __init__(self, a):
         """The polynomial with unsigned coefficients a: rationals, a_0 = 1.
@@ -117,6 +125,23 @@ class MonicPoly:
             falling *= d - k
         return tuple(out)
 
+    @cached_property
+    def a_str(self) -> tuple:
+        """str(a_k) of each coefficient, formed once for pretty() and
+        to_json_dict(). A coefficient past Python's int/str digit limit is
+        refused with a ValueError that names it and its digit count."""
+        out = []
+        for k, v in enumerate(self.a):
+            try:
+                out.append(str(v))
+            except ValueError:
+                digits = max(_digits(v.numerator), _digits(v.denominator))
+                raise ValueError(
+                    f"result coefficient a_{k} has {digits} digits, past Python's "
+                    f"{sys.get_int_max_str_digits()}-digit limit for int/str conversion"
+                ) from None
+        return tuple(out)
+
     @classmethod
     def from_spectrum(cls, values) -> "MonicPoly":
         """Monic polynomial with the given roots.
@@ -141,28 +166,28 @@ class MonicPoly:
     def pretty(self) -> str:
         """The displayed polynomial, e.g. "x^3 - 3/2*x + 1".
 
-        Each term's sign and digits come from the numerator and denominator
-        of a_k: the term x^(d-k) is negative when exactly one of "a_k < 0"
-        and "k odd" holds. a_0 = 1, so the leading term is always x^d.
+        Each term's sign and digits come from the string of a_k: the term
+        x^(d-k) is negative when exactly one of "a_k < 0" and "k odd" holds.
+        a_0 = 1, so the leading term is always x^d.
         """
         d = self.degree
         pieces = ["x" if d == 1 else f"x^{d}"]
-        for k, v in enumerate(self.a[1:], start=1):
-            num, den = v.numerator, v.denominator
-            if not num:
+        for k, text in enumerate(self.a_str[1:], start=1):
+            if text == "0":
                 continue
-            digits = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+            negative = text[0] == "-"
+            digits = text[1:] if negative else text
             power = d - k
             if power:
                 xpow = "x" if power == 1 else f"x^{power}"
                 body = xpow if digits == "1" else f"{digits}*{xpow}"
             else:
                 body = digits
-            pieces.append(f"- {body}" if (num < 0) != (k % 2 == 1) else f"+ {body}")
+            pieces.append(f"- {body}" if negative != (k % 2 == 1) else f"+ {body}")
         return " ".join(pieces)
 
     def to_json_dict(self) -> dict:
-        return {"d": self.degree, "a": [str(v) for v in self.a]}
+        return {"d": self.degree, "a": list(self.a_str)}
 
     @classmethod
     def from_json_dict(cls, payload) -> "MonicPoly":

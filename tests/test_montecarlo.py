@@ -1,7 +1,9 @@
 import hashlib
+import importlib.util
 import json
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from finfree.montecarlo import (
     _gram_schmidt,
     _householder,
     _sample,
+    as_floats,
     haar_batch,
     mc_charpoly,
     mc_conjugation_mean,
@@ -25,10 +28,11 @@ from finfree.montecarlo import (
     within_band,
 )
 from finfree.polynomials import MonicPoly, boxplus, boxtimes, commutator_poly
-from finfree.symfunc import elementary_symmetric
+from finfree.symfunc import as_spectrum, elementary_symmetric
 from finfree.util import MC_CHUNK_ENTRIES_CAP, MC_CHUNK_SIZE, CapExceededError
 
 SEED = 99
+ROOT = Path(__file__).resolve().parent.parent
 
 
 # ----------------------------------------------------------------- sampling
@@ -316,7 +320,7 @@ def test_statistic_blocks_change_no_report_byte(monkeypatch, d, run):
     # a full chunk of several blocks and a chunk of 37 samples, on both
     # sides of GRAM_SCHMIDT_MAX_D
     assert _block_size(MC_CHUNK_SIZE, d) < MC_CHUNK_SIZE
-    n, a, b = MC_CHUNK_SIZE + 37, range(d), [(-1) ** i * i / 3 for i in range(d)]
+    n, a, b = MC_CHUNK_SIZE + 37, range(d), [Fraction((-1) ** i * i / 3) for i in range(d)]
 
     def report():
         rep = (mc_conjugation_mean(a, n, SEED) if run == "conjugation"
@@ -330,11 +334,13 @@ def test_statistic_blocks_change_no_report_byte(monkeypatch, d, run):
 
 # SHA-256 of json.dumps(report.to_json_dict()) at n = MC_CHUNK_SIZE + 37 and
 # seed SEED, recorded when each block first drew its samples whole in sample
-# order: mc_charpoly of range(d) and ((-1)^i i / 3) in each mode,
+# order: mc_charpoly of range(d) and the floats ((-1)^i i / 3), as exact
+# Fractions, in each mode,
 # mc_entry_moments(5) and mc_conjugation_mean(range(5)). They were recorded
 # on OpenBLAS's SkylakeX kernel (x86 with AVX-512), and hold on that kernel
 # only: under OPENBLAS_CORETYPE=Haswell every digest but entry_moments-5
 # differs, since the QR and matrix products round differently.
+RECORDED_CORE = "SkylakeX"
 REPORT_SHA256 = {
     ("commutator", 2): "f043d9b34ea29a620b0abdac6bc0e9fcaaf4572fad792bca6bb3e59df44ef0f4",
     ("commutator", 5): "639d0d9b0f97c27e607e136f10f461e75c77faf0357e55185a7caedac27b742b",
@@ -355,7 +361,7 @@ REPORT_SHA256 = {
 
 @pytest.mark.parametrize("run, d", sorted(REPORT_SHA256))
 def test_reports_keep_their_pinned_bytes(run, d):
-    n, a, b = MC_CHUNK_SIZE + 37, range(d), [(-1) ** i * i / 3 for i in range(d)]
+    n, a, b = MC_CHUNK_SIZE + 37, range(d), [Fraction((-1) ** i * i / 3) for i in range(d)]
     if run == "entry_moments":
         rep = mc_entry_moments(d, n, SEED)
     elif run == "conjugation":
@@ -363,7 +369,19 @@ def test_reports_keep_their_pinned_bytes(run, d):
     else:
         rep = mc_charpoly(a, b, n, SEED, mode=run)
     digest = hashlib.sha256(json.dumps(rep.to_json_dict()).encode()).hexdigest()
-    assert digest == REPORT_SHA256[run, d]
+    assert digest == REPORT_SHA256[run, d], (
+        f"digests recorded on OpenBLAS core {RECORDED_CORE}; this run's core is "
+        f"{_running_core()}")
+
+
+def _running_core() -> str:
+    """The OpenBLAS core numpy runs here, by the query tools/bench_record.py
+    records each benchmark side's core with."""
+    spec = importlib.util.spec_from_file_location("bench_record",
+                                                  ROOT / "tools" / "bench_record.py")
+    bench_record = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_record)
+    return bench_record.openblas_core(ROOT)
 
 
 def test_haar_phase_correction_removes_qr_bias():
@@ -450,7 +468,7 @@ def test_paired_traces_match_eigenvalues(monkeypatch, d, mode):
     a = np.arange(1, d + 1) / 2
     b = np.array([(d - i) * (-1) ** i / 3 for i in range(d)])
     u = _haar(d, 64, SEED, chunk=d)[0]
-    got = _statistic(monkeypatch, a, b, mode)(u)
+    got = _statistic(monkeypatch, [*map(Fraction, a)], [*map(Fraction, b)], mode)(u)
     roots = np.linalg.eigvals(_word(u, a, b, mode))
     want = np.array([np.poly(r) for r in roots])[:, 1:] * (-1.0) ** np.arange(1, d + 1)
     if mode == "commutator":
@@ -527,6 +545,9 @@ def test_within_band():
     assert within_band(0.0, 0.0, 0.0)
     assert within_band(1.0, 1.0 + 5e-10, 0.0)
     assert not within_band(1.0, 1.001, 0.0)
+    # an infinite standard error bounds nothing
+    assert not within_band(1.0, 5.0, float("inf"))
+    assert not within_band(1.0, float("inf"), float("inf"))
 
 
 def test_band_misses_lists_missed_labels_in_report_order():
@@ -598,18 +619,18 @@ def test_chunk_cap_refuses_before_sampling(monkeypatch):
     # one full chunk at d = 32 holds exactly the cap; at d = 33 it is refused
     assert MC_CHUNK_SIZE * 32**2 == MC_CHUNK_ENTRIES_CAP
     with pytest.raises(AssertionError, match="draw reached"):
-        mc_charpoly([1.0] * 32, [1.0] * 32, n=MC_CHUNK_SIZE, seed=1)
+        mc_charpoly([Fraction(1)] * 32, [Fraction(1)] * 32, n=MC_CHUNK_SIZE, seed=1)
     refused = f"n=4096, d=33: .* exceeds cap {MC_CHUNK_ENTRIES_CAP}$"
     with pytest.raises(CapExceededError, match=refused):
-        mc_charpoly([1.0] * 33, [1.0] * 33, n=MC_CHUNK_SIZE, seed=1)
+        mc_charpoly([Fraction(1)] * 33, [Fraction(1)] * 33, n=MC_CHUNK_SIZE, seed=1)
 
 
+# An empty spectrum is refused by as_spectrum before any draw
+# (tests/test_symfunc.py::SPECTRUM_INTAKES).
 @pytest.mark.parametrize("call", [
-    lambda: mc_charpoly([], [], 10, 1),
-    lambda: mc_conjugation_mean([], 10, 1),
     lambda: mc_entry_moments(0, 10, 1),
     lambda: mc_entry_moments(-1, 10, 1),
-], ids=["charpoly", "conjugation", "moments-0", "moments-negative"])
+], ids=["moments-0", "moments-negative"])
 def test_dimension_below_one_refused_before_sampling(monkeypatch, call):
     def forbidden(seed, chunk_index):
         raise AssertionError("draw reached")
@@ -632,6 +653,70 @@ def test_one_sample_refused_before_sampling(monkeypatch, call):
     monkeypatch.setattr(montecarlo, "_chunk_rng", forbidden)
     with pytest.raises(ValueError, match="^need n >= 2$"):
         call()
+
+
+# The sampled routes take their spectra as every exact route does, through
+# symfunc.as_spectrum, so each refuses what it refuses, with its error.
+SAMPLED_INTAKES = {
+    "charpoly-A": lambda spec: mc_charpoly(spec, (1, 2), 10, 1),
+    "charpoly-B": lambda spec: mc_charpoly((1, 2), spec, 10, 1),
+    "conjugation": lambda spec: mc_conjugation_mean(spec, 10, 1),
+}
+REFUSED_SPECTRA = {
+    "string": "12",
+    "floats": [0.5, 1.5],
+    "booleans": [True, False],
+    "float-array": np.array([1.0, 2.0]),
+    "int-array": np.array([1, 2]),
+}
+
+
+def _no_draws(monkeypatch):
+    def forbidden(seed, chunk_index):
+        raise AssertionError("draw reached")
+
+    monkeypatch.setattr(montecarlo, "_chunk_rng", forbidden)
+
+
+@pytest.mark.parametrize("intake", sorted(SAMPLED_INTAKES))
+@pytest.mark.parametrize("spectrum", sorted(REFUSED_SPECTRA))
+def test_sampled_spectra_are_refused_as_as_spectrum_refuses_them(
+        monkeypatch, intake, spectrum):
+    _no_draws(monkeypatch)
+    values = REFUSED_SPECTRA[spectrum]
+    with pytest.raises((TypeError, ValueError)) as want:
+        as_spectrum(values)
+    with pytest.raises(want.type) as got:
+        SAMPLED_INTAKES[intake](values)
+    assert str(got.value) == str(want.value)
+
+
+def test_rational_strings_sample_as_their_fractions():
+    strings = ["1/3", "-7/4", "2.5", "3"]
+    fractions = [Fraction(1, 3), Fraction(-7, 4), Fraction(5, 2), Fraction(3)]
+    for run in (lambda spec: mc_charpoly(spec, spec[::-1], 500, SEED),
+                lambda spec: mc_conjugation_mean(spec, 500, SEED)):
+        assert json.dumps(run(strings).to_json_dict()) == json.dumps(
+            run(fractions).to_json_dict())
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda huge: mc_charpoly((1, huge), (1, 2), 10, 1), "entry 1 of spectrum A"),
+    (lambda huge: mc_charpoly((1, 2), (huge, 1), 10, 1), "entry 0 of spectrum B"),
+    (lambda huge: mc_conjugation_mean((huge,), 10, 1), "entry 0 of spectrum X"),
+    (lambda huge: within_band(huge, 0.0, 1.0), "the exact value"),
+], ids=["charpoly-A", "charpoly-B", "conjugation", "band"])
+def test_value_past_float_range_is_named(monkeypatch, call, name):
+    _no_draws(monkeypatch)
+    with pytest.raises(ValueError, match=f"^{name} is outside the float range$"):
+        call(Fraction(10**400))
+
+
+def test_as_floats_gives_python_floats_and_names_the_first_past_the_range():
+    floats = as_floats([Fraction(1, 3), 2, Fraction(-(10**400), 10**399)], "x_{}")
+    assert floats == [1 / 3, 2.0, -10.0] and {type(v) for v in floats} == {float}
+    with pytest.raises(ValueError, match="^x_1 is outside the float range$"):
+        as_floats([1, Fraction(-(10**400), 3), Fraction(10**400)], "x_{}")
 
 
 # ---------------------------------------------------------- other observables

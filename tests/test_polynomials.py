@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 from math import comb, factorial, gcd, isqrt, prod
 
@@ -116,6 +117,26 @@ def test_coefficients_are_computed_once():
     first = p.a
     assert first == (1, 0, Fraction(8, 3)) and p.a is first
     assert p == MonicPoly((1, 0, Fraction(8, 3)))  # a cached `a` is not part of the value
+
+
+def test_coefficient_strings_are_formed_once():
+    p = MonicPoly((1, Fraction(-7, 4), 2))
+    assert "a_str" not in vars(p)
+    assert p.to_json_dict() == {"d": 2, "a": ["1", "-7/4", "2"]}
+    first = p.a_str
+    assert p.pretty() == "x^2 + 7/4*x + 2" and p.a_str is first
+
+
+def test_coefficient_past_digit_limit_is_named():
+    # a 1201-digit root: a_2 of the commutator has 4801 digits, more than
+    # Python's int/str limit (4300 by default) lets str() print
+    p = MonicPoly.from_spectrum(["1" + "0" * 1200, 2, 3, 4])
+    result = commutator_poly(p, p)
+    refused = (f"^result coefficient a_2 has 4801 digits, past Python's "
+               f"{sys.get_int_max_str_digits()}-digit limit for int/str conversion$")
+    for render in (result.pretty, result.to_json_dict, result.pretty):
+        with pytest.raises(ValueError, match=refused):
+            render()
 
 
 # ------------------------------------------------------------ convolutions

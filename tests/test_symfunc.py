@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from finfree import immanants, oracle, polynomials
+from finfree import immanants, montecarlo, oracle, polynomials
 from finfree.partitions import Partition, partitions_of, semistandard_tableaux
 from finfree.symfunc import (
     as_spectrum,
@@ -343,6 +343,8 @@ SPECTRUM_INTAKES = {
     "brute_force_coefficients": lambda: oracle.brute_force_coefficients((), (), (0,)),
     "identity_leftdep": lambda: oracle.identity_leftdep((), 0),
     "identity_rightdep": lambda: oracle.identity_rightdep((), 0),
+    "mc_charpoly": lambda: montecarlo.mc_charpoly((), (), 10, 1),
+    "mc_conjugation_mean": lambda: montecarlo.mc_conjugation_mean((), 10, 1),
 }
 
 
